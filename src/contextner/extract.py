@@ -195,29 +195,38 @@ def extract_context(
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
+# (side, length) -> context words -> the context, groups in sorted order.
+ContextGroups = dict[tuple[str, int], dict[tuple[str, ...], ContextKey]]
+
+
+def group_contexts(contexts: Iterable[ContextKey]) -> ContextGroups:
+    """Index contexts by (side, length), then by their words, for scanning."""
+    groups: ContextGroups = {}
+    for key in contexts:
+        groups.setdefault((key.side, key.length), {})[key.words] = key
+    return dict(sorted(groups.items()))
+
+
 def scan_tokenized(
     doc_id: str,
     tok: Tokenization,
-    contexts: Iterable[ContextKey],
+    groups: ContextGroups,
     instances: list[InstanceOccurrence],
 ) -> list[ContextOccurrence]:
-    """All valid occurrences of the given contexts in one tokenized document.
+    """All valid occurrences of the grouped contexts in one tokenized document.
 
+    `groups` comes from group_contexts, built once for a whole corpus.
     A position counts only when the context window plus its adjacency gap
     stays inside one sentence and an adjacent token exists, mirroring
     extract_context. with_example is True iff the adjacent span starts
     (left side) or ends (right side) a learning-example occurrence.
     """
-    groups: dict[tuple[str, int], dict[tuple[str, ...], ContextKey]] = {}
-    for key in contexts:
-        groups.setdefault((key.side, key.length), {})[key.words] = key
     by_first = {occ.first: occ for occ in instances}
     by_last = {occ.last: occ for occ in instances}
     words = tok.words
     n = len(words)
     out: list[ContextOccurrence] = []
-    for (side, length) in sorted(groups):
-        keys = groups[(side, length)]
+    for (side, length), keys in groups.items():
         for p in range(n - length + 1):
             key = keys.get(words[p : p + length])
             if key is None:
@@ -259,12 +268,12 @@ def scan_context_occurrences(
 ) -> list[ContextOccurrence]:
     """Scan every document of a corpus for the given contexts."""
     examples = list(examples)
-    contexts = list(contexts)
+    groups = group_contexts(contexts)
     out: list[ContextOccurrence] = []
     for doc in corpus:
         tok = tokenize(doc.clean)
         instances = find_instances(tok, examples, doc=doc.id)
-        out.extend(scan_tokenized(doc.id, tok, contexts, instances))
+        out.extend(scan_tokenized(doc.id, tok, groups, instances))
     return out
 
 

@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 from . import tsv
 from .corpus import Document
 from .errors import DataFormatError, InputError
-from .extract import LEFT, RIGHT, ContextKey, Tokenization, tokenize
+from .extract import LEFT, ContextKey, Tokenization, tokenize
 from .weighting import WeightTable, read_weight_mapping, write_weight_table
 
 UNKNOWN = "unknown"
@@ -37,14 +37,27 @@ ANNOTATIONS_HEADER = [
 _LABEL_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
 
 
+# (side, length) -> context words -> ((class, weight), ...) in table order.
+_ContextVotes = dict[tuple[str, int], dict[tuple[str, ...], tuple[tuple[str, float], ...]]]
+
+
 @dataclass(frozen=True)
 class RecognitionModel:
-    """Per-class context weights plus the decision parameters."""
+    """Per-class context weights plus the decision parameters.
+
+    On construction the tables are compiled into one index, grouped by
+    (side, length) in sorted order, whose entries list every class's
+    weight for those context words in `tables` order. Detection and
+    voting read only that index, so each costs time proportional to a
+    document's tokens, not to the model's size. The tables must not be
+    changed after construction.
+    """
 
     tables: dict[str, dict[ContextKey, float]]
     threshold: float = 0.0
     margin: float = 0.0
     max_entity_tokens: int = 4
+    _votes: _ContextVotes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.threshold < 0 or self.margin < 0:
@@ -53,6 +66,7 @@ class RecognitionModel:
             raise ValueError(
                 f"max_entity_tokens must be >= 1, got {self.max_entity_tokens}"
             )
+        votes: _ContextVotes = {}
         for label, table in self.tables.items():
             if not label or label == UNKNOWN:
                 raise ValueError(f"invalid class label {label!r}")
@@ -61,22 +75,40 @@ class RecognitionModel:
                     raise ValueError(
                         f"non-positive weight {weight} for {key.phrase()!r} in {label}"
                     )
+                group = votes.setdefault((key.side, key.length), {})
+                group[key.words] = group.get(key.words, ()) + ((label, weight),)
+        object.__setattr__(self, "_votes", dict(sorted(votes.items())))
 
 
 @dataclass
 class VoteState:
-    """Accumulated per-class votes with their contributing contexts."""
+    """Accumulated per-class votes with their contributing contexts.
+
+    Add to `votes` only through `vote`: the ranking that `classify` and
+    `top_two` share is computed once and kept until the next vote.
+    """
 
     votes: dict[str, float] = field(default_factory=dict)
     contributions: dict[str, list[tuple[Optional[ContextKey], float]]] = field(
         default_factory=dict
     )
+    _ranked: Optional[tuple[tuple[str, float], ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def _rank(self) -> tuple[tuple[str, float], ...]:
+        """The first two (label, vote) pairs, highest vote first, equal
+        votes by label."""
+        if self._ranked is None:
+            ranked = sorted(self.votes.items(), key=lambda kv: (-kv[1], kv[0]))
+            self._ranked = tuple(ranked[:2])
+        return self._ranked
 
     def top_two(self) -> tuple[str, float, float]:
         """(best label, best vote, runner-up vote); zeros when absent."""
-        if not self.votes:
+        ranked = self._rank()
+        if not ranked:
             return UNKNOWN, 0.0, 0.0
-        ranked = sorted(self.votes.items(), key=lambda kv: (-kv[1], kv[0]))
         second = ranked[1][1] if len(ranked) > 1 else 0.0
         return ranked[0][0], ranked[0][1], second
 
@@ -91,6 +123,7 @@ def vote(
     if weight <= 0:
         raise ValueError(f"vote weight must be positive, got {weight}")
     state.votes[class_label] = state.votes.get(class_label, 0.0) + weight
+    state._ranked = None
     state.contributions.setdefault(class_label, []).append((context, weight))
     return state
 
@@ -101,9 +134,9 @@ def classify(state: VoteState, threshold: float = 0.0, margin: float = 0.0) -> s
     The best vote must reach `threshold` and exceed the runner-up by at
     least `margin`; an exact tie for first place is always unknown.
     """
-    if not state.votes:
+    ranked = state._rank()
+    if not ranked:
         return UNKNOWN
-    ranked = sorted(state.votes.items(), key=lambda kv: (-kv[1], kv[0]))
     best_label, best = ranked[0]
     if len(ranked) > 1:
         second = ranked[1][1]
@@ -120,17 +153,6 @@ def _starts_lower(word: str) -> bool:
     return word[:1].islower()
 
 
-def _context_index(
-    model: RecognitionModel,
-) -> dict[tuple[str, int], set[tuple[str, ...]]]:
-    """All context word tuples across tables, grouped by (side, length)."""
-    index: dict[tuple[str, int], set[tuple[str, ...]]] = {}
-    for table in model.tables.values():
-        for key in table:
-            index.setdefault((key.side, key.length), set()).add(key.words)
-    return index
-
-
 def detect_candidates(tok: Tokenization, model: RecognitionModel) -> list[tuple[int, int]]:
     """Candidate entity spans, as (first, last) token index pairs.
 
@@ -142,7 +164,7 @@ def detect_candidates(tok: Tokenization, model: RecognitionModel) -> list[tuple[
     words = tok.words
     n = len(words)
     limit = model.max_entity_tokens
-    for (side, length), keys in _context_index(model).items():
+    for (side, length), keys in model._votes.items():
         for p in range(n - length + 1):
             if words[p : p + length] not in keys:
                 continue
@@ -199,23 +221,23 @@ def recognize_document(doc: Document, model: RecognitionModel) -> list[Annotatio
     tok = tokenize(doc.clean)
     words = tok.words
     n = len(words)
-    group_keys = sorted(_context_index(model))
     out: list[Annotation] = []
     for first, last in detect_candidates(tok, model):
         state = VoteState()
-        for side, length in group_keys:
+        for (side, length), by_words in model._votes.items():
             if side == LEFT:
                 if first - length < 0:
                     continue
-                adjacent = ContextKey(words[first - length : first], LEFT)
+                adjacent = words[first - length : first]
             else:
                 if last + 1 + length > n:
                     continue
-                adjacent = ContextKey(words[last + 1 : last + 1 + length], RIGHT)
-            for label, table in model.tables.items():
-                weight = table.get(adjacent)
-                if weight is not None:
-                    vote(state, label, weight, adjacent)
+                adjacent = words[last + 1 : last + 1 + length]
+            votes = by_words.get(adjacent)
+            if votes is not None:
+                context = ContextKey(adjacent, side)
+                for label, weight in votes:
+                    vote(state, label, weight, context)
         decided = classify(state, model.threshold, model.margin)
         _, best, second = state.top_two()
         out.append(

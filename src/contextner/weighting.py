@@ -29,6 +29,7 @@ from .extract import (
     Tokenization,
     extract_context,
     find_instances,
+    group_contexts,
     scan_tokenized,
     tokenize,
 )
@@ -183,8 +184,9 @@ def collect_context_stats(
     seen_examples: dict[ContextKey, set[str]] = {}
     docs_seen: dict[ContextKey, set[str]] = {}
     sources_seen: dict[ContextKey, set[str]] = {}
+    groups = group_contexts(contexts)
     for doc_id, source, tok in tokenized:
-        occs = scan_tokenized(doc_id, tok, contexts, per_doc_instances[doc_id])
+        occs = scan_tokenized(doc_id, tok, groups, per_doc_instances[doc_id])
         for occ in occs:
             key = occ.context
             docs_seen.setdefault(key, set()).add(doc_id)

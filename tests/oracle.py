@@ -181,3 +181,178 @@ def random_corpus(rng: random.Random) -> tuple[list[OracleDoc], list[str]]:
             )
         )
     return docs, surfaces
+
+
+# -- recognition ---------------------------------------------------------------
+
+# A class table as (side, context words) -> weight.
+OracleTable = dict[tuple[str, tuple[str, ...]], float]
+
+
+@dataclass
+class OracleAnnotation:
+    first: int
+    last: int
+    surface: str
+    class_label: str
+    score: float
+    runner_up: float
+
+
+def _candidate_span(
+    words: list[str], breaks: set[int], side: str, p: int, length: int, limit: int
+) -> tuple[int, int] | None:
+    """The span next to a context found at token p, or None at a text edge.
+
+    It grows away from the context, one token at a time, up to `limit`
+    tokens, stopping before a lowercase token or across a sentence break.
+    """
+    if side == LEFT:
+        first = p + length
+        if first >= len(words):
+            return None
+        last = first
+        while last - first + 1 < limit:
+            nxt = last + 1
+            if last in breaks or nxt >= len(words) or words[nxt][:1].islower():
+                break
+            last = nxt
+        return first, last
+    last = p - 1
+    if last < 0:
+        return None
+    first = last
+    while last - first + 1 < limit:
+        prev = first - 1
+        if prev < 0 or prev in breaks or words[prev][:1].islower():
+            break
+        first = prev
+    return first, last
+
+
+def oracle_recognize(
+    text: str,
+    tables: dict[str, OracleTable],
+    threshold: float,
+    margin: float,
+    max_entity_tokens: int,
+) -> list[OracleAnnotation]:
+    """Recognition recounted with plain loops, candidate by candidate.
+
+    Candidates come from every position of every context of every
+    table. Each candidate then checks every context of every table for
+    adjacency; a class's vote adds its matching weights in ascending
+    (side, length) order, the documented summation order. The best vote
+    wins if it is not tied, beats an existing runner-up by `margin` and
+    reaches `threshold`; otherwise the span is `unknown`.
+    """
+    tok = tokenize(text)
+    words = list(tok.words)
+    breaks = set(tok.breaks)
+    spans: set[tuple[int, int]] = set()
+    for table in tables.values():
+        for side, context in table:
+            length = len(context)
+            for p in range(len(words) - length + 1):
+                if tuple(words[p : p + length]) != context:
+                    continue
+                span = _candidate_span(words, breaks, side, p, length, max_entity_tokens)
+                if span is not None:
+                    spans.add(span)
+
+    out = []
+    for first, last in sorted(spans):
+        votes: dict[str, float] = {}
+        for label, table in tables.items():
+            hits = []
+            for (side, context), weight in table.items():
+                length = len(context)
+                if side == LEFT:
+                    lo, hi = first - length, first
+                else:
+                    lo, hi = last + 1, last + 1 + length
+                if lo >= 0 and hi <= len(words) and tuple(words[lo:hi]) == context:
+                    hits.append(((side, length), weight))
+            if hits:
+                total = 0.0
+                for _group, weight in sorted(hits):
+                    total += weight
+                votes[label] = total
+        ranked = sorted(votes.items(), key=lambda kv: (-kv[1], kv[0]))
+        decided = "unknown"
+        best = ranked[0][1] if ranked else 0.0
+        runner_up = ranked[1][1] if len(ranked) > 1 else 0.0
+        if ranked:
+            beaten = len(ranked) == 1 or (best != runner_up and best - runner_up >= margin)
+            if beaten and best >= threshold:
+                decided = ranked[0][0]
+        out.append(
+            OracleAnnotation(
+                first=first,
+                last=last,
+                surface=text[tok.tokens[first].start : tok.tokens[last].end],
+                class_label=decided,
+                score=best,
+                runner_up=runner_up,
+            )
+        )
+    return out
+
+
+RECOGNITION_WORDS = [
+    "Paris", "Berlin", "New", "York", "Rio", "George", "W.", "Bush",
+    "Map", "Hotels", "The", "of", "in", "to", "the", "visit", "arrived",
+    "is", "big", "near", "old",
+]
+CLASS_LABELS = ["alpha", "beta", "gamma", "delta"]
+
+
+@dataclass
+class RecognitionCase:
+    text: str
+    tables: dict[str, OracleTable]
+    threshold: float
+    margin: float
+    max_entity_tokens: int
+
+
+def random_recognition_case(rng: random.Random) -> RecognitionCase:
+    """A short document plus a 1-4 class model over its vocabulary.
+
+    Contexts take either side and 1-3 words, mostly n-grams lifted from
+    the document so they match; a context may reappear in a later class
+    with its own weight. Weights often come from a few round values, so
+    exact ties between classes happen.
+    """
+    pieces = []
+    for _ in range(rng.randint(3, 40)):
+        pieces.append(rng.choice(RECOGNITION_WORDS))
+        pieces.append(rng.choice(GLUE))
+    text = "".join(pieces).strip()
+    words = list(tokenize(text).words)
+
+    def weight() -> float:
+        return rng.choice([0.25, 0.5, 1.0]) if rng.random() < 0.5 else rng.uniform(0.01, 1.0)
+
+    tables: dict[str, OracleTable] = {}
+    for label in rng.sample(CLASS_LABELS, rng.randint(1, 4)):
+        table: OracleTable = {}
+        if tables and rng.random() < 0.5:
+            shared = rng.choice(sorted({key for t in tables.values() for key in t}))
+            table[shared] = weight()
+        for _ in range(rng.randint(1, 6)):
+            length = rng.randint(1, 3)
+            if len(words) >= length and rng.random() < 0.8:
+                p = rng.randrange(len(words) - length + 1)
+                context = tuple(words[p : p + length])
+            else:
+                context = tuple(rng.choices(RECOGNITION_WORDS, k=length))
+            table[(rng.choice([LEFT, RIGHT]), context)] = weight()
+        tables[label] = table
+    return RecognitionCase(
+        text=text,
+        tables=tables,
+        threshold=rng.choice([0.0, rng.uniform(0.0, 1.5)]),
+        margin=rng.choice([0.0, rng.uniform(0.0, 0.8)]),
+        max_entity_tokens=rng.randint(1, 5),
+    )

@@ -6,6 +6,7 @@ from contextner.extract import (
     ContextKey,
     extract_context,
     find_instances,
+    group_contexts,
     scan_context_occurrences,
     scan_tokenized,
     tokenize,
@@ -176,6 +177,24 @@ def test_scan_right_side():
     )
     assert len(occs) == 2
     assert sum(o.with_example for o in occs) == 1
+
+
+def test_scan_grouped_contexts_of_both_sides():
+    contexts = [
+        ContextKey(("is", "big"), "right"),
+        ContextKey(("Hotels", "in"), "left"),
+        ContextKey(("in",), "left"),
+    ]
+    groups = group_contexts(contexts)
+    assert list(groups) == [("left", 1), ("left", 2), ("right", 2)]
+    assert groups[("left", 2)] == {("Hotels", "in"): contexts[1]}
+    tok = tokenize("Hotels in Paris. Paris is big.")
+    occs = scan_tokenized("d", tok, groups, find_instances(tok, capitals("Paris")))
+    assert [(o.context.phrase(), o.anchor, o.with_example) for o in occs] == [
+        ("in", 2, True),
+        ("Hotels in", 2, True),
+        ("is big", 3, True),
+    ]
 
 
 def test_write_occurrences(tmp_path):

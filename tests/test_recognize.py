@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -20,6 +22,7 @@ from contextner.recognize import (
     write_annotations,
 )
 from contextner.weighting import build_weight_table
+from oracle import oracle_recognize, random_recognition_case
 
 
 def left(*words):
@@ -67,6 +70,13 @@ def test_vote_totals_match_contributions():
     for w in (0.1, 0.2, 0.40625):
         vote(state, "capital", w, left("Map", "of"))
     assert state.votes["capital"] == sum(w for _, w in state.contributions["capital"])
+
+
+def test_ranking_follows_later_votes():
+    state = vote(VoteState(), "a", 0.5)
+    assert (classify(state), state.top_two()) == ("a", ("a", 0.5, 0.0))
+    vote(state, "b", 0.75)
+    assert (classify(state), state.top_two()) == ("b", ("b", 0.75, 0.5))
 
 
 def test_classify_threshold_and_margin():
@@ -237,6 +247,56 @@ def test_annotations_sorted_by_span():
     model = model_from({"capital": {left("Map", "of"): 1.0}})
     starts = [a.first for a in recognize_document(make_doc("d", text), model)]
     assert starts == sorted(starts)
+
+
+def test_recognition_matches_brute_force_oracle():
+    """recognize_document vs. a candidate-by-candidate recount.
+
+    At least 200 random (model, document) pairs with candidates: spans,
+    surfaces, classes, scores and runner-ups must agree exactly. The
+    cases must between them mix sides in one model, use every context
+    length 1-3, share context words across classes, and both decide and
+    reject spans.
+    """
+    rng = random.Random(20110)
+    checked = 0
+    seen = {"both sides": 0, "shared words": 0, "decided": 0, "unknown": 0}
+    lengths = set()
+    for _ in range(2000):
+        if checked >= 200:
+            break
+        case = random_recognition_case(rng)
+        expected = oracle_recognize(
+            case.text, case.tables, case.threshold, case.margin, case.max_entity_tokens
+        )
+        model = model_from(
+            {
+                label: {ContextKey(words, side): w for (side, words), w in table.items()}
+                for label, table in case.tables.items()
+            },
+            threshold=case.threshold,
+            margin=case.margin,
+            max_entity_tokens=case.max_entity_tokens,
+        )
+        got = recognize_document(make_doc("d", case.text), model)
+        assert [
+            (a.first, a.last, a.surface, a.class_label, a.score, a.runner_up) for a in got
+        ] == [
+            (e.first, e.last, e.surface, e.class_label, e.score, e.runner_up)
+            for e in expected
+        ]
+        if not expected:
+            continue
+        checked += 1
+        keys = [key for table in case.tables.values() for key in table]
+        seen["both sides"] += len({side for side, _ in keys}) == 2
+        seen["shared words"] += len(keys) > len(set(keys))
+        seen["decided"] += any(e.class_label != UNKNOWN for e in expected)
+        seen["unknown"] += any(e.class_label == UNKNOWN for e in expected)
+        lengths.update(len(words) for _, words in keys)
+    assert checked >= 200
+    assert lengths == {1, 2, 3}
+    assert all(count >= 20 for count in seen.values()), seen
 
 
 # -- model persistence -------------------------------------------------------
