@@ -9,7 +9,7 @@ from typing import Iterable, Optional
 from . import tsv
 from .corpus import CorpusManifest
 from .errors import DataFormatError, InputError
-from .extract import ContextKey, extract_context, find_instances, tokenize
+from .extract import ContextKey, instance_contexts, tokenize
 from .recognize import UNKNOWN, Annotation
 from .seeds import LearningExample
 from .weighting import TableConfig
@@ -140,12 +140,11 @@ def growth_curve(
     done = 0
     for step in steps:
         for doc in documents[done:step]:
-            tok = tokenize(doc.clean)
-            for occ in find_instances(tok, examples, doc=doc.id):
-                occurrences += 1
-                key = extract_context(occ, tok, config.context_len, config.side)
-                if key is not None:
-                    contexts.add(key)
+            found = instance_contexts(
+                tokenize(doc.clean), examples, doc.id, config.context_len, config.side
+            )
+            occurrences += len(found)
+            contexts.update(key for _occ, key in found if key is not None)
         done = step
         points.append(
             GrowthPoint(

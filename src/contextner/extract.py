@@ -7,8 +7,9 @@ run in parallel as long as results are concatenated in document-id order.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import accumulate, repeat
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -21,74 +22,101 @@ RIGHT = "right"
 
 # Maximal runs of letters/digits, allowing internal apostrophes, periods
 # and hyphens ("Bush's", "U.S", "far-right"). Underscore is a separator.
-_WORD_RE = re.compile(r"[^\W_]+(?:['’.\-][^\W_]+)*")
-_TERMINATORS = ".!?"
+# The group makes re.split return the words between the gaps.
+_WORD_RE = re.compile(r"([^\W_]+(?:['’.\-][^\W_]+)*)")
+# The period after a word of one character, which that word keeps ("W."
+# but not "U.S." or "a.W."): no word character follows the period, and
+# the character before it follows neither a word character nor a joiner
+# that follows one. tokenize checks with str.isalpha that the character
+# is a letter, which no regex class matches exactly.
+_INITIAL_RE = re.compile(
+    r"\.(?![^\W_])(?<=[^\W\d_]\.)(?<![^\W_]{2}\.)(?<![^\W_]['’.\-][^\W_]\.)"
+)
+# A terminator with only whitespace after it in its gap: some before the
+# next word, or any amount up to the end of the text.
+_BREAK_RE = re.compile(r"[.!?](?:\s+(?=[^\W_])|\s*\Z)")
 
 OCCURRENCES_HEADER = ["doc", "context_words", "side", "with_example", "example_surface"]
 
 
 @dataclass(frozen=True)
-class Token:
-    text: str
-    start: int
-    end: int
+class WordSequence:
+    """A document's words and the sentence each one belongs to.
+
+    `sent[i]` numbers the sentence of word i from 0, so a sentence ends
+    between words j and j+1 exactly when sent[j] != sent[j+1]. Instance
+    matching, context extraction and candidate detection read only this.
+    """
+
+    words: tuple[str, ...]
+    sent: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def break_in(self, lo: int, hi: int) -> bool:
+        """True if a sentence break follows any word j with lo <= j < hi.
+
+        Requires lo <= hi < len(self): a break after the last word is
+        not visible here (Tokenization.breaks has it).
+        """
+        return self.sent[lo] != self.sent[hi]
 
 
 @dataclass(frozen=True)
-class Tokenization:
-    """Tokens of one document plus its sentence-boundary positions.
+class Tokenization(WordSequence):
+    """The words of one document plus where they sit in its text.
 
-    `breaks` holds indices i such that a sentence ends between token i
-    and token i+1 (or after the final token).
+    Word i is text[starts[i]:ends[i]]. `breaks` holds indices i such
+    that a sentence ends between word i and word i+1 (or after the
+    final word).
     """
 
     text: str
-    tokens: tuple[Token, ...]
+    starts: tuple[int, ...]
+    ends: tuple[int, ...]
     breaks: frozenset[int]
-
-    @cached_property
-    def words(self) -> tuple[str, ...]:
-        return tuple(t.text for t in self.tokens)
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def break_in(self, lo: int, hi: int) -> bool:
-        """True if a sentence break follows any token j with lo <= j < hi."""
-        return any(j in self.breaks for j in range(lo, hi))
 
 
 def tokenize(text: str) -> Tokenization:
-    """Split cleaned text into word tokens and find sentence breaks.
+    """Split cleaned text into words and find sentence breaks.
 
     A single letter immediately followed by a period keeps the period
     ("W."), which also stops that period from ending a sentence. A
     sentence ends only at '.', '!' or '?' followed by whitespace and a
-    capitalized token, or at the end of the text; commas never end one.
+    capitalized word, or at the end of the text; commas never end one.
     """
-    tokens: list[Token] = []
-    for m in _WORD_RE.finditer(text):
-        start, end = m.span()
-        if end - start == 1 and text[start].isalpha() and end < len(text) and text[end] == ".":
-            end += 1
-        tokens.append(Token(text[start:end], start, end))
+    parts = _WORD_RE.split(text)  # gap, word, gap, ..., word, gap
+    words = parts[1::2]
+    offsets = list(accumulate(map(len, parts)))
+    starts = offsets[0:-1:2]
+    ends = offsets[1::2]
+    for m in _INITIAL_RE.finditer(text):
+        if text[m.start() - 1].isalpha():
+            i = bisect_left(starts, m.start() - 1)
+            words[i] += "."
+            ends[i] += 1
 
-    breaks = set()
-    for i, tok in enumerate(tokens):
-        nxt = tokens[i + 1] if i + 1 < len(tokens) else None
-        gap = text[tok.end : nxt.start if nxt else len(text)]
-        for j, ch in enumerate(gap):
-            if ch not in _TERMINATORS:
-                continue
-            rest = gap[j + 1 :]
-            if nxt is None:
-                if not rest or rest.isspace():
-                    breaks.add(i)
-                    break
-            elif rest and rest.isspace() and nxt.text[0].isupper():
-                breaks.add(i)
-                break
-    return Tokenization(text=text, tokens=tuple(tokens), breaks=frozenset(breaks))
+    breaks: list[int] = []
+    for m in _BREAK_RE.finditer(text):
+        i = bisect_right(starts, m.start()) - 1
+        if i < 0 or m.start() < ends[i]:
+            continue  # before the first word, or an initial's own period
+        if m.end() < len(text) and not text[m.end()].isupper():
+            continue
+        breaks.append(i)
+    sent: list[int] = []
+    for number, last in enumerate(breaks):
+        sent += repeat(number, last + 1 - len(sent))
+    sent += repeat(len(breaks), len(words) - len(sent))
+    return Tokenization(
+        words=tuple(words),
+        sent=tuple(sent),
+        text=text,
+        starts=tuple(starts),
+        ends=tuple(ends),
+        breaks=frozenset(breaks),
+    )
 
 
 @dataclass(frozen=True)
@@ -102,15 +130,15 @@ class InstanceOccurrence:
 
 
 def find_instances(
-    tok: Tokenization,
+    tok: WordSequence,
     examples: Iterable[LearningExample],
     doc: str = "",
 ) -> list[InstanceOccurrence]:
-    """Locate example surfaces in a token sequence.
+    """Locate example surfaces in a word sequence.
 
     Scans left to right, prefers the longest matching surface at each
     position, and consumes matched spans so occurrences never overlap.
-    Matching is case-sensitive on exact token texts.
+    Matching is case-sensitive on exact words.
     """
     by_words: dict[tuple[str, ...], LearningExample] = {}
     for ex in examples:
@@ -169,7 +197,7 @@ class ContextOccurrence:
 
 def extract_context(
     occurrence: InstanceOccurrence,
-    tok: Tokenization,
+    tok: WordSequence,
     length: int = 2,
     side: str = LEFT,
 ) -> Optional[ContextKey]:
@@ -195,6 +223,21 @@ def extract_context(
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
+def instance_contexts(
+    tok: WordSequence,
+    examples: Iterable[LearningExample],
+    doc: str,
+    length: int,
+    side: str,
+) -> list[tuple[InstanceOccurrence, Optional[ContextKey]]]:
+    """Every example occurrence of one document with its adjacent
+    context, or None where extract_context rejects the window."""
+    return [
+        (occ, extract_context(occ, tok, length, side))
+        for occ in find_instances(tok, examples, doc=doc)
+    ]
+
+
 # (side, length) -> context words -> the context, groups in sorted order.
 ContextGroups = dict[tuple[str, int], dict[tuple[str, ...], ContextKey]]
 
@@ -209,11 +252,11 @@ def group_contexts(contexts: Iterable[ContextKey]) -> ContextGroups:
 
 def scan_tokenized(
     doc_id: str,
-    tok: Tokenization,
+    tok: WordSequence,
     groups: ContextGroups,
     instances: list[InstanceOccurrence],
 ) -> list[ContextOccurrence]:
-    """All valid occurrences of the grouped contexts in one tokenized document.
+    """All valid occurrences of the grouped contexts in one document's words.
 
     `groups` comes from group_contexts, built once for a whole corpus.
     A position counts only when the context window plus its adjacency gap

@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 from . import tsv
 from .corpus import Document
 from .errors import DataFormatError, InputError
-from .extract import LEFT, ContextKey, Tokenization, tokenize
+from .extract import LEFT, ContextKey, WordSequence, tokenize
 from .weighting import WeightTable, read_weight_mapping, write_weight_table
 
 UNKNOWN = "unknown"
@@ -153,7 +153,7 @@ def _starts_lower(word: str) -> bool:
     return word[:1].islower()
 
 
-def detect_candidates(tok: Tokenization, model: RecognitionModel) -> list[tuple[int, int]]:
+def detect_candidates(tok: WordSequence, model: RecognitionModel) -> list[tuple[int, int]]:
     """Candidate entity spans, as (first, last) token index pairs.
 
     Wherever any table's context words occur, the adjacent tokens form a
@@ -162,6 +162,7 @@ def detect_candidates(tok: Tokenization, model: RecognitionModel) -> list[tuple[
     """
     spans: set[tuple[int, int]] = set()
     words = tok.words
+    sent = tok.sent
     n = len(words)
     limit = model.max_entity_tokens
     for (side, length), keys in model._votes.items():
@@ -175,8 +176,8 @@ def detect_candidates(tok: Tokenization, model: RecognitionModel) -> list[tuple[
                 end = start
                 while (
                     end - start + 1 < limit
-                    and end not in tok.breaks
                     and end + 1 < n
+                    and sent[end] == sent[end + 1]
                     and not _starts_lower(words[end + 1])
                 ):
                     end += 1
@@ -188,7 +189,7 @@ def detect_candidates(tok: Tokenization, model: RecognitionModel) -> list[tuple[
                 while (
                     end - start + 1 < limit
                     and start - 1 >= 0
-                    and (start - 1) not in tok.breaks
+                    and sent[start - 1] == sent[start]
                     and not _starts_lower(words[start - 1])
                 ):
                     start -= 1
@@ -245,7 +246,7 @@ def recognize_document(doc: Document, model: RecognitionModel) -> list[Annotatio
                 doc=doc.id,
                 first=first,
                 last=last,
-                surface=tok.text[tok.tokens[first].start : tok.tokens[last].end],
+                surface=tok.text[tok.starts[first] : tok.ends[last]],
                 class_label=decided,
                 score=best,
                 runner_up=second,

@@ -26,10 +26,9 @@ from .extract import (
     RIGHT,
     ContextKey,
     InstanceOccurrence,
-    Tokenization,
-    extract_context,
-    find_instances,
+    WordSequence,
     group_contexts,
+    instance_contexts,
     scan_tokenized,
     tokenize,
 )
@@ -160,24 +159,25 @@ def collect_context_stats(
     First pass pulls the adjacent context of every example occurrence;
     second pass rescans all documents for those contexts to split
     example-adjacent from other-adjacent occurrences and collect the
-    document / source / example coverage.
+    document / source / example coverage. Between the passes only each
+    document's words, sentence ids and example occurrences are kept.
     """
     examples = list(examples)
     label = single_class(examples)
     contexts: set[ContextKey] = set()
     total_with_examples = 0
-    tokenized: list[tuple[str, str, Tokenization]] = []
-    per_doc_instances: dict[str, list[InstanceOccurrence]] = {}
+    analyzed: list[tuple[str, str, WordSequence, list[InstanceOccurrence]]] = []
+    vocabulary: dict[str, str] = {}
     for doc in corpus:
         tok = tokenize(doc.clean)
-        instances = find_instances(tok, examples, doc=doc.id)
-        per_doc_instances[doc.id] = instances
-        tokenized.append((doc.id, doc.source, tok))
-        for occ in instances:
-            key = extract_context(occ, tok, config.context_len, config.side)
+        found = instance_contexts(tok, examples, doc.id, config.context_len, config.side)
+        for _occ, key in found:
             if key is not None:
                 contexts.add(key)
                 total_with_examples += 1
+        # One string object per distinct word, so each kept word costs a pointer.
+        seq = WordSequence(tuple(map(vocabulary.setdefault, tok.words, tok.words)), tok.sent)
+        analyzed.append((doc.id, doc.source, seq, [occ for occ, _key in found]))
 
     with_examples: dict[ContextKey, int] = {}
     with_others: dict[ContextKey, int] = {}
@@ -185,8 +185,8 @@ def collect_context_stats(
     docs_seen: dict[ContextKey, set[str]] = {}
     sources_seen: dict[ContextKey, set[str]] = {}
     groups = group_contexts(contexts)
-    for doc_id, source, tok in tokenized:
-        occs = scan_tokenized(doc_id, tok, groups, per_doc_instances[doc_id])
+    for doc_id, source, seq, instances in analyzed:
+        occs = scan_tokenized(doc_id, seq, groups, instances)
         for occ in occs:
             key = occ.context
             docs_seen.setdefault(key, set()).add(doc_id)

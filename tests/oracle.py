@@ -1,19 +1,67 @@
 """Brute-force reference computations used to cross-check the fast path.
 
-Everything here recounts from scratch with plain loops over token lists.
-Only the tokenizer itself is shared with the package, because every
-contract under test starts from its output.
+Everything here recounts from scratch with plain loops over token lists,
+and shares nothing with the package. That includes the tokenizer:
+`oracle_tokenize` is a frozen copy of the package's original per-token
+gap scan, kept as the reference its faster replacement must match.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
-
-from contextner.extract import tokenize
 
 LEFT = "left"
 RIGHT = "right"
+
+
+# -- tokenization --------------------------------------------------------------
+
+_WORD_RE = re.compile(r"[^\W_]+(?:['’.\-][^\W_]+)*")
+_TERMINATORS = ".!?"
+
+
+@dataclass(frozen=True)
+class Token:
+    text: str
+    start: int
+    end: int
+
+
+def oracle_tokenize(text: str) -> tuple[list[str], list[tuple[int, int]], set[int]]:
+    """Words, their (start, end) offsets, and the sentence breaks.
+
+    A break i means a sentence ends after word i. The body is the
+    package's original tokenizer, unchanged: one Token per word, and a
+    character-by-character scan of every gap between words.
+    """
+    tokens: list[Token] = []
+    for m in _WORD_RE.finditer(text):
+        start, end = m.span()
+        if end - start == 1 and text[start].isalpha() and end < len(text) and text[end] == ".":
+            end += 1
+        tokens.append(Token(text[start:end], start, end))
+
+    breaks = set()
+    for i, tok in enumerate(tokens):
+        nxt = tokens[i + 1] if i + 1 < len(tokens) else None
+        gap = text[tok.end : nxt.start if nxt else len(text)]
+        for j, ch in enumerate(gap):
+            if ch not in _TERMINATORS:
+                continue
+            rest = gap[j + 1 :]
+            if nxt is None:
+                if not rest or rest.isspace():
+                    breaks.add(i)
+                    break
+            elif rest and rest.isspace() and nxt.text[0].isupper():
+                breaks.add(i)
+                break
+    return [t.text for t in tokens], [(t.start, t.end) for t in tokens], breaks
+
+
+# -- weighting -----------------------------------------------------------------
 
 
 @dataclass
@@ -70,9 +118,7 @@ def oracle_stats(
     """
     prepared = []
     for doc in docs:
-        tok = tokenize(doc.text)
-        words = list(tok.words)
-        breaks = set(tok.breaks)
+        words, _spans, breaks = oracle_tokenize(doc.text)
         insts = naive_instances(words, surfaces)
         prepared.append((doc, words, breaks, insts))
 
@@ -246,9 +292,7 @@ def oracle_recognize(
     wins if it is not tied, beats an existing runner-up by `margin` and
     reaches `threshold`; otherwise the span is `unknown`.
     """
-    tok = tokenize(text)
-    words = list(tok.words)
-    breaks = set(tok.breaks)
+    words, offsets, breaks = oracle_tokenize(text)
     spans: set[tuple[int, int]] = set()
     for table in tables.values():
         for side, context in table:
@@ -290,7 +334,7 @@ def oracle_recognize(
             OracleAnnotation(
                 first=first,
                 last=last,
-                surface=text[tok.tokens[first].start : tok.tokens[last].end],
+                surface=text[offsets[first][0] : offsets[last][1]],
                 class_label=decided,
                 score=best,
                 runner_up=runner_up,
@@ -329,7 +373,7 @@ def random_recognition_case(rng: random.Random) -> RecognitionCase:
         pieces.append(rng.choice(RECOGNITION_WORDS))
         pieces.append(rng.choice(GLUE))
     text = "".join(pieces).strip()
-    words = list(tokenize(text).words)
+    words, _offsets, _breaks = oracle_tokenize(text)
 
     def weight() -> float:
         return rng.choice([0.25, 0.5, 1.0]) if rng.random() < 0.5 else rng.uniform(0.01, 1.0)

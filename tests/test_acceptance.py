@@ -137,7 +137,7 @@ def test_weight_tables_match_brute_force_oracle():
         if checked >= 200:
             break
         docs, surfaces = random_corpus(rng)
-        if sum(len(tokenize(d.text).tokens) for d in docs) > 500:
+        if sum(len(tokenize(d.text)) for d in docs) > 500:
             continue
         corpus = CorpusManifest(
             [make_doc(d.doc_id, d.text, source=d.source) for d in docs]

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import capitals, make_corpus
+from oracle import oracle_tokenize
 from contextner.extract import (
     ContextKey,
     extract_context,
@@ -43,6 +44,7 @@ def test_sentence_break_needs_capital():
     assert tok.breaks == frozenset()
     tok = tokenize("visit paris. Then rome")
     assert tok.breaks == frozenset({1})
+    assert tokenize("visit paris. 2 days").breaks == frozenset()
 
 
 def test_comma_is_not_a_break():
@@ -70,13 +72,50 @@ def test_abbreviation_period_does_not_break():
 @given(st.text(max_size=300))
 def test_tokenize_round_trip(text):
     tok = tokenize(text)
+    assert len(tok.starts) == len(tok.ends) == len(tok.sent) == len(tok)
     previous_end = 0
-    for token in tok.tokens:
-        assert text[token.start : token.end] == token.text
-        assert token.start >= previous_end
-        assert token.start < token.end
-        previous_end = token.end
-    assert all(0 <= b < len(tok.tokens) for b in tok.breaks)
+    for word, start, end in zip(tok.words, tok.starts, tok.ends):
+        assert text[start:end] == word
+        assert start >= previous_end
+        assert start < end
+        previous_end = end
+    assert all(0 <= b < len(tok) for b in tok.breaks)
+
+
+# Pieces that hit every rule of the tokenizer: terminators, runs of mixed
+# whitespace, separators and joiners, initials and dotted abbreviations,
+# and letters, digits and other numerals outside ASCII.
+PIECES = [
+    ".", "!", "?", ". ", "? ", " ", "  ", "\n", "\t", " \n\t", "\u00a0", "_", "'", "’",
+    "-", ",", "W. ", "U.S. ", "...", ".)", "é", "1", "²", "a", "Z", "Paris", "in", "Éclair",
+]
+biased_text = st.lists(st.sampled_from(PIECES), max_size=40).map("".join)
+
+
+def assert_matches_oracle(text):
+    tok = tokenize(text)
+    words, spans, breaks = oracle_tokenize(text)
+    assert tok.words == tuple(words)
+    assert list(zip(tok.starts, tok.ends)) == spans
+    assert tok.breaks == breaks
+
+
+@given(st.text())
+def test_tokenize_matches_frozen_tokenizer(text):
+    assert_matches_oracle(text)
+
+
+@given(biased_text)
+def test_tokenize_matches_frozen_tokenizer_on_punctuated_text(text):
+    assert_matches_oracle(text)
+
+
+@given(biased_text)
+def test_break_in_agrees_with_breaks(text):
+    tok = tokenize(text)
+    for hi in range(len(tok)):
+        for lo in range(hi + 1):
+            assert tok.break_in(lo, hi) == any(j in tok.breaks for j in range(lo, hi))
 
 
 def test_find_instances_prefers_longest():
