@@ -44,7 +44,6 @@ from .extract import (
     Tokenization,
     extract_context,
     find_instances,
-    scan_context_occurrences,
     tokenize,
 )
 from .recognize import (
@@ -56,7 +55,6 @@ from .recognize import (
     detect_candidates,
     load_model,
     recognize_document,
-    save_model,
     vote,
 )
 from .seeds import LearningExample, load_examples

@@ -219,7 +219,5 @@ def acquire(
                 )
             )
 
-    manifest = CorpusManifest(
-        list(existing) + new_docs, class_label=existing.class_label
-    )
+    manifest = CorpusManifest(list(existing) + new_docs)
     return AcquireResult(manifest=manifest, failures=tuple(failures))

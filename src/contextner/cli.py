@@ -13,7 +13,7 @@ from typing import Optional
 
 from .acquire import FixtureClient, acquire, build_queries
 from .corpus import CorpusManifest, MANIFEST_NAME, load_corpus, save_corpus
-from .errors import DataFormatError, EmptyResultError, InputError, PipelineError
+from .errors import DataFormatError, EmptyResultError, PipelineError
 from .evaluate import (
     evaluate,
     format_growth,
@@ -108,7 +108,8 @@ def cmd_acquire(args: argparse.Namespace) -> int:
 
 def cmd_weigh(args: argparse.Namespace) -> int:
     examples = load_examples(args.examples)
-    corpus = load_corpus(args.corpus_dir, class_label=single_class(examples))
+    label = single_class(examples)
+    corpus = load_corpus(args.corpus_dir)
     config = TableConfig(
         context_len=args.context_len, side=args.side, min_count=args.min_count
     )
@@ -117,7 +118,7 @@ def cmd_weigh(args: argparse.Namespace) -> int:
     if args.model_dir:
         update_model(
             args.model_dir,
-            corpus.class_label,
+            label,
             table,
             threshold=args.threshold,
             margin=args.margin,
@@ -158,7 +159,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_growth(args: argparse.Namespace) -> int:
     examples = load_examples(args.examples)
-    corpus = load_corpus(args.corpus_dir, class_label=single_class(examples))
+    single_class(examples)
+    corpus = load_corpus(args.corpus_dir)
     config = TableConfig(context_len=args.context_len, side=args.side)
     points = growth_curve(corpus, examples, args.steps, config)
     if args.output:
@@ -310,22 +312,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except EmptyResultError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY
     except DataFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (PipelineError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

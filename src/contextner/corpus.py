@@ -120,27 +120,20 @@ def clean_text(raw: str | bytes, kind: str) -> str:
 
 @dataclass(frozen=True)
 class Document:
-    """One stored document. `raw` is kept only for freshly ingested text;
-    loading a saved corpus restores the cleaned text alone."""
+    """One stored document: its identity and its cleaned text."""
 
     id: str
     source: str
     uri: str
     kind: str
     clean: str
-    raw: str | None = None
 
 
 @dataclass
 class CorpusManifest:
-    """An id-ordered document collection gathered for one entity class.
-
-    The class label is in-memory metadata; the on-disk manifest format
-    does not carry it.
-    """
+    """An id-ordered document collection gathered for one entity class."""
 
     documents: list[Document] = field(default_factory=list)
-    class_label: str = ""
 
     def __post_init__(self) -> None:
         self.documents = sorted(self.documents, key=lambda d: d.id)
@@ -176,7 +169,7 @@ def save_corpus(manifest: CorpusManifest, directory: str | Path) -> None:
     tsv.write_rows(directory / MANIFEST_NAME, _MANIFEST_HEADER, rows)
 
 
-def load_corpus(directory: str | Path, class_label: str = "") -> CorpusManifest:
+def load_corpus(directory: str | Path) -> CorpusManifest:
     """Load a corpus directory written by save_corpus.
 
     Raises InputError when the manifest file is missing, DataFormatError
@@ -196,7 +189,7 @@ def load_corpus(directory: str | Path, class_label: str = "") -> CorpusManifest:
         text = doc_path.read_text(encoding="utf-8")
         text = text.replace("\r\n", "\n").replace("\r", "\n")
         docs.append(Document(id=doc_id, source=source, uri=uri, kind=kind, clean=text))
-    return CorpusManifest(documents=docs, class_label=class_label)
+    return CorpusManifest(documents=docs)
 
 
 def _manifest_rows(path: Path):

@@ -141,7 +141,7 @@ def growth_curve(
     for step in steps:
         for doc in documents[done:step]:
             found = instance_contexts(
-                tokenize(doc.clean), examples, doc.id, config.context_len, config.side
+                tokenize(doc.clean), examples, config.context_len, config.side
             )
             occurrences += len(found)
             contexts.update(key for _occ, key in found if key is not None)

@@ -10,11 +10,8 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from pathlib import Path
 from typing import Iterable, Optional
 
-from . import tsv
-from .corpus import CorpusManifest
 from .seeds import LearningExample
 
 LEFT = "left"
@@ -35,8 +32,6 @@ _INITIAL_RE = re.compile(
 # A terminator with only whitespace after it in its gap: some before the
 # next word, or any amount up to the end of the text.
 _BREAK_RE = re.compile(r"[.!?](?:\s+(?=[^\W_])|\s*\Z)")
-
-OCCURRENCES_HEADER = ["doc", "context_words", "side", "with_example", "example_surface"]
 
 
 @dataclass(frozen=True)
@@ -123,7 +118,6 @@ def tokenize(text: str) -> Tokenization:
 class InstanceOccurrence:
     """A learning-example match at tokens [first, last] of a document."""
 
-    doc: str
     example: LearningExample
     first: int
     last: int
@@ -132,7 +126,6 @@ class InstanceOccurrence:
 def find_instances(
     tok: WordSequence,
     examples: Iterable[LearningExample],
-    doc: str = "",
 ) -> list[InstanceOccurrence]:
     """Locate example surfaces in a word sequence.
 
@@ -158,7 +151,7 @@ def find_instances(
             i += 1
             continue
         length, example = hit
-        out.append(InstanceOccurrence(doc=doc, example=example, first=i, last=i + length - 1))
+        out.append(InstanceOccurrence(example=example, first=i, last=i + length - 1))
         i += length
     return out
 
@@ -182,15 +175,12 @@ class ContextKey:
 class ContextOccurrence:
     """One position where a context's word sequence appears in a document.
 
-    `anchor` is the token index where the adjacent phrase begins; for
-    right-side contexts without a matched example it points at the token
-    just before the context. with_example=False occurrences are the ones
-    counted against a context's pertinence.
+    `example` is the learning example the context is adjacent to, if any;
+    with_example=False occurrences are the ones counted against a
+    context's pertinence.
     """
 
     context: ContextKey
-    doc: str
-    anchor: int
     with_example: bool
     example: Optional[LearningExample] = None
 
@@ -226,7 +216,6 @@ def extract_context(
 def instance_contexts(
     tok: WordSequence,
     examples: Iterable[LearningExample],
-    doc: str,
     length: int,
     side: str,
 ) -> list[tuple[InstanceOccurrence, Optional[ContextKey]]]:
@@ -234,7 +223,7 @@ def instance_contexts(
     context, or None where extract_context rejects the window."""
     return [
         (occ, extract_context(occ, tok, length, side))
-        for occ in find_instances(tok, examples, doc=doc)
+        for occ in find_instances(tok, examples)
     ]
 
 
@@ -251,7 +240,6 @@ def group_contexts(contexts: Iterable[ContextKey]) -> ContextGroups:
 
 
 def scan_tokenized(
-    doc_id: str,
     tok: WordSequence,
     groups: ContextGroups,
     instances: list[InstanceOccurrence],
@@ -279,56 +267,16 @@ def scan_tokenized(
                 if adjacent >= n or tok.break_in(p, adjacent):
                     continue
                 occ = by_first.get(adjacent)
-                out.append(
-                    ContextOccurrence(
-                        context=key,
-                        doc=doc_id,
-                        anchor=adjacent,
-                        with_example=occ is not None,
-                        example=occ.example if occ else None,
-                    )
-                )
             else:
                 if p == 0 or tok.break_in(p - 1, p + length - 1):
                     continue
                 occ = by_last.get(p - 1)
-                out.append(
-                    ContextOccurrence(
-                        context=key,
-                        doc=doc_id,
-                        anchor=occ.first if occ else p - 1,
-                        with_example=occ is not None,
-                        example=occ.example if occ else None,
-                    )
+            out.append(
+                ContextOccurrence(
+                    context=key,
+                    with_example=occ is not None,
+                    example=occ.example if occ else None,
                 )
+            )
     return out
 
-
-def scan_context_occurrences(
-    corpus: CorpusManifest,
-    contexts: Iterable[ContextKey],
-    examples: Iterable[LearningExample],
-) -> list[ContextOccurrence]:
-    """Scan every document of a corpus for the given contexts."""
-    examples = list(examples)
-    groups = group_contexts(contexts)
-    out: list[ContextOccurrence] = []
-    for doc in corpus:
-        tok = tokenize(doc.clean)
-        instances = find_instances(tok, examples, doc=doc.id)
-        out.extend(scan_tokenized(doc.id, tok, groups, instances))
-    return out
-
-
-def write_occurrences(occurrences: list[ContextOccurrence], path: str | Path) -> None:
-    rows = [
-        [
-            occ.doc,
-            occ.context.phrase(),
-            occ.context.side,
-            "true" if occ.with_example else "false",
-            occ.example.surface if occ.example else "",
-        ]
-        for occ in occurrences
-    ]
-    tsv.write_rows(path, OCCURRENCES_HEADER, rows)

@@ -82,16 +82,13 @@ class RecognitionModel:
 
 @dataclass
 class VoteState:
-    """Accumulated per-class votes with their contributing contexts.
+    """Accumulated per-class votes.
 
     Add to `votes` only through `vote`: the ranking that `classify` and
     `top_two` share is computed once and kept until the next vote.
     """
 
     votes: dict[str, float] = field(default_factory=dict)
-    contributions: dict[str, list[tuple[Optional[ContextKey], float]]] = field(
-        default_factory=dict
-    )
     _ranked: Optional[tuple[tuple[str, float], ...]] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -113,18 +110,12 @@ class VoteState:
         return ranked[0][0], ranked[0][1], second
 
 
-def vote(
-    state: VoteState,
-    class_label: str,
-    weight: float,
-    context: Optional[ContextKey] = None,
-) -> VoteState:
+def vote(state: VoteState, class_label: str, weight: float) -> VoteState:
     """Add one context's weight to a class's vote. Mutates and returns state."""
     if weight <= 0:
         raise ValueError(f"vote weight must be positive, got {weight}")
     state.votes[class_label] = state.votes.get(class_label, 0.0) + weight
     state._ranked = None
-    state.contributions.setdefault(class_label, []).append((context, weight))
     return state
 
 
@@ -234,11 +225,8 @@ def recognize_document(doc: Document, model: RecognitionModel) -> list[Annotatio
                 if last + 1 + length > n:
                     continue
                 adjacent = words[last + 1 : last + 1 + length]
-            votes = by_words.get(adjacent)
-            if votes is not None:
-                context = ContextKey(adjacent, side)
-                for label, weight in votes:
-                    vote(state, label, weight, context)
+            for label, weight in by_words.get(adjacent, ()):
+                vote(state, label, weight)
         decided = classify(state, model.threshold, model.margin)
         _, best, second = state.top_two()
         out.append(
@@ -315,23 +303,6 @@ def _table_file_name(label: str) -> str:
             " (letters, digits, '_', '-', '.' only)"
         )
     return f"table_{label}.tsv"
-
-
-def save_model(
-    directory: str | Path,
-    tables: dict[str, WeightTable],
-    threshold: float = 0.0,
-    margin: float = 0.0,
-) -> None:
-    """Write one weight-table TSV per class plus the model index file."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for label in sorted(tables):
-        file_name = _table_file_name(label)
-        write_weight_table(tables[label], directory / file_name)
-        rows.append([label, file_name, f"{threshold:.7g}", f"{margin:.7g}"])
-    tsv.write_rows(directory / MODEL_FILE, MODEL_HEADER, rows)
 
 
 def update_model(

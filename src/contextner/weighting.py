@@ -117,7 +117,6 @@ class GlobalStats:
 
     total_with_examples: int
     n_examples: int
-    class_label: str = ""
 
 
 @dataclass(frozen=True)
@@ -163,14 +162,14 @@ def collect_context_stats(
     document's words, sentence ids and example occurrences are kept.
     """
     examples = list(examples)
-    label = single_class(examples)
+    single_class(examples)  # rejects examples of more than one class
     contexts: set[ContextKey] = set()
     total_with_examples = 0
     analyzed: list[tuple[str, str, WordSequence, list[InstanceOccurrence]]] = []
     vocabulary: dict[str, str] = {}
     for doc in corpus:
         tok = tokenize(doc.clean)
-        found = instance_contexts(tok, examples, doc.id, config.context_len, config.side)
+        found = instance_contexts(tok, examples, config.context_len, config.side)
         for _occ, key in found:
             if key is not None:
                 contexts.add(key)
@@ -186,7 +185,7 @@ def collect_context_stats(
     sources_seen: dict[ContextKey, set[str]] = {}
     groups = group_contexts(contexts)
     for doc_id, source, seq, instances in analyzed:
-        occs = scan_tokenized(doc_id, seq, groups, instances)
+        occs = scan_tokenized(seq, groups, instances)
         for occ in occs:
             key = occ.context
             docs_seen.setdefault(key, set()).add(doc_id)
@@ -212,7 +211,6 @@ def collect_context_stats(
     totals = GlobalStats(
         total_with_examples=total_with_examples,
         n_examples=len({ex.surface for ex in examples}),
-        class_label=label,
     )
     return stats, totals
 

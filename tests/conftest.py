@@ -14,9 +14,9 @@ def make_doc(doc_id: str, text: str, source: str | None = None) -> Document:
     )
 
 
-def make_corpus(*texts: str, class_label: str = "") -> CorpusManifest:
+def make_corpus(*texts: str) -> CorpusManifest:
     docs = [make_doc(f"d{i:02}", text) for i, text in enumerate(texts)]
-    return CorpusManifest(docs, class_label=class_label)
+    return CorpusManifest(docs)
 
 
 def capitals(*surfaces: str) -> list[LearningExample]:

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import capitals, make_corpus
+from conftest import make_corpus
 from contextner import cli
 from contextner.corpus import save_corpus
 
@@ -174,6 +174,14 @@ def test_weigh_rejects_mixed_classes(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_weigh_unwritable_output_exits_2(tmp_path, capsys, capital_examples):
+    corpus_dir = saved_corpus(tmp_path, "corpus", "Hotels in Paris.")
+    output = tmp_path / "missing" / "t.tsv"
+    code = cli.main(["weigh", capital_examples, corpus_dir, "--output", str(output)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 # -- recognize ---------------------------------------------------------------
 
 @pytest.fixture
@@ -312,6 +320,16 @@ def test_growth_rejects_malformed_steps(tmp_path, capsys, capital_examples):
     corpus_dir = saved_corpus(tmp_path, "corpus", "Hotels in Paris.")
     code = cli.main(["growth", capital_examples, corpus_dir, "--steps", "a,b"])
     assert code == 2
+
+
+def test_growth_rejects_mixed_classes(tmp_path, capsys):
+    corpus_dir = saved_corpus(tmp_path, "corpus", "Hotels in Paris.")
+    examples = write_examples(
+        tmp_path / "mixed.tsv", ("Paris", "capital"), ("Chirac", "president")
+    )
+    code = cli.main(["growth", examples, corpus_dir, "--steps", "1"])
+    assert code == 2
+    assert "run once per class" in capsys.readouterr().err
 
 
 # -- parser plumbing ---------------------------------------------------------

@@ -208,7 +208,7 @@ def test_growth_last_point_matches_direct_extraction():
     contexts = set()
     for doc in corpus:
         tok = tokenize(doc.clean)
-        for occ in find_instances(tok, examples, doc=doc.id):
+        for occ in find_instances(tok, examples):
             occurrences += 1
             key = extract_context(occ, tok, 2, "left")
             if key is not None:

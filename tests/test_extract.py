@@ -1,20 +1,17 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import capitals, make_corpus
+from conftest import capitals
 from oracle import oracle_tokenize
 from contextner.extract import (
     ContextKey,
     extract_context,
     find_instances,
     group_contexts,
-    scan_context_occurrences,
     scan_tokenized,
     tokenize,
-    write_occurrences,
 )
 from contextner.seeds import LearningExample
-from contextner import tsv
 
 
 def words_of(text):
@@ -124,7 +121,7 @@ def test_find_instances_prefers_longest():
         LearningExample("Sarkozy", "president"),
         LearningExample("Nicolas Sarkozy", "president"),
     ]
-    occs = find_instances(tok, examples, doc="d")
+    occs = find_instances(tok, examples)
     assert [(o.first, o.last, o.example.surface) for o in occs] == [
         (3, 4, "Nicolas Sarkozy")
     ]
@@ -188,31 +185,35 @@ def test_extract_context_rejects_bad_args():
         extract_context(occ, tok, 2, "above")
 
 
+def scan(text, contexts, examples):
+    """Every occurrence of `contexts` in one document, as weigh scans it."""
+    tok = tokenize(text)
+    return scan_tokenized(tok, group_contexts(contexts), find_instances(tok, examples))
+
+
 def test_scan_counts_example_and_other_occurrences():
     text = "Hotels in Paris. " * 3 + "Hotels in budget. Hotels in comfort."
-    corpus = make_corpus(text)
-    occs = scan_context_occurrences(
-        corpus, [ContextKey(("Hotels", "in"), "left")], capitals("Paris")
-    )
+    occs = scan(text, [ContextKey(("Hotels", "in"), "left")], capitals("Paris"))
     assert len(occs) == 5
     assert sum(o.with_example for o in occs) == 3
     assert {o.example.surface for o in occs if o.with_example} == {"Paris"}
+    assert all(o.example is None for o in occs if not o.with_example)
 
 
 def test_scan_requires_adjacent_token_in_same_sentence():
     # "in" ends a sentence before "Paris", so this window has no valid
     # adjacent phrase and must not be counted on either side of the gap.
-    corpus = make_corpus("They checked Hotels in. Paris was next.")
-    occs = scan_context_occurrences(
-        corpus, [ContextKey(("Hotels", "in"), "left")], capitals("Paris")
+    occs = scan(
+        "They checked Hotels in. Paris was next.",
+        [ContextKey(("Hotels", "in"), "left")],
+        capitals("Paris"),
     )
     assert occs == []
 
 
 def test_scan_right_side():
-    corpus = make_corpus("Paris is big. Rome is big.")
-    occs = scan_context_occurrences(
-        corpus, [ContextKey(("is", "big"), "right")], capitals("Paris")
+    occs = scan(
+        "Paris is big. Rome is big.", [ContextKey(("is", "big"), "right")], capitals("Paris")
     )
     assert len(occs) == 2
     assert sum(o.with_example for o in occs) == 1
@@ -228,25 +229,10 @@ def test_scan_grouped_contexts_of_both_sides():
     assert list(groups) == [("left", 1), ("left", 2), ("right", 2)]
     assert groups[("left", 2)] == {("Hotels", "in"): contexts[1]}
     tok = tokenize("Hotels in Paris. Paris is big.")
-    occs = scan_tokenized("d", tok, groups, find_instances(tok, capitals("Paris")))
-    assert [(o.context.phrase(), o.anchor, o.with_example) for o in occs] == [
-        ("in", 2, True),
-        ("Hotels in", 2, True),
-        ("is big", 3, True),
+    occs = scan_tokenized(tok, groups, find_instances(tok, capitals("Paris")))
+    assert [(o.context.phrase(), o.with_example, o.example.surface) for o in occs] == [
+        ("in", True, "Paris"),
+        ("Hotels in", True, "Paris"),
+        ("is big", True, "Paris"),
     ]
 
-
-def test_write_occurrences(tmp_path):
-    corpus = make_corpus("Hotels in Paris and Hotels in rooms")
-    occs = scan_context_occurrences(
-        corpus, [ContextKey(("Hotels", "in"), "left")], capitals("Paris")
-    )
-    path = tmp_path / "occ.tsv"
-    write_occurrences(occs, path)
-    rows = tsv.read_rows(
-        path, ["doc", "context_words", "side", "with_example", "example_surface"]
-    )
-    assert [r for _, r in rows] == [
-        ["d00", "Hotels in", "left", "true", "Paris"],
-        ["d00", "Hotels in", "left", "false", ""],
-    ]

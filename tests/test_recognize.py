@@ -16,7 +16,6 @@ from contextner.recognize import (
     load_annotations,
     load_model,
     recognize_document,
-    save_model,
     update_model,
     vote,
     write_annotations,
@@ -65,11 +64,12 @@ def test_vote_rejects_non_positive_weight():
         vote(VoteState(), "capital", -1.0)
 
 
-def test_vote_totals_match_contributions():
+def test_vote_totals_match_summed_weights():
     state = VoteState()
-    for w in (0.1, 0.2, 0.40625):
-        vote(state, "capital", w, left("Map", "of"))
-    assert state.votes["capital"] == sum(w for _, w in state.contributions["capital"])
+    weights = (0.1, 0.2, 0.40625)
+    for w in weights:
+        vote(state, "capital", w)
+    assert state.votes["capital"] == sum(weights)
 
 
 def test_ranking_follows_later_votes():
@@ -308,7 +308,7 @@ def trained_table():
 
 
 def test_save_load_round_trip(tmp_path, trained_table):
-    save_model(tmp_path, {"capital": trained_table}, threshold=0.2, margin=0.1)
+    update_model(tmp_path, "capital", trained_table, threshold=0.2, margin=0.1)
     model = load_model(tmp_path)
     assert model.threshold == 0.2
     assert model.margin == 0.1
@@ -316,7 +316,7 @@ def test_save_load_round_trip(tmp_path, trained_table):
 
 
 def test_load_model_flag_overrides(tmp_path, trained_table):
-    save_model(tmp_path, {"capital": trained_table}, threshold=0.2, margin=0.1)
+    update_model(tmp_path, "capital", trained_table, threshold=0.2, margin=0.1)
     model = load_model(tmp_path, threshold=0.7)
     assert (model.threshold, model.margin) == (0.7, 0.1)
 
@@ -327,7 +327,7 @@ def test_load_model_missing_dir(tmp_path):
 
 
 def test_load_model_reports_bad_line(tmp_path, trained_table):
-    save_model(tmp_path, {"capital": trained_table})
+    update_model(tmp_path, "capital", trained_table)
     index = tmp_path / "model.tsv"
     body = index.read_text(encoding="utf-8").replace("\t0\t0", "\tzero\t0")
     index.write_text(body, encoding="utf-8")
@@ -336,7 +336,7 @@ def test_load_model_reports_bad_line(tmp_path, trained_table):
 
 
 def test_load_model_rejects_missing_table_file(tmp_path, trained_table):
-    save_model(tmp_path, {"capital": trained_table})
+    update_model(tmp_path, "capital", trained_table)
     (tmp_path / "table_capital.tsv").unlink()
     with pytest.raises(DataFormatError, match="table_capital.tsv"):
         load_model(tmp_path)

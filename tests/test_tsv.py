@@ -22,6 +22,8 @@ def test_rejects_tab_and_newline_in_fields():
         tsv.format_rows(HDR, [["x\ty", "z"]])
     with pytest.raises(DataFormatError):
         tsv.format_rows(HDR, [["x", "y\nz"]])
+    with pytest.raises(DataFormatError, match="tab or newline"):
+        tsv.format_rows(HDR, [["x\ry", "z"]])
 
 
 def test_rejects_wrong_arity():
