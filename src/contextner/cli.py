@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+from . import tsv
 from .acquire import FixtureClient, acquire, build_queries
 from .corpus import CorpusManifest, MANIFEST_NAME, load_corpus, save_corpus
 from .errors import DataFormatError, EmptyResultError, PipelineError
@@ -66,7 +67,7 @@ def _step_list(text: str) -> list[int]:
 
 def _emit(text: str, output: Optional[str]) -> None:
     if output:
-        Path(output).write_text(text, encoding="utf-8", newline="\n")
+        tsv.write_text(output, text)
     else:
         sys.stdout.write(text)
 

@@ -164,7 +164,7 @@ def save_corpus(manifest: CorpusManifest, directory: str | Path) -> None:
     rows = []
     for doc in manifest:
         rel = f"docs/{doc.id}.txt"
-        (directory / rel).write_text(doc.clean, encoding="utf-8", newline="\n")
+        tsv.write_text(directory / rel, doc.clean)
         rows.append([doc.id, doc.source, doc.uri, doc.kind, rel])
     tsv.write_rows(directory / MANIFEST_NAME, _MANIFEST_HEADER, rows)
 

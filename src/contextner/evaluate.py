@@ -165,4 +165,4 @@ def format_growth(points: Iterable[GrowthPoint]) -> str:
 
 
 def write_growth(points: Iterable[GrowthPoint], path: str | Path) -> None:
-    Path(path).write_text(format_growth(points), encoding="utf-8", newline="\n")
+    tsv.write_text(path, format_growth(points))

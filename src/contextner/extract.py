@@ -10,7 +10,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Mapping, Optional, TypeVar
 
 from .seeds import LearningExample
 
@@ -48,14 +48,6 @@ class WordSequence:
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def break_in(self, lo: int, hi: int) -> bool:
-        """True if a sentence break follows any word j with lo <= j < hi.
-
-        Requires lo <= hi < len(self): a break after the last word is
-        not visible here (Tokenization.breaks has it).
-        """
-        return self.sent[lo] != self.sent[hi]
 
 
 @dataclass(frozen=True)
@@ -185,32 +177,42 @@ class ContextOccurrence:
     example: Optional[LearningExample] = None
 
 
+def context_window(
+    seq: WordSequence, anchor: int, length: int, side: str
+) -> Optional[tuple[int, int]]:
+    """The `length` words on `side` of word `anchor`, as a slice (lo, hi).
+
+    This is the one rule for what counts as a context, in training and
+    in recognition alike. Returns None when the anchor or the window
+    runs past the document edge, or when the window and the anchor are
+    not all in one sentence.
+    """
+    if length < 1:
+        raise ValueError(f"context length must be >= 1, got {length}")
+    if side == LEFT:
+        first, last = anchor - length, anchor
+    elif side == RIGHT:
+        first, last = anchor, anchor + length
+    else:
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    if first < 0 or last >= len(seq) or seq.sent[first] != seq.sent[last]:
+        return None
+    return (first, anchor) if side == LEFT else (anchor + 1, last + 1)
+
+
 def extract_context(
     occurrence: InstanceOccurrence,
     tok: WordSequence,
     length: int = 2,
     side: str = LEFT,
 ) -> Optional[ContextKey]:
-    """The `length` tokens adjacent to an instance, or None.
-
-    Returns None when the window would run past the document edge or
-    cross a sentence break (including the break between the window and
-    the instance itself).
-    """
-    if length < 1:
-        raise ValueError(f"context length must be >= 1, got {length}")
-    words = tok.words
-    if side == LEFT:
-        lo = occurrence.first - length
-        if lo < 0 or tok.break_in(lo, occurrence.first):
-            return None
-        return ContextKey(words[lo : occurrence.first], LEFT)
-    if side == RIGHT:
-        hi = occurrence.last + length
-        if hi >= len(words) or tok.break_in(occurrence.last, hi):
-            return None
-        return ContextKey(words[occurrence.last + 1 : hi + 1], RIGHT)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    """The `length` tokens adjacent to an instance, or None where
+    context_window rejects the window."""
+    anchor = occurrence.first if side == LEFT else occurrence.last
+    window = context_window(tok, anchor, length, side)
+    if window is None:
+        return None
+    return ContextKey(tok.words[window[0] : window[1]], side)
 
 
 def instance_contexts(
@@ -239,44 +241,51 @@ def group_contexts(contexts: Iterable[ContextKey]) -> ContextGroups:
     return dict(sorted(groups.items()))
 
 
+_V = TypeVar("_V")
+
+
+def context_hits(
+    seq: WordSequence, groups: Mapping[tuple[str, int], Mapping[tuple[str, ...], _V]]
+) -> Iterator[tuple[str, int, _V]]:
+    """Every place where grouped context words occur as a context.
+
+    `groups` maps (side, length) to words to a value, as group_contexts
+    does. Yields (side, anchor, value), groups in their own order and
+    positions left to right, wherever context_window accepts a group's
+    words as the context of word `anchor`.
+    """
+    words = seq.words
+    for (side, length), entries in groups.items():
+        shift = length if side == LEFT else -1
+        for p in range(len(words) - length + 1):
+            value = entries.get(words[p : p + length])
+            if value is None or context_window(seq, p + shift, length, side) is None:
+                continue
+            yield side, p + shift, value
+
+
 def scan_tokenized(
     tok: WordSequence,
     groups: ContextGroups,
     instances: list[InstanceOccurrence],
 ) -> list[ContextOccurrence]:
-    """All valid occurrences of the grouped contexts in one document's words.
+    """All occurrences of the grouped contexts in one document's words.
 
-    `groups` comes from group_contexts, built once for a whole corpus.
-    A position counts only when the context window plus its adjacency gap
-    stays inside one sentence and an adjacent token exists, mirroring
-    extract_context. with_example is True iff the adjacent span starts
-    (left side) or ends (right side) a learning-example occurrence.
+    `groups` comes from group_contexts, built once for a whole corpus;
+    the occurrences are those of context_hits. with_example is True iff
+    the anchor starts (left side) or ends (right side) a
+    learning-example occurrence.
     """
     by_first = {occ.first: occ for occ in instances}
     by_last = {occ.last: occ for occ in instances}
-    words = tok.words
-    n = len(words)
     out: list[ContextOccurrence] = []
-    for (side, length), keys in groups.items():
-        for p in range(n - length + 1):
-            key = keys.get(words[p : p + length])
-            if key is None:
-                continue
-            if side == LEFT:
-                adjacent = p + length
-                if adjacent >= n or tok.break_in(p, adjacent):
-                    continue
-                occ = by_first.get(adjacent)
-            else:
-                if p == 0 or tok.break_in(p - 1, p + length - 1):
-                    continue
-                occ = by_last.get(p - 1)
-            out.append(
-                ContextOccurrence(
-                    context=key,
-                    with_example=occ is not None,
-                    example=occ.example if occ else None,
-                )
+    for side, anchor, key in context_hits(tok, groups):
+        occ = (by_first if side == LEFT else by_last).get(anchor)
+        out.append(
+            ContextOccurrence(
+                context=key,
+                with_example=occ is not None,
+                example=occ.example if occ else None,
             )
+        )
     return out
-

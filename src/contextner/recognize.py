@@ -1,8 +1,8 @@
 """Entity recognition by weighted context voting.
 
 A model holds one context->weight table per class. Candidate spans are
-wherever a known context's words appear; each class whose table contains
-an adjacent context of the span adds that context's weight to its vote,
+wherever a known context occurs under training's window rule; each
+class whose table holds a context of the span adds the context's weight,
 and the winning class must clear a threshold and beat the runner-up by a
 margin or the span stays `unknown`.
 """
@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 from . import tsv
 from .corpus import Document
 from .errors import DataFormatError, InputError
-from .extract import LEFT, ContextKey, WordSequence, tokenize
+from .extract import LEFT, ContextKey, WordSequence, context_hits, context_window, tokenize
 from .weighting import WeightTable, read_weight_mapping, write_weight_table
 
 UNKNOWN = "unknown"
@@ -140,51 +140,27 @@ def classify(state: VoteState, threshold: float = 0.0, margin: float = 0.0) -> s
     return best_label
 
 
-def _starts_lower(word: str) -> bool:
-    return word[:1].islower()
-
-
 def detect_candidates(tok: WordSequence, model: RecognitionModel) -> list[tuple[int, int]]:
     """Candidate entity spans, as (first, last) token index pairs.
 
-    Wherever any table's context words occur, the adjacent tokens form a
-    candidate of up to max_entity_tokens, truncated at a sentence break
-    or at the first token after the initial one that starts lowercase.
+    Wherever a table's context words occur as a context (context_hits),
+    the span grows from the anchor away from the context, up to
+    max_entity_tokens, stopping at a sentence break or before a token
+    that starts lowercase.
     """
     spans: set[tuple[int, int]] = set()
     words = tok.words
     sent = tok.sent
     n = len(words)
-    limit = model.max_entity_tokens
-    for (side, length), keys in model._votes.items():
-        for p in range(n - length + 1):
-            if words[p : p + length] not in keys:
-                continue
-            if side == LEFT:
-                start = p + length
-                if start >= n:
-                    continue
-                end = start
-                while (
-                    end - start + 1 < limit
-                    and end + 1 < n
-                    and sent[end] == sent[end + 1]
-                    and not _starts_lower(words[end + 1])
-                ):
-                    end += 1
-            else:
-                end = p - 1
-                if end < 0:
-                    continue
-                start = end
-                while (
-                    end - start + 1 < limit
-                    and start - 1 >= 0
-                    and sent[start - 1] == sent[start]
-                    and not _starts_lower(words[start - 1])
-                ):
-                    start -= 1
-            spans.add((start, end))
+    for side, anchor, _ in context_hits(tok, model._votes):
+        step = 1 if side == LEFT else -1
+        edge = anchor
+        for _ in range(model.max_entity_tokens - 1):
+            nxt = edge + step
+            if not 0 <= nxt < n or sent[nxt] != sent[edge] or words[nxt][:1].islower():
+                break
+            edge = nxt
+        spans.add((min(anchor, edge), max(anchor, edge)))
     return sorted(spans)
 
 
@@ -204,28 +180,21 @@ class Annotation:
 def recognize_document(doc: Document, model: RecognitionModel) -> list[Annotation]:
     """Annotate one document's candidate spans with voted classes.
 
-    Every class whose table holds a context adjacent to the span gets
-    one vote per matching context, so a context shared across tables
-    pulls each class up by its own class-specific weight.
+    Every class whose table holds a context of the span (as
+    context_window defines it) gets one vote per matching context, so a
+    context shared across tables pulls each class up by its own weight.
     """
     if not model.tables:
         return []
     tok = tokenize(doc.clean)
-    words = tok.words
-    n = len(words)
     out: list[Annotation] = []
     for first, last in detect_candidates(tok, model):
         state = VoteState()
         for (side, length), by_words in model._votes.items():
-            if side == LEFT:
-                if first - length < 0:
-                    continue
-                adjacent = words[first - length : first]
-            else:
-                if last + 1 + length > n:
-                    continue
-                adjacent = words[last + 1 : last + 1 + length]
-            for label, weight in by_words.get(adjacent, ()):
+            window = context_window(tok, first if side == LEFT else last, length, side)
+            if window is None:
+                continue
+            for label, weight in by_words.get(tok.words[window[0] : window[1]], ()):
                 vote(state, label, weight)
         decided = classify(state, model.threshold, model.margin)
         _, best, second = state.top_two()
@@ -270,9 +239,7 @@ def format_annotations(annotations: Iterable[Annotation]) -> str:
 
 
 def write_annotations(annotations: Iterable[Annotation], path: str | Path) -> None:
-    Path(path).write_text(
-        format_annotations(annotations), encoding="utf-8", newline="\n"
-    )
+    tsv.write_text(path, format_annotations(annotations))
 
 
 def load_annotations(path: str | Path) -> list[Annotation]:
@@ -305,6 +272,30 @@ def _table_file_name(label: str) -> str:
     return f"table_{label}.tsv"
 
 
+def _read_index(index_path: Path) -> tuple[dict[str, tuple[int, str]], tuple[float, float]]:
+    """A model index as class -> (line number, table file), plus the
+    threshold and margin its lines share ((0, 0) when it has none)."""
+    entries: dict[str, tuple[int, str]] = {}
+    stored: Optional[tuple[float, float]] = None
+    for lineno, (label, table_file, raw_theta, raw_delta) in tsv.read_rows(
+        index_path, MODEL_HEADER
+    ):
+        if label in entries:
+            raise DataFormatError(f"{index_path}:{lineno}: duplicate class {label!r}")
+        try:
+            theta, delta = float(raw_theta), float(raw_delta)
+        except ValueError as exc:
+            raise DataFormatError(f"{index_path}:{lineno}: {exc}") from exc
+        if stored is None:
+            stored = (theta, delta)
+        elif stored != (theta, delta):
+            raise DataFormatError(
+                f"{index_path}:{lineno}: threshold/margin disagree across classes"
+            )
+        entries[label] = (lineno, table_file)
+    return entries, stored or (0.0, 0.0)
+
+
 def update_model(
     directory: str | Path,
     label: str,
@@ -320,25 +311,15 @@ def update_model(
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    entries: dict[str, str] = {}
-    stored = (0.0, 0.0)
     index_path = directory / MODEL_FILE
-    if index_path.is_file():
-        for lineno, (row_label, table_file, raw_theta, raw_delta) in tsv.read_rows(
-            index_path, MODEL_HEADER
-        ):
-            try:
-                stored = (float(raw_theta), float(raw_delta))
-            except ValueError as exc:
-                raise DataFormatError(f"{index_path}:{lineno}: {exc}") from exc
-            entries[row_label] = table_file
+    entries, stored = _read_index(index_path) if index_path.is_file() else ({}, (0.0, 0.0))
     file_name = _table_file_name(label)
     write_weight_table(table, directory / file_name)
-    entries[label] = file_name
+    entries[label] = (0, file_name)
     theta = stored[0] if threshold is None else threshold
     delta = stored[1] if margin is None else margin
     rows = [
-        [name, entries[name], f"{theta:.7g}", f"{delta:.7g}"]
+        [name, entries[name][1], f"{theta:.7g}", f"{delta:.7g}"]
         for name in sorted(entries)
     ]
     tsv.write_rows(index_path, MODEL_HEADER, rows)
@@ -356,32 +337,17 @@ def load_model(
     index_path = directory / MODEL_FILE
     if not index_path.is_file():
         raise InputError(f"no {MODEL_FILE} in {directory}")
+    entries, stored = _read_index(index_path)
+    if not entries:
+        raise DataFormatError(f"{index_path}: model lists no classes")
     tables: dict[str, dict[ContextKey, float]] = {}
-    stored: Optional[tuple[float, float]] = None
-    for lineno, (label, table_file, raw_theta, raw_delta) in tsv.read_rows(
-        index_path, MODEL_HEADER
-    ):
-        if label in tables:
-            raise DataFormatError(f"{index_path}:{lineno}: duplicate class {label!r}")
-        try:
-            theta, delta = float(raw_theta), float(raw_delta)
-        except ValueError as exc:
-            raise DataFormatError(f"{index_path}:{lineno}: {exc}") from exc
-        if stored is None:
-            stored = (theta, delta)
-        elif stored != (theta, delta):
-            raise DataFormatError(
-                f"{index_path}:{lineno}: threshold/margin disagree across classes"
-            )
+    for label, (lineno, table_file) in entries.items():
         table_path = directory / table_file
         if not table_path.is_file():
             raise DataFormatError(
                 f"{index_path}:{lineno}: table file not found: {table_path}"
             )
         tables[label] = read_weight_mapping(table_path, side)
-    if not tables:
-        raise DataFormatError(f"{index_path}: model lists no classes")
-    assert stored is not None
     try:
         return RecognitionModel(
             tables=tables,

@@ -7,6 +7,7 @@ header row, tab-separated columns, "\n" line endings, and no escaping
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 from .errors import DataFormatError
@@ -34,9 +35,31 @@ def format_rows(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def write_text(path: str | Path, text: str) -> None:
+    """Write UTF-8 text with "\n" line endings, replacing `path` whole.
+
+    The text goes to a temporary file next to the file `path` names (a
+    symbolic link's target), which then takes its place in one rename,
+    so a failed or interrupted run leaves the old file or none, never a
+    half-written one. A device or a pipe, such as /dev/null, is written
+    directly: there is no file to replace.
+    """
+    path = Path(path)
+    if path.exists() and not path.is_file():
+        path.write_text(text, encoding="utf-8", newline="\n")
+        return
+    path = path.resolve() if path.is_symlink() else path
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8", newline="\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_rows(path: str | Path, header: list[str], rows: list[list[str]]) -> None:
-    text = format_rows(header, rows)
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    write_text(path, format_rows(header, rows))
 
 
 def read_rows(path: str | Path, header: list[str]) -> list[tuple[int, list[str]]]:

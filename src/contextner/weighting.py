@@ -282,7 +282,7 @@ def format_weight_table(table: WeightTable) -> str:
 
 
 def write_weight_table(table: WeightTable, path: str | Path) -> None:
-    Path(path).write_text(format_weight_table(table), encoding="utf-8", newline="\n")
+    tsv.write_text(path, format_weight_table(table))
 
 
 def read_weight_mapping(path: str | Path, side: str = LEFT) -> dict[ContextKey, float]:

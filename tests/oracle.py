@@ -248,14 +248,16 @@ class OracleAnnotation:
 def _candidate_span(
     words: list[str], breaks: set[int], side: str, p: int, length: int, limit: int
 ) -> tuple[int, int] | None:
-    """The span next to a context found at token p, or None at a text edge.
+    """The span next to a context found at token p, or None.
 
-    It grows away from the context, one token at a time, up to `limit`
-    tokens, stopping before a lowercase token or across a sentence break.
+    None when the context has no next token or a sentence break falls
+    between any of its words and that token. The span grows away from
+    the context, one token at a time, up to `limit` tokens, stopping
+    before a lowercase token or across a sentence break.
     """
     if side == LEFT:
         first = p + length
-        if first >= len(words):
+        if first >= len(words) or not _window_ok(breaks, p, first):
             return None
         last = first
         while last - first + 1 < limit:
@@ -265,7 +267,7 @@ def _candidate_span(
             last = nxt
         return first, last
     last = p - 1
-    if last < 0:
+    if last < 0 or not _window_ok(breaks, last, p + length - 1):
         return None
     first = last
     while last - first + 1 < limit:
@@ -286,8 +288,9 @@ def oracle_recognize(
     """Recognition recounted with plain loops, candidate by candidate.
 
     Candidates come from every position of every context of every
-    table. Each candidate then checks every context of every table for
-    adjacency; a class's vote adds its matching weights in ascending
+    table whose words and next token share a sentence. Each candidate
+    then checks every context of every table for adjacency within its
+    sentence; a class's vote adds its matching weights in ascending
     (side, length) order, the documented summation order. The best vote
     wins if it is not tied, beats an existing runner-up by `margin` and
     reaches `threshold`; otherwise the span is `unknown`.
@@ -313,9 +316,16 @@ def oracle_recognize(
                 length = len(context)
                 if side == LEFT:
                     lo, hi = first - length, first
+                    same_sentence = _window_ok(breaks, lo, first)
                 else:
                     lo, hi = last + 1, last + 1 + length
-                if lo >= 0 and hi <= len(words) and tuple(words[lo:hi]) == context:
+                    same_sentence = _window_ok(breaks, last, hi - 1)
+                if (
+                    lo >= 0
+                    and hi <= len(words)
+                    and same_sentence
+                    and tuple(words[lo:hi]) == context
+                ):
                     hits.append(((side, length), weight))
             if hits:
                 total = 0.0

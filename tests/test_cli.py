@@ -164,6 +164,19 @@ def test_weigh_writes_model_dir(tmp_path, capsys, capital_examples):
     assert "capital\ttable_capital.tsv\t0.5\t0" in body
 
 
+def test_weigh_rejects_duplicate_class_in_model_index(tmp_path, capsys, capital_examples):
+    corpus_dir = saved_corpus(tmp_path, "corpus", "Hotels in Paris. Hotels in tents.")
+    model_dir = tmp_path / "model"
+    args = ["weigh", capital_examples, corpus_dir, "--model-dir", str(model_dir)]
+    assert cli.main(args) == 0
+    index = model_dir / "model.tsv"
+    body = index.read_text(encoding="utf-8")
+    index.write_text(body + body.splitlines()[1] + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(args) == 4
+    assert "model.tsv:3" in capsys.readouterr().err
+
+
 def test_weigh_rejects_mixed_classes(tmp_path, capsys):
     corpus_dir = saved_corpus(tmp_path, "corpus", "Hotels in Paris.")
     examples = write_examples(

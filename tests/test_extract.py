@@ -1,10 +1,16 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import capitals
-from oracle import oracle_tokenize
+from oracle import oracle_tokenize, random_corpus
 from contextner.extract import (
+    LEFT,
+    RIGHT,
     ContextKey,
+    context_hits,
+    context_window,
     extract_context,
     find_instances,
     group_contexts,
@@ -108,11 +114,23 @@ def test_tokenize_matches_frozen_tokenizer_on_punctuated_text(text):
 
 
 @given(biased_text)
-def test_break_in_agrees_with_breaks(text):
+def test_context_window_agrees_with_breaks(text):
     tok = tokenize(text)
-    for hi in range(len(tok)):
-        for lo in range(hi + 1):
-            assert tok.break_in(lo, hi) == any(j in tok.breaks for j in range(lo, hi))
+    n = len(tok)
+    for anchor in range(n):
+        for length in (1, 2, 3):
+            # first..last: the window plus its anchor, both sides.
+            for side, first, last, expected in (
+                (LEFT, anchor - length, anchor, (anchor - length, anchor)),
+                (RIGHT, anchor, anchor + length, (anchor + 1, anchor + length + 1)),
+            ):
+                rejected = (
+                    first < 0
+                    or last >= n
+                    or any(j in tok.breaks for j in range(first, last))
+                )
+                window = context_window(tok, anchor, length, side)
+                assert window == (None if rejected else expected)
 
 
 def test_find_instances_prefers_longest():
@@ -236,3 +254,30 @@ def test_scan_grouped_contexts_of_both_sides():
         ("is big", True, "Paris"),
     ]
 
+
+
+def test_extraction_and_scan_apply_one_window_rule():
+    """Training's two directions agree: extract_context keeps context K of
+    an instance exactly when scanning for K finds it at that instance."""
+    rng = random.Random(5)
+    checked = {True: 0, False: 0}
+    for _ in range(60):
+        docs, surfaces = random_corpus(rng)
+        examples = [LearningExample(surface, "c") for surface in surfaces]
+        for doc in docs:
+            tok = tokenize(doc.text)
+            for occ in find_instances(tok, examples):
+                for side in (LEFT, RIGHT):
+                    anchor = occ.first if side == LEFT else occ.last
+                    for length in (1, 2, 3):
+                        lo = anchor - length if side == LEFT else anchor + 1
+                        if lo < 0 or lo + length > len(tok):
+                            assert extract_context(occ, tok, length, side) is None
+                            continue
+                        key = ContextKey(tok.words[lo : lo + length], side)
+                        kept = extract_context(occ, tok, length, side)
+                        assert kept in (key, None)
+                        hits = set(context_hits(tok, group_contexts([key])))
+                        assert (kept == key) == ((side, anchor, key) in hits)
+                        checked[kept == key] += 1
+    assert min(checked.values()) >= 100, checked

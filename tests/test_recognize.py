@@ -211,9 +211,10 @@ def test_recognize_empty_model_yields_nothing():
 
 def test_shared_context_votes_in_both_classes():
     """A context present in two tables pulls both classes, each with its
-    own weight; the margin decides. ("Mr" is a two-letter token, so its
-    period reads as a sentence end — detection must still fire.)"""
-    doc = make_doc("t1", "Mr. Zidane plays")
+    own weight; the margin decides. ("Mr." is a two-letter word plus a
+    period, which reads as a sentence end, so after it "Mr" is no
+    context of "Zidane" and nothing is detected.)"""
+    doc = make_doc("t1", "Mr Zidane plays")
     tables = {
         "athlete": {left("Mr"): 0.6},
         "president": {left("Mr"): 0.2},
@@ -224,6 +225,24 @@ def test_shared_context_votes_in_both_classes():
     assert decided.runner_up == 0.2
     undecided = recognize_document(doc, model_from(tables, margin=0.5))[0]
     assert undecided.class_label == UNKNOWN
+    after_break = make_doc("t1", "Mr. Zidane plays")
+    assert recognize_document(after_break, model_from(tables, margin=0.3)) == []
+
+
+@pytest.mark.parametrize(
+    "text, context",
+    [
+        ("Hotels in. Rome is nice.", left("Hotels", "in")),
+        ("Visit Rome. Arrived in town", right("Arrived", "in")),
+    ],
+)
+def test_no_context_across_a_sentence_break(text, context):
+    """Recognition applies training's window rule: a context whose words
+    and the span's next word are not in one sentence neither makes a
+    candidate nor votes."""
+    model = model_from({"capital": {context: 1.0}})
+    assert detect_candidates(tokenize(text), model) == []
+    assert recognize_document(make_doc("t1", text), model) == []
 
 
 def test_non_unknown_annotations_respect_decision_rule():

@@ -1,3 +1,6 @@
+import os
+import stat
+
 import pytest
 
 from contextner import tsv
@@ -56,3 +59,40 @@ def test_read_rejects_non_utf8(tmp_path):
     path.write_bytes(b"a\tb\n\xff\t2\n")
     with pytest.raises(DataFormatError, match="not valid UTF-8"):
         tsv.read_rows(path, HDR)
+
+
+def test_failed_write_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "t.tsv"
+    tsv.write_rows(path, HDR, [["old", "row"]])
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(tsv.os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        tsv.write_rows(path, HDR, [["new", "row"]])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t.tsv"]
+
+
+def test_write_text_goes_through_a_pipe(tmp_path):
+    fifo = tmp_path / "out"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        tsv.write_text(fifo, "a\tb\n")
+        assert os.read(reader, 100) == b"a\tb\n"
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+def test_write_text_replaces_a_linked_file_not_the_link(tmp_path):
+    target = tmp_path / "target.tsv"
+    target.write_text("old\n", encoding="utf-8")
+    link = tmp_path / "link.tsv"
+    link.symlink_to(target)
+    tsv.write_text(link, "new\n")
+    assert link.is_symlink()
+    assert target.read_text(encoding="utf-8") == "new\n"
