@@ -44,6 +44,7 @@ from .extract import (
     Tokenization,
     extract_context,
     find_instances,
+    instance_index,
     tokenize,
 )
 from .recognize import (

@@ -25,6 +25,7 @@ from .evaluate import (
     write_report,
 )
 from .recognize import (
+    check_model_update,
     format_annotations,
     load_annotations,
     load_model,
@@ -110,6 +111,8 @@ def cmd_acquire(args: argparse.Namespace) -> int:
 def cmd_weigh(args: argparse.Namespace) -> int:
     examples = load_examples(args.examples)
     label = single_class(examples)
+    if args.model_dir:
+        check_model_update(args.model_dir, label)
     corpus = load_corpus(args.corpus_dir)
     config = TableConfig(
         context_len=args.context_len, side=args.side, min_count=args.min_count

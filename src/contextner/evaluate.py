@@ -9,7 +9,7 @@ from typing import Iterable, Optional
 from . import tsv
 from .corpus import CorpusManifest
 from .errors import DataFormatError, InputError
-from .extract import ContextKey, instance_contexts, tokenize
+from .extract import ContextKey, instance_contexts, instance_index, tokenize
 from .recognize import UNKNOWN, Annotation
 from .seeds import LearningExample
 from .weighting import TableConfig
@@ -120,7 +120,7 @@ def growth_curve(
     Prefixes follow manifest (document-id) order.
     """
     steps = list(steps)
-    examples = list(examples)
+    index = instance_index(examples)
     if not steps:
         raise InputError("no growth steps given")
     previous = 0
@@ -141,7 +141,7 @@ def growth_curve(
     for step in steps:
         for doc in documents[done:step]:
             found = instance_contexts(
-                tokenize(doc.clean), examples, config.context_len, config.side
+                tokenize(doc.clean), index, config.context_len, config.side
             )
             occurrences += len(found)
             contexts.update(key for _occ, key in found if key is not None)

@@ -29,9 +29,9 @@ _WORD_RE = re.compile(r"([^\W_]+(?:['’.\-][^\W_]+)*)")
 _INITIAL_RE = re.compile(
     r"\.(?![^\W_])(?<=[^\W\d_]\.)(?<![^\W_]{2}\.)(?<![^\W_]['’.\-][^\W_]\.)"
 )
-# A terminator with only whitespace after it in its gap: some before the
-# next word, or any amount up to the end of the text.
-_BREAK_RE = re.compile(r"[.!?](?:\s+(?=[^\W_])|\s*\Z)")
+# A terminator with only whitespace, at least some, between it and the
+# next word. The text's end closes the last sentence without one.
+_BREAK_RE = re.compile(r"[.!?]\s+(?=[^\W_])")
 
 
 @dataclass(frozen=True)
@@ -54,15 +54,12 @@ class WordSequence:
 class Tokenization(WordSequence):
     """The words of one document plus where they sit in its text.
 
-    Word i is text[starts[i]:ends[i]]. `breaks` holds indices i such
-    that a sentence ends between word i and word i+1 (or after the
-    final word).
+    Word i is text[starts[i]:ends[i]].
     """
 
     text: str
     starts: tuple[int, ...]
     ends: tuple[int, ...]
-    breaks: frozenset[int]
 
 
 def tokenize(text: str) -> Tokenization:
@@ -71,7 +68,7 @@ def tokenize(text: str) -> Tokenization:
     A single letter immediately followed by a period keeps the period
     ("W."), which also stops that period from ending a sentence. A
     sentence ends only at '.', '!' or '?' followed by whitespace and a
-    capitalized word, or at the end of the text; commas never end one.
+    capitalized word, and at the end of the text; commas never end one.
     """
     parts = _WORD_RE.split(text)  # gap, word, gap, ..., word, gap
     words = parts[1::2]
@@ -89,7 +86,7 @@ def tokenize(text: str) -> Tokenization:
         i = bisect_right(starts, m.start()) - 1
         if i < 0 or m.start() < ends[i]:
             continue  # before the first word, or an initial's own period
-        if m.end() < len(text) and not text[m.end()].isupper():
+        if not text[m.end()].isupper():
             continue
         breaks.append(i)
     sent: list[int] = []
@@ -102,7 +99,6 @@ def tokenize(text: str) -> Tokenization:
         text=text,
         starts=tuple(starts),
         ends=tuple(ends),
-        breaks=frozenset(breaks),
     )
 
 
@@ -115,36 +111,47 @@ class InstanceOccurrence:
     last: int
 
 
-def find_instances(
-    tok: WordSequence,
-    examples: Iterable[LearningExample],
-) -> list[InstanceOccurrence]:
-    """Locate example surfaces in a word sequence.
+# First word of a surface -> its (length, words, example) entries, longest first.
+InstanceIndex = dict[str, tuple[tuple[int, tuple[str, ...], LearningExample], ...]]
 
-    Scans left to right, prefers the longest matching surface at each
-    position, and consumes matched spans so occurrences never overlap.
-    Matching is case-sensitive on exact words.
+
+def instance_index(examples: Iterable[LearningExample]) -> InstanceIndex:
+    """Index example surfaces by their first word, for find_instances.
+
+    Build it once per run. When two examples split into the same words,
+    the first-listed one is kept.
     """
     by_words: dict[tuple[str, ...], LearningExample] = {}
     for ex in examples:
         by_words.setdefault(tuple(ex.surface.split()), ex)
-    lengths = sorted({len(w) for w in by_words}, reverse=True)
+    entries: dict[str, list[tuple[int, tuple[str, ...], LearningExample]]] = {}
+    for words, ex in by_words.items():
+        entries.setdefault(words[0], []).append((len(words), words, ex))
+    return {
+        first: tuple(sorted(group, key=lambda entry: -entry[0]))
+        for first, group in entries.items()
+    }
+
+
+def find_instances(tok: WordSequence, index: InstanceIndex) -> list[InstanceOccurrence]:
+    """Locate example surfaces in a word sequence.
+
+    Scans left to right, prefers the longest matching surface at each
+    position, and consumes matched spans so occurrences never overlap.
+    Matching is case-sensitive on exact words. Only positions whose
+    word starts some surface in `index` (from instance_index) are probed.
+    """
     words = tok.words
     out: list[InstanceOccurrence] = []
-    i = 0
-    n = len(words)
-    while i < n:
-        hit = None
-        for length in lengths:
-            if i + length <= n and words[i : i + length] in by_words:
-                hit = (length, by_words[words[i : i + length]])
-                break
-        if hit is None:
-            i += 1
+    free = 0  # the first position past the previous match
+    for i in [i for i, w in enumerate(words) if w in index]:
+        if i < free:
             continue
-        length, example = hit
-        out.append(InstanceOccurrence(example=example, first=i, last=i + length - 1))
-        i += length
+        for length, surface, example in index[words[i]]:
+            if words[i : i + length] == surface:
+                out.append(InstanceOccurrence(example=example, first=i, last=i + length - 1))
+                free = i + length
+                break
     return out
 
 
@@ -217,7 +224,7 @@ def extract_context(
 
 def instance_contexts(
     tok: WordSequence,
-    examples: Iterable[LearningExample],
+    index: InstanceIndex,
     length: int,
     side: str,
 ) -> list[tuple[InstanceOccurrence, Optional[ContextKey]]]:
@@ -225,7 +232,7 @@ def instance_contexts(
     context, or None where extract_context rejects the window."""
     return [
         (occ, extract_context(occ, tok, length, side))
-        for occ in find_instances(tok, examples)
+        for occ in find_instances(tok, index)
     ]
 
 

@@ -296,6 +296,21 @@ def _read_index(index_path: Path) -> tuple[dict[str, tuple[int, str]], tuple[flo
     return entries, stored or (0.0, 0.0)
 
 
+def _stored_index(
+    directory: Path,
+) -> tuple[dict[str, tuple[int, str]], tuple[float, float]]:
+    """_read_index of the directory's model.tsv, or an empty index."""
+    index_path = directory / MODEL_FILE
+    return _read_index(index_path) if index_path.is_file() else ({}, (0.0, 0.0))
+
+
+def check_model_update(directory: str | Path, label: str) -> None:
+    """Raise DataFormatError where update_model would reject this class
+    label or the directory's stored index, before any table is built."""
+    _table_file_name(label)
+    _stored_index(Path(directory))
+
+
 def update_model(
     directory: str | Path,
     label: str,
@@ -311,8 +326,7 @@ def update_model(
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    index_path = directory / MODEL_FILE
-    entries, stored = _read_index(index_path) if index_path.is_file() else ({}, (0.0, 0.0))
+    entries, stored = _stored_index(directory)
     file_name = _table_file_name(label)
     write_weight_table(table, directory / file_name)
     entries[label] = (0, file_name)
@@ -322,7 +336,7 @@ def update_model(
         [name, entries[name][1], f"{theta:.7g}", f"{delta:.7g}"]
         for name in sorted(entries)
     ]
-    tsv.write_rows(index_path, MODEL_HEADER, rows)
+    tsv.write_rows(directory / MODEL_FILE, MODEL_HEADER, rows)
 
 
 def load_model(

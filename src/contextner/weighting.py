@@ -29,6 +29,7 @@ from .extract import (
     WordSequence,
     group_contexts,
     instance_contexts,
+    instance_index,
     scan_tokenized,
     tokenize,
 )
@@ -163,13 +164,14 @@ def collect_context_stats(
     """
     examples = list(examples)
     single_class(examples)  # rejects examples of more than one class
+    index = instance_index(examples)
     contexts: set[ContextKey] = set()
     total_with_examples = 0
     analyzed: list[tuple[str, str, WordSequence, list[InstanceOccurrence]]] = []
     vocabulary: dict[str, str] = {}
     for doc in corpus:
         tok = tokenize(doc.clean)
-        found = instance_contexts(tok, examples, config.context_len, config.side)
+        found = instance_contexts(tok, index, config.context_len, config.side)
         for _occ, key in found:
             if key is not None:
                 contexts.add(key)

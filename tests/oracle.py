@@ -61,6 +61,40 @@ def oracle_tokenize(text: str) -> tuple[list[str], list[tuple[int, int]], set[in
     return [t.text for t in tokens], [(t.start, t.end) for t in tokens], breaks
 
 
+# -- instance matching ---------------------------------------------------------
+
+
+def oracle_find_instances(words: list[str], examples: list) -> list[tuple[int, int, object]]:
+    """(first, last, example) for every example occurrence in `words`.
+
+    A frozen copy of the package's original find_instances, changed only
+    to take the words directly and return tuples: it rebuilds the
+    surface index on every call and probes every position once per
+    surface length.
+    """
+    by_words = {}
+    for ex in examples:
+        by_words.setdefault(tuple(ex.surface.split()), ex)
+    lengths = sorted({len(w) for w in by_words}, reverse=True)
+    words = tuple(words)
+    out = []
+    i = 0
+    n = len(words)
+    while i < n:
+        hit = None
+        for length in lengths:
+            if i + length <= n and words[i : i + length] in by_words:
+                hit = (length, by_words[words[i : i + length]])
+                break
+        if hit is None:
+            i += 1
+            continue
+        length, example = hit
+        out.append((i, i + length - 1, example))
+        i += length
+    return out
+
+
 # -- weighting -----------------------------------------------------------------
 
 

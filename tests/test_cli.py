@@ -177,6 +177,27 @@ def test_weigh_rejects_duplicate_class_in_model_index(tmp_path, capsys, capital_
     assert "model.tsv:3" in capsys.readouterr().err
 
 
+def test_weigh_checks_model_index_before_writing_a_table(
+    tmp_path, capsys, capital_examples
+):
+    corpus_dir = saved_corpus(tmp_path, "corpus", "Hotels in Paris. Hotels in tents.")
+    model_dir = tmp_path / "model"
+    args = ["weigh", capital_examples, corpus_dir, "--model-dir", str(model_dir)]
+    assert cli.main(args) == 0
+    index = model_dir / "model.tsv"
+    body = index.read_text(encoding="utf-8")
+    index.write_text(body + body.splitlines()[1] + "\n", encoding="utf-8")
+    table = model_dir / "table_capital.tsv"
+    table.unlink()
+    output = tmp_path / "t1.tsv"
+    capsys.readouterr()
+    assert cli.main(args + ["--output", str(output)]) == 4
+    assert cli.main(args) == 4
+    assert capsys.readouterr().out == ""
+    assert not output.exists()
+    assert not table.exists()
+
+
 def test_weigh_rejects_mixed_classes(tmp_path, capsys):
     corpus_dir = saved_corpus(tmp_path, "corpus", "Hotels in Paris.")
     examples = write_examples(

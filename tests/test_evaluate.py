@@ -14,7 +14,13 @@ from contextner.evaluate import (
     write_growth,
     write_report,
 )
-from contextner.extract import RIGHT, extract_context, find_instances, tokenize
+from contextner.extract import (
+    RIGHT,
+    extract_context,
+    find_instances,
+    instance_index,
+    tokenize,
+)
 from contextner.recognize import UNKNOWN, Annotation
 from contextner.weighting import TableConfig
 
@@ -204,11 +210,12 @@ def test_growth_last_point_matches_direct_extraction():
     )
     examples = capitals("Madrid", "Oslo")
     points = growth_curve(corpus, examples, [1, 3])
+    index = instance_index(examples)
     occurrences = 0
     contexts = set()
     for doc in corpus:
         tok = tokenize(doc.clean)
-        for occ in find_instances(tok, examples):
+        for occ in find_instances(tok, index):
             occurrences += 1
             key = extract_context(occ, tok, 2, "left")
             if key is not None:

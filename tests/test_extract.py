@@ -1,19 +1,21 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import capitals
-from oracle import oracle_tokenize, random_corpus
+from oracle import oracle_find_instances, oracle_tokenize, random_corpus
 from contextner.extract import (
     LEFT,
     RIGHT,
     ContextKey,
+    WordSequence,
     context_hits,
     context_window,
     extract_context,
     find_instances,
     group_contexts,
+    instance_index,
     scan_tokenized,
     tokenize,
 )
@@ -24,6 +26,11 @@ def words_of(text):
     return list(tokenize(text).words)
 
 
+def breaks_of(tok):
+    """Indices i such that a sentence ends between word i and word i+1."""
+    return frozenset(i for i in range(len(tok) - 1) if tok.sent[i] != tok.sent[i + 1])
+
+
 def test_tokenize_basic():
     assert words_of("Hotels in Paris") == ["Hotels", "in", "Paris"]
 
@@ -31,7 +38,7 @@ def test_tokenize_basic():
 def test_tokenize_strips_terminal_punctuation():
     tok = tokenize("Map of Tunis.")
     assert list(tok.words) == ["Map", "of", "Tunis"]
-    assert 2 in tok.breaks
+    assert breaks_of(tokenize("Map of Tunis. Then")) == frozenset({2})
 
 
 def test_tokenize_keeps_single_letter_abbreviations():
@@ -44,32 +51,33 @@ def test_tokenize_internal_punctuation():
 
 def test_sentence_break_needs_capital():
     tok = tokenize("visit paris. then rome")
-    assert tok.breaks == frozenset()
+    assert breaks_of(tok) == frozenset()
     tok = tokenize("visit paris. Then rome")
-    assert tok.breaks == frozenset({1})
-    assert tokenize("visit paris. 2 days").breaks == frozenset()
+    assert breaks_of(tok) == frozenset({1})
+    assert breaks_of(tokenize("visit paris. 2 days")) == frozenset()
 
 
 def test_comma_is_not_a_break():
     tok = tokenize("of our nation, Chirac said")
-    assert tok.breaks == frozenset()
+    assert breaks_of(tok) == frozenset()
 
 
 def test_exclamation_and_question_break():
     tok = tokenize("Go! Now? Yes")
-    assert tok.breaks == frozenset({0, 1})
+    assert breaks_of(tok) == frozenset({0, 1})
 
 
 def test_break_at_end_of_document():
-    assert tokenize("It ended.").breaks == frozenset({1})
-    assert tokenize("It ended.  ").breaks == frozenset({1})
-    assert tokenize("no terminator").breaks == frozenset()
+    assert tokenize("It ended.").sent == (0, 0)
+    assert tokenize("It ended.  ").sent == (0, 0)
+    assert tokenize("no terminator").sent == (0, 0)
+    assert tokenize("It ended. Then").sent == (0, 0, 1)
 
 
 def test_abbreviation_period_does_not_break():
     # The period is part of the "W." token, so no sentence ends there.
     tok = tokenize("George W. Bush spoke")
-    assert tok.breaks == frozenset()
+    assert breaks_of(tok) == frozenset()
 
 
 @given(st.text(max_size=300))
@@ -82,7 +90,8 @@ def test_tokenize_round_trip(text):
         assert start >= previous_end
         assert start < end
         previous_end = end
-    assert all(0 <= b < len(tok) for b in tok.breaks)
+    # Sentence ids count up from 0 in steps of one.
+    assert all(b - a in (0, 1) for a, b in zip((0,) + tok.sent, tok.sent))
 
 
 # Pieces that hit every rule of the tokenizer: terminators, runs of mixed
@@ -100,7 +109,8 @@ def assert_matches_oracle(text):
     words, spans, breaks = oracle_tokenize(text)
     assert tok.words == tuple(words)
     assert list(zip(tok.starts, tok.ends)) == spans
-    assert tok.breaks == breaks
+    # A break after the final word is implicit in sentence ids.
+    assert breaks_of(tok) == breaks - {len(words) - 1}
 
 
 @given(st.text())
@@ -117,6 +127,7 @@ def test_tokenize_matches_frozen_tokenizer_on_punctuated_text(text):
 def test_context_window_agrees_with_breaks(text):
     tok = tokenize(text)
     n = len(tok)
+    breaks = breaks_of(tok)
     for anchor in range(n):
         for length in (1, 2, 3):
             # first..last: the window plus its anchor, both sides.
@@ -127,7 +138,7 @@ def test_context_window_agrees_with_breaks(text):
                 rejected = (
                     first < 0
                     or last >= n
-                    or any(j in tok.breaks for j in range(first, last))
+                    or any(j in breaks for j in range(first, last))
                 )
                 window = context_window(tok, anchor, length, side)
                 assert window == (None if rejected else expected)
@@ -139,7 +150,7 @@ def test_find_instances_prefers_longest():
         LearningExample("Sarkozy", "president"),
         LearningExample("Nicolas Sarkozy", "president"),
     ]
-    occs = find_instances(tok, examples)
+    occs = find_instances(tok, instance_index(examples))
     assert [(o.first, o.last, o.example.surface) for o in occs] == [
         (3, 4, "Nicolas Sarkozy")
     ]
@@ -147,15 +158,16 @@ def test_find_instances_prefers_longest():
 
 def test_find_instances_simple():
     tok = tokenize("President Bush said")
-    occs = find_instances(tok, [LearningExample("Bush", "president")])
-    assert [(o.first, o.last) for o in occs] == [(1, 1)]
-    assert find_instances(tok, [LearningExample("Blair", "president")]) == []
+    bush = instance_index([LearningExample("Bush", "president")])
+    assert [(o.first, o.last) for o in find_instances(tok, bush)] == [(1, 1)]
+    blair = instance_index([LearningExample("Blair", "president")])
+    assert find_instances(tok, blair) == []
 
 
 def test_find_instances_non_overlapping_and_sorted():
     tok = tokenize("Bush met George W. Bush and Bush left")
     examples = [LearningExample("George W. Bush", "p"), LearningExample("Bush", "p")]
-    occs = find_instances(tok, examples)
+    occs = find_instances(tok, instance_index(examples))
     spans = [(o.first, o.last) for o in occs]
     assert spans == sorted(spans)
     for (a, b), (c, d) in zip(spans, spans[1:]):
@@ -163,40 +175,75 @@ def test_find_instances_non_overlapping_and_sorted():
     assert [o.example.surface for o in occs] == ["Bush", "George W. Bush", "Bush"]
 
 
+MATCH_WORDS = ["A", "B", "C", "D"]
+learning_examples = st.lists(
+    st.builds(
+        lambda words, gap, label: LearningExample(gap.join(words), label),
+        st.lists(st.sampled_from(MATCH_WORDS), min_size=1, max_size=3),
+        st.sampled_from([" ", "  "]),
+        st.sampled_from(["x", "y"]),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(st.lists(st.sampled_from(MATCH_WORDS + ["e"]), max_size=40), learning_examples)
+@example(
+    "Bush met George W. Bush and Bush left".split(),
+    [LearningExample("Bush", "x"), LearningExample("George W. Bush", "x")],
+)
+@example(
+    "A B C A C A B".split(),
+    [LearningExample("A", "x"), LearningExample("A C", "x"), LearningExample("A B C", "x")],
+)
+@example(
+    "C A B A B".split(),
+    [LearningExample("A  B", "x"), LearningExample("A B", "y"), LearningExample("A B", "x")],
+)
+def test_find_instances_matches_frozen_matcher(words, examples):
+    seq = WordSequence(tuple(words), (0,) * len(words))
+    found = find_instances(seq, instance_index(examples))
+    assert [(o.first, o.last, o.example) for o in found] == oracle_find_instances(
+        words, examples
+    )
+
+
 def test_extract_context_left():
     tok = tokenize("Hotels in Paris")
-    occ = find_instances(tok, capitals("Paris"))[0]
+    occ = find_instances(tok, instance_index(capitals("Paris")))[0]
     assert extract_context(occ, tok, 2, "left") == ContextKey(("Hotels", "in"), "left")
 
 
 def test_extract_context_insufficient_tokens():
     tok = tokenize("Paris is big")
-    occ = find_instances(tok, capitals("Paris"))[0]
+    occ = find_instances(tok, instance_index(capitals("Paris")))[0]
     assert extract_context(occ, tok, 2, "left") is None
 
 
 def test_extract_context_comma_does_not_block():
     tok = tokenize("of the unity of our nation, Chirac said")
-    occ = find_instances(tok, [LearningExample("Chirac", "president")])[0]
+    chirac = instance_index([LearningExample("Chirac", "president")])
+    occ = find_instances(tok, chirac)[0]
     assert extract_context(occ, tok, 2, "left") == ContextKey(("our", "nation"), "left")
 
 
 def test_extract_context_blocked_by_sentence_break():
     tok = tokenize("It ended. Paris is far")
-    occ = find_instances(tok, capitals("Paris"))[0]
+    occ = find_instances(tok, instance_index(capitals("Paris")))[0]
     assert extract_context(occ, tok, 2, "left") is None
 
 
 def test_extract_context_right_side():
     tok = tokenize("Paris is big")
-    occ = find_instances(tok, capitals("Paris"))[0]
+    occ = find_instances(tok, instance_index(capitals("Paris")))[0]
     assert extract_context(occ, tok, 2, "right") == ContextKey(("is", "big"), "right")
     assert extract_context(occ, tok, 3, "right") is None
 
 
 def test_extract_context_rejects_bad_args():
     tok = tokenize("Hotels in Paris")
-    occ = find_instances(tok, capitals("Paris"))[0]
+    occ = find_instances(tok, instance_index(capitals("Paris")))[0]
     with pytest.raises(ValueError):
         extract_context(occ, tok, 0, "left")
     with pytest.raises(ValueError):
@@ -206,7 +253,8 @@ def test_extract_context_rejects_bad_args():
 def scan(text, contexts, examples):
     """Every occurrence of `contexts` in one document, as weigh scans it."""
     tok = tokenize(text)
-    return scan_tokenized(tok, group_contexts(contexts), find_instances(tok, examples))
+    instances = find_instances(tok, instance_index(examples))
+    return scan_tokenized(tok, group_contexts(contexts), instances)
 
 
 def test_scan_counts_example_and_other_occurrences():
@@ -247,7 +295,8 @@ def test_scan_grouped_contexts_of_both_sides():
     assert list(groups) == [("left", 1), ("left", 2), ("right", 2)]
     assert groups[("left", 2)] == {("Hotels", "in"): contexts[1]}
     tok = tokenize("Hotels in Paris. Paris is big.")
-    occs = scan_tokenized(tok, groups, find_instances(tok, capitals("Paris")))
+    instances = find_instances(tok, instance_index(capitals("Paris")))
+    occs = scan_tokenized(tok, groups, instances)
     assert [(o.context.phrase(), o.with_example, o.example.surface) for o in occs] == [
         ("in", True, "Paris"),
         ("Hotels in", True, "Paris"),
@@ -263,10 +312,10 @@ def test_extraction_and_scan_apply_one_window_rule():
     checked = {True: 0, False: 0}
     for _ in range(60):
         docs, surfaces = random_corpus(rng)
-        examples = [LearningExample(surface, "c") for surface in surfaces]
+        index = instance_index(LearningExample(surface, "c") for surface in surfaces)
         for doc in docs:
             tok = tokenize(doc.text)
-            for occ in find_instances(tok, examples):
+            for occ in find_instances(tok, index):
                 for side in (LEFT, RIGHT):
                     anchor = occ.first if side == LEFT else occ.last
                     for length in (1, 2, 3):
