@@ -14,9 +14,7 @@ from .acquire import (
     AcquisitionError,
     ClientError,
     FixtureClient,
-    LinkResult,
     SearchClient,
-    SearchQuery,
     acquire,
     build_queries,
 )
@@ -55,6 +53,7 @@ from .recognize import (
     classify,
     detect_candidates,
     load_model,
+    recognize_corpus,
     recognize_document,
     vote,
 )

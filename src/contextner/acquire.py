@@ -41,41 +41,17 @@ class ClientError(Exception):
     """A search or fetch call failed for one query or URI."""
 
 
-@dataclass(frozen=True)
-class SearchQuery:
-    instance: str
-    max_results: int
-    suffix: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.instance:
-            raise ValueError("query instance must be non-empty")
-        if self.max_results < 1:
-            raise ValueError(f"max_results must be positive, got {self.max_results}")
-
-    @property
-    def text(self) -> str:
-        """Query string sent to the backend; the optional suffix narrows it."""
-        return f"{self.instance} {self.suffix}" if self.suffix else self.instance
-
-
-@dataclass(frozen=True)
-class LinkResult:
-    uri: str
-    rank: int
-
-
 class SearchClient(ABC):
     """Search backend interface.
 
     Implementations must raise ClientError (or OSError) on failure.
-    `search` returns at most `query.max_results` links with unique
-    1-based ranks; `fetch` returns the raw payload plus its kind
-    ("plain" or "markup").
+    `search` takes the query text and returns the result URIs, best
+    first; `acquire` decides how many of them to keep. `fetch` returns
+    the raw payload plus its kind ("plain" or "markup").
     """
 
     @abstractmethod
-    def search(self, query: SearchQuery) -> list[LinkResult]: ...
+    def search(self, query: str) -> list[str]: ...
 
     @abstractmethod
     def fetch(self, uri: str) -> tuple[bytes, str]: ...
@@ -94,7 +70,7 @@ class FixtureClient(SearchClient):
         index_path = self.directory / "queries.tsv"
         if not index_path.is_file():
             raise InputError(f"fixture directory has no queries.tsv: {self.directory}")
-        self._results: dict[str, list[LinkResult]] = {}
+        self._results: dict[str, list[str]] = {}
         self._files: dict[str, Path] = {}
         for lineno, (query, uri, file_name) in tsv.read_rows(index_path, QUERIES_HEADER):
             if not query or not uri or not file_name:
@@ -105,11 +81,10 @@ class FixtureClient(SearchClient):
                     f"{index_path}:{lineno}: uri {uri!r} mapped to conflicting files"
                 )
             self._files[uri] = path
-            links = self._results.setdefault(query, [])
-            links.append(LinkResult(uri=uri, rank=len(links) + 1))
+            self._results.setdefault(query, []).append(uri)
 
-    def search(self, query: SearchQuery) -> list[LinkResult]:
-        return self._results.get(query.text, [])[: query.max_results]
+    def search(self, query: str) -> list[str]:
+        return self._results.get(query, [])
 
     def fetch(self, uri: str) -> tuple[bytes, str]:
         path = self._files.get(uri)
@@ -123,18 +98,15 @@ class FixtureClient(SearchClient):
         return raw, kind
 
 
-def build_queries(
-    examples: Iterable[LearningExample],
-    max_results: int,
-    suffix: str = "",
-) -> list[SearchQuery]:
-    """One query per distinct surface form, in first-seen order."""
-    seen: dict[str, None] = {}
-    for ex in examples:
-        seen.setdefault(ex.surface)
-    if not seen:
+def build_queries(examples: Iterable[LearningExample], suffix: str = "") -> list[str]:
+    """One query per distinct surface form, in first-seen order.
+
+    A non-empty suffix is appended after a space to narrow every query.
+    """
+    surfaces = dict.fromkeys(ex.surface for ex in examples)
+    if not surfaces:
         raise InputError("no learning examples to build queries from")
-    return [SearchQuery(surface, max_results, suffix) for surface in seen]
+    return [f"{s} {suffix}" if suffix else s for s in surfaces]
 
 
 @dataclass(frozen=True)
@@ -158,20 +130,24 @@ def _doc_id(uri: str) -> str:
 
 def acquire(
     client: SearchClient,
-    queries: Iterable[SearchQuery],
+    queries: Iterable[str],
     existing: Optional[CorpusManifest] = None,
     workers: int = 1,
+    max_results: int = 10,
 ) -> AcquireResult:
     """Grow a corpus with every new document the queries surface.
 
-    Search results are deduplicated against the existing manifest and
-    one another by URI. Fetches run on up to `workers` threads, but
-    documents land in query-order-then-rank order no matter which fetch
-    finishes first. A failed fetch is recorded and skipped; an error
-    from every single search raises AcquisitionError.
+    The first `max_results` URIs of each search result are kept and
+    deduplicated against the existing manifest and one another. Fetches
+    run on up to `workers` threads, but documents land in query order,
+    then result order, no matter which fetch finishes first. A failed
+    fetch is recorded and skipped; an error from every single search
+    raises AcquisitionError.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if max_results < 1:
+        raise ValueError(f"max_results must be >= 1, got {max_results}")
     existing = existing if existing is not None else CorpusManifest([])
     queries = list(queries)
     known_uris = {doc.uri for doc in existing}
@@ -183,13 +159,13 @@ def acquire(
             links = client.search(query)
         except (ClientError, OSError) as exc:
             search_errors += 1
-            failures.append(FetchFailure(uri=query.text, stage="search", error=str(exc)))
-            logger.warning("search failed for %r: %s", query.text, exc)
+            failures.append(FetchFailure(uri=query, stage="search", error=str(exc)))
+            logger.warning("search failed for %r: %s", query, exc)
             continue
-        for link in sorted(links, key=lambda l: l.rank):
-            if link.uri not in known_uris:
-                known_uris.add(link.uri)
-                targets.append(link.uri)
+        for uri in links[:max_results]:
+            if uri not in known_uris:
+                known_uris.add(uri)
+                targets.append(uri)
     if queries and search_errors == len(queries):
         raise AcquisitionError(f"all {len(queries)} search queries failed")
 

@@ -92,14 +92,16 @@ def _add_extraction_flags(parser: argparse.ArgumentParser) -> None:
 def cmd_acquire(args: argparse.Namespace) -> int:
     examples = load_examples(args.examples)
     single_class(examples)
-    queries = build_queries(examples, args.max_results, args.query_suffix)
+    queries = build_queries(examples, args.query_suffix)
     corpus_dir = Path(args.corpus_dir)
     if (corpus_dir / MANIFEST_NAME).is_file():
         existing = load_corpus(corpus_dir)
     else:
         existing = CorpusManifest([])
     client = FixtureClient(args.fixtures)
-    result = acquire(client, queries, existing, workers=args.workers)
+    result = acquire(
+        client, queries, existing, workers=args.workers, max_results=args.max_results
+    )
     save_corpus(result.manifest, corpus_dir)
     added = len(result.manifest) - len(existing)
     print(f"{added} new documents, {len(result.manifest)} documents total")

@@ -81,10 +81,6 @@ class _TextExtractor(HTMLParser):
         else:
             self.chunks.append(" ")
 
-    def handle_startendtag(self, tag, attrs):
-        if tag not in self._SKIP:
-            self.chunks.append(" ")
-
     def handle_data(self, data):
         if not self._skip_depth:
             self.chunks.append(data)
@@ -153,9 +149,6 @@ class CorpusManifest:
     def __iter__(self):
         return iter(self.documents)
 
-    def sources(self) -> set[str]:
-        return {doc.source for doc in self.documents}
-
 
 def save_corpus(manifest: CorpusManifest, directory: str | Path) -> None:
     """Write manifest.tsv plus one cleaned-text file per document."""
@@ -187,7 +180,6 @@ def load_corpus(directory: str | Path) -> CorpusManifest:
         if not doc_path.is_file():
             raise DataFormatError(f"{manifest_path}:{lineno}: missing document file {rel!r}")
         text = doc_path.read_text(encoding="utf-8")
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
         docs.append(Document(id=doc_id, source=source, uri=uri, kind=kind, clean=text))
     return CorpusManifest(documents=docs)
 

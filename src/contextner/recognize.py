@@ -82,28 +82,16 @@ class RecognitionModel:
 
 @dataclass
 class VoteState:
-    """Accumulated per-class votes.
-
-    Add to `votes` only through `vote`: the ranking that `classify` and
-    `top_two` share is computed once and kept until the next vote.
-    """
+    """Accumulated per-class votes."""
 
     votes: dict[str, float] = field(default_factory=dict)
-    _ranked: Optional[tuple[tuple[str, float], ...]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def _rank(self) -> tuple[tuple[str, float], ...]:
-        """The first two (label, vote) pairs, highest vote first, equal
-        votes by label."""
-        if self._ranked is None:
-            ranked = sorted(self.votes.items(), key=lambda kv: (-kv[1], kv[0]))
-            self._ranked = tuple(ranked[:2])
-        return self._ranked
 
     def top_two(self) -> tuple[str, float, float]:
-        """(best label, best vote, runner-up vote); zeros when absent."""
-        ranked = self._rank()
+        """(best label, best vote, runner-up vote); zeros when absent.
+
+        Votes rank highest first, equal votes by label.
+        """
+        ranked = sorted(self.votes.items(), key=lambda kv: (-kv[1], kv[0]))
         if not ranked:
             return UNKNOWN, 0.0, 0.0
         second = ranked[1][1] if len(ranked) > 1 else 0.0
@@ -115,7 +103,6 @@ def vote(state: VoteState, class_label: str, weight: float) -> VoteState:
     if weight <= 0:
         raise ValueError(f"vote weight must be positive, got {weight}")
     state.votes[class_label] = state.votes.get(class_label, 0.0) + weight
-    state._ranked = None
     return state
 
 
@@ -125,16 +112,9 @@ def classify(state: VoteState, threshold: float = 0.0, margin: float = 0.0) -> s
     The best vote must reach `threshold` and exceed the runner-up by at
     least `margin`; an exact tie for first place is always unknown.
     """
-    ranked = state._rank()
-    if not ranked:
+    best_label, best, second = state.top_two()
+    if len(state.votes) > 1 and (second == best or best - second < margin):
         return UNKNOWN
-    best_label, best = ranked[0]
-    if len(ranked) > 1:
-        second = ranked[1][1]
-        if second == best:
-            return UNKNOWN
-        if best - second < margin:
-            return UNKNOWN
     if best < threshold:
         return UNKNOWN
     return best_label
@@ -209,7 +189,6 @@ def recognize_document(doc: Document, model: RecognitionModel) -> list[Annotatio
                 runner_up=second,
             )
         )
-    out.sort(key=lambda a: (a.first, a.last))
     return out
 
 

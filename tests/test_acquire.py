@@ -8,7 +8,6 @@ from contextner.acquire import (
     ClientError,
     FixtureClient,
     SearchClient,
-    SearchQuery,
     acquire,
     build_queries,
 )
@@ -43,16 +42,14 @@ def fixture_dir(tmp_path):
     return root
 
 
-def queries_for(*surfaces, max_results=10):
-    examples = [LearningExample(s, "capital") for s in surfaces]
-    return build_queries(examples, max_results)
+def queries_for(*surfaces):
+    return build_queries([LearningExample(s, "capital") for s in surfaces])
 
 
-def test_search_query_text():
-    assert SearchQuery("Paris", 10).text == "Paris"
-    assert SearchQuery("Paris", 10, suffix="hotel").text == "Paris hotel"
-    with pytest.raises(ValueError):
-        SearchQuery("Paris", 0)
+def test_build_queries_appends_suffix():
+    assert queries_for("Paris") == ["Paris"]
+    examples = [LearningExample("Paris", "capital")]
+    assert build_queries(examples, suffix="hotel") == ["Paris hotel"]
 
 
 def test_build_queries_one_per_distinct_surface():
@@ -61,23 +58,17 @@ def test_build_queries_one_per_distinct_surface():
         LearningExample("Tunis", "capital"),
         LearningExample("Paris", "capital"),
     ]
-    queries = build_queries(examples, 10)
-    assert [q.instance for q in queries] == ["Paris", "Tunis"]
-    assert build_queries([LearningExample(f"C{i}", "x") for i in range(13)], 5) != []
-    assert len(build_queries([LearningExample(f"C{i}", "x") for i in range(13)], 5)) == 13
+    assert build_queries(examples) == ["Paris", "Tunis"]
+    assert build_queries([LearningExample(f"C{i}", "x") for i in range(13)]) != []
+    assert len(build_queries([LearningExample(f"C{i}", "x") for i in range(13)])) == 13
     with pytest.raises(InputError):
-        build_queries([], 10)
+        build_queries([])
 
 
-def test_fixture_client_search_order_and_cap(fixture_dir):
+def test_fixture_client_search_keeps_file_order(fixture_dir):
     client = FixtureClient(fixture_dir)
-    links = client.search(SearchQuery("Paris", 10))
-    assert [(l.uri, l.rank) for l in links] == [
-        ("http://a.example/p1", 1),
-        ("http://b.example/p2", 2),
-    ]
-    assert len(client.search(SearchQuery("Paris", 1))) == 1
-    assert client.search(SearchQuery("Nowhere", 10)) == []
+    assert client.search("Paris") == ["http://a.example/p1", "http://b.example/p2"]
+    assert client.search("Nowhere") == []
 
 
 def test_fixture_client_fetch_kinds(fixture_dir):
@@ -192,3 +183,28 @@ def test_acquire_narrower_queries_keep_existing(fixture_dir):
     full = acquire(client, queries_for("Paris", "Tunis")).manifest
     after = acquire(client, queries_for("Paris"), existing=full).manifest
     assert len(after) == len(full)
+
+
+class ListClient(SearchClient):
+    """Serves fixed result lists and records every fetched URI."""
+
+    def __init__(self, results):
+        self.results = results
+        self.fetched = []
+
+    def search(self, query):
+        return self.results.get(query, [])
+
+    def fetch(self, uri):
+        self.fetched.append(uri)
+        return uri.encode("utf-8"), "plain"
+
+
+def test_acquire_keeps_first_max_results_in_result_order():
+    links = ["http://z.example/", "http://a.example/", "http://m.example/"]
+    client = ListClient({"Paris": links})
+    result = acquire(client, ["Paris", "Nowhere"], max_results=2)
+    assert client.fetched == links[:2]
+    assert sorted(d.uri for d in result.manifest) == sorted(links[:2])
+    with pytest.raises(ValueError, match="max_results"):
+        acquire(client, ["Paris"], max_results=0)

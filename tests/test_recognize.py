@@ -79,6 +79,15 @@ def test_ranking_follows_later_votes():
     assert (classify(state), state.top_two()) == ("b", ("b", 0.75, 0.5))
 
 
+def test_ranking_follows_votes_changed_directly():
+    state = vote(VoteState(), "a", 0.5)
+    assert classify(state) == "a"
+    state.votes["b"] = 0.9
+    assert (classify(state), state.top_two()) == ("b", ("b", 0.9, 0.5))
+    state.votes["a"] = 0.9
+    assert (classify(state), state.top_two()) == (UNKNOWN, ("a", 0.9, 0.9))
+
+
 def test_classify_threshold_and_margin():
     state = VoteState(votes={"capital": 0.9, "president": 0.1})
     assert classify(state, threshold=0.5, margin=0.2) == "capital"
