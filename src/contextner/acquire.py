@@ -11,9 +11,8 @@ import hashlib
 import logging
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import tsv
 from .corpus import (
@@ -109,15 +108,13 @@ def build_queries(examples: Iterable[LearningExample], suffix: str = "") -> list
     return [f"{s} {suffix}" if suffix else s for s in surfaces]
 
 
-@dataclass(frozen=True)
-class FetchFailure:
+class FetchFailure(NamedTuple):
     uri: str
     stage: str
     error: str
 
 
-@dataclass(frozen=True)
-class AcquireResult:
+class AcquireResult(NamedTuple):
     """New manifest plus the per-URI failures that were skipped over."""
 
     manifest: CorpusManifest

@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 2 usage or input error, 3 empty result,
 4 malformed stored data (manifest, model, TSV).
+
+Each command imports the modules it runs inside its handler, so a
+command's start-up loads only what that command uses.
 """
 
 from __future__ import annotations
@@ -12,29 +15,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import tsv
-from .acquire import FixtureClient, acquire, build_queries
-from .corpus import CorpusManifest, MANIFEST_NAME, load_corpus, save_corpus
 from .errors import DataFormatError, EmptyResultError, PipelineError
-from .evaluate import (
-    evaluate,
-    format_growth,
-    format_report,
-    growth_curve,
-    load_gold,
-    write_growth,
-    write_report,
-)
-from .recognize import (
-    check_model_update,
-    format_annotations,
-    load_annotations,
-    load_model,
-    recognize_corpus,
-    update_model,
-    write_annotations,
-)
-from .seeds import load_examples, single_class
-from .weighting import TableConfig, build_weight_table, format_weight_table
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -90,6 +71,10 @@ def _add_extraction_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_acquire(args: argparse.Namespace) -> int:
+    from .acquire import FixtureClient, acquire, build_queries
+    from .corpus import MANIFEST_NAME, CorpusManifest, load_corpus, save_corpus
+    from .seeds import load_examples, single_class
+
     examples = load_examples(args.examples)
     single_class(examples)
     queries = build_queries(examples, args.query_suffix)
@@ -111,6 +96,11 @@ def cmd_acquire(args: argparse.Namespace) -> int:
 
 
 def cmd_weigh(args: argparse.Namespace) -> int:
+    from .corpus import load_corpus
+    from .recognize import check_model_update, update_model
+    from .seeds import load_examples, single_class
+    from .weighting import TableConfig, build_weight_table, format_weight_table
+
     examples = load_examples(args.examples)
     label = single_class(examples)
     if args.model_dir:
@@ -137,6 +127,14 @@ def cmd_weigh(args: argparse.Namespace) -> int:
 
 
 def cmd_recognize(args: argparse.Namespace) -> int:
+    from .corpus import load_corpus
+    from .recognize import (
+        format_annotations,
+        load_model,
+        recognize_corpus,
+        write_annotations,
+    )
+
     model = load_model(
         args.model_dir,
         side=args.side,
@@ -154,6 +152,9 @@ def cmd_recognize(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from .evaluate import evaluate, format_report, load_gold, write_report
+    from .recognize import load_annotations
+
     system = load_annotations(args.annotations)
     gold = load_gold(args.gold)
     report = evaluate(system, gold)
@@ -164,6 +165,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_growth(args: argparse.Namespace) -> int:
+    from .corpus import load_corpus
+    from .evaluate import format_growth, growth_curve, write_growth
+    from .seeds import load_examples, single_class
+    from .weighting import TableConfig
+
     examples = load_examples(args.examples)
     single_class(examples)
     corpus = load_corpus(args.corpus_dir)

@@ -8,13 +8,13 @@ Documents are immutable after load and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from html.parser import HTMLParser
 from pathlib import Path, PurePosixPath
+from typing import Iterable, NamedTuple
 from urllib.parse import urlsplit
 
 from . import tsv
 from .errors import DataFormatError, InputError
+from .record import Record
 
 PLAIN = "plain"
 MARKUP = "markup"
@@ -58,32 +58,46 @@ def _path_stem(path: str, original: str) -> str:
     return str(p)
 
 
-class _TextExtractor(HTMLParser):
-    """Collects text content, skipping script/style subtrees."""
+_SKIP_TAGS = {"script", "style"}
 
-    _SKIP = {"script", "style"}
 
-    def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
-        self.chunks: list[str] = []
-        self._skip_depth = 0
+def _markup_text(raw: str) -> str:
+    """The text content of markup, skipping script/style subtrees.
 
-    def handle_starttag(self, tag, attrs):
-        if tag in self._SKIP:
-            self._skip_depth += 1
+    html.parser is imported here, on the first markup document, so the
+    commands that only read stored corpora never load it.
+    """
+    from html.parser import HTMLParser
+
+    chunks: list[str] = []
+    skip_depth = 0
+
+    def handle_starttag(tag, attrs):
+        nonlocal skip_depth
+        if tag in _SKIP_TAGS:
+            skip_depth += 1
         else:
-            self.chunks.append(" ")
+            chunks.append(" ")
 
-    def handle_endtag(self, tag):
-        if tag in self._SKIP:
-            if self._skip_depth:
-                self._skip_depth -= 1
+    def handle_endtag(tag):
+        nonlocal skip_depth
+        if tag in _SKIP_TAGS:
+            if skip_depth:
+                skip_depth -= 1
         else:
-            self.chunks.append(" ")
+            chunks.append(" ")
 
-    def handle_data(self, data):
-        if not self._skip_depth:
-            self.chunks.append(data)
+    def handle_data(data):
+        if not skip_depth:
+            chunks.append(data)
+
+    parser = HTMLParser(convert_charrefs=True)
+    parser.handle_starttag = handle_starttag
+    parser.handle_endtag = handle_endtag
+    parser.handle_data = handle_data
+    parser.feed(raw)
+    parser.close()
+    return "".join(chunks)
 
 
 def decode_text(raw: bytes) -> str:
@@ -107,15 +121,11 @@ def clean_text(raw: str | bytes, kind: str) -> str:
     if kind == PLAIN:
         return raw.replace("\r\n", "\n").replace("\r", "\n")
     if kind == MARKUP:
-        parser = _TextExtractor()
-        parser.feed(raw)
-        parser.close()
-        return " ".join("".join(parser.chunks).split())
+        return " ".join(_markup_text(raw).split())
     raise InputError(f"unknown document kind {kind!r}, expected 'plain' or 'markup'")
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     """One stored document: its identity and its cleaned text."""
 
     id: str
@@ -125,14 +135,13 @@ class Document:
     clean: str
 
 
-@dataclass
-class CorpusManifest:
+class CorpusManifest(Record, frozen=False):
     """An id-ordered document collection gathered for one entity class."""
 
-    documents: list[Document] = field(default_factory=list)
+    __slots__ = ("documents",)
 
-    def __post_init__(self) -> None:
-        self.documents = sorted(self.documents, key=lambda d: d.id)
+    def __init__(self, documents: Iterable[Document] = ()) -> None:
+        self.documents = sorted(documents, key=lambda d: d.id)
         seen_ids: set[str] = set()
         seen_uris: set[str] = set()
         for doc in self.documents:

@@ -2,25 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from . import tsv
 from .corpus import CorpusManifest
 from .errors import DataFormatError, InputError
 from .extract import ContextKey, instance_contexts, instance_index, tokenize
-from .recognize import UNKNOWN, Annotation
-from .seeds import LearningExample
+from .seeds import UNKNOWN, LearningExample
 from .weighting import TableConfig
+
+if TYPE_CHECKING:
+    from .recognize import Annotation
 
 GOLD_HEADER = ["doc", "start_token", "end_token", "class"]
 REPORT_HEADER = ["tp", "fp", "fn", "precision", "recall"]
 GROWTH_HEADER = ["docs", "occurrences", "contexts"]
 
 
-@dataclass(frozen=True)
-class GoldAnnotation:
+class GoldAnnotation(NamedTuple):
     doc: str
     first: int
     last: int
@@ -42,8 +42,7 @@ def load_gold(path: str | Path) -> list[GoldAnnotation]:
     return out
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     tp: int
     fp: int
     fn: int
@@ -100,8 +99,7 @@ def write_report(report: EvalReport, path: str | Path) -> None:
     tsv.write_rows(path, REPORT_HEADER, [row])
 
 
-@dataclass(frozen=True)
-class GrowthPoint:
+class GrowthPoint(NamedTuple):
     doc_count: int
     example_occurrences: int
     context_count: int

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, repeat
-from typing import Iterable, Iterator, Mapping, Optional, TypeVar
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, TypeVar
 
+from .record import Record
 from .seeds import LearningExample
 
 LEFT = "left"
@@ -34,8 +34,7 @@ _INITIAL_RE = re.compile(
 _BREAK_RE = re.compile(r"[.!?]\s+(?=[^\W_])")
 
 
-@dataclass(frozen=True)
-class WordSequence:
+class WordSequence(Record):
     """A document's words and the sentence each one belongs to.
 
     `sent[i]` numbers the sentence of word i from 0, so a sentence ends
@@ -43,23 +42,32 @@ class WordSequence:
     matching, context extraction and candidate detection read only this.
     """
 
-    words: tuple[str, ...]
-    sent: tuple[int, ...]
+    __slots__ = ("words", "sent")
+
+    def __init__(self, words: tuple[str, ...], sent: tuple[int, ...]) -> None:
+        self._assign(words=words, sent=sent)
 
     def __len__(self) -> int:
         return len(self.words)
 
 
-@dataclass(frozen=True)
 class Tokenization(WordSequence):
     """The words of one document plus where they sit in its text.
 
     Word i is text[starts[i]:ends[i]].
     """
 
-    text: str
-    starts: tuple[int, ...]
-    ends: tuple[int, ...]
+    __slots__ = ("text", "starts", "ends")
+
+    def __init__(
+        self,
+        words: tuple[str, ...],
+        sent: tuple[int, ...],
+        text: str,
+        starts: tuple[int, ...],
+        ends: tuple[int, ...],
+    ) -> None:
+        self._assign(words=words, sent=sent, text=text, starts=starts, ends=ends)
 
 
 def tokenize(text: str) -> Tokenization:
@@ -102,8 +110,7 @@ def tokenize(text: str) -> Tokenization:
     )
 
 
-@dataclass(frozen=True)
-class InstanceOccurrence:
+class InstanceOccurrence(NamedTuple):
     """A learning-example match at tokens [first, last] of a document."""
 
     example: LearningExample
@@ -155,9 +162,11 @@ def find_instances(tok: WordSequence, index: InstanceIndex) -> list[InstanceOccu
     return out
 
 
-@dataclass(frozen=True, order=True)
-class ContextKey:
-    """An n-word, case-sensitive sequence on one side of an entity."""
+class ContextKey(NamedTuple):
+    """An n-word, case-sensitive sequence on one side of an entity.
+
+    Keys sort by their words, then by side.
+    """
 
     words: tuple[str, ...]
     side: str = LEFT
@@ -170,8 +179,7 @@ class ContextKey:
         return " ".join(self.words)
 
 
-@dataclass(frozen=True)
-class ContextOccurrence:
+class ContextOccurrence(NamedTuple):
     """One position where a context's word sequence appears in a document.
 
     `example` is the learning example the context is adjacent to, if any;

@@ -10,17 +10,16 @@ margin or the span stays `unknown`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import tsv
 from .corpus import Document
 from .errors import DataFormatError, InputError
 from .extract import LEFT, ContextKey, WordSequence, context_hits, context_window, tokenize
+from .record import Record
+from .seeds import UNKNOWN
 from .weighting import WeightTable, read_weight_mapping, write_weight_table
-
-UNKNOWN = "unknown"
 
 MODEL_FILE = "model.tsv"
 MODEL_HEADER = ["class", "table_file", "threshold", "margin"]
@@ -41,8 +40,7 @@ _LABEL_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
 _ContextVotes = dict[tuple[str, int], dict[tuple[str, ...], tuple[tuple[str, float], ...]]]
 
 
-@dataclass(frozen=True)
-class RecognitionModel:
+class RecognitionModel(Record):
     """Per-class context weights plus the decision parameters.
 
     On construction the tables are compiled into one index, grouped by
@@ -53,21 +51,21 @@ class RecognitionModel:
     changed after construction.
     """
 
-    tables: dict[str, dict[ContextKey, float]]
-    threshold: float = 0.0
-    margin: float = 0.0
-    max_entity_tokens: int = 4
-    _votes: _ContextVotes = field(init=False, repr=False, compare=False)
+    __slots__ = ("tables", "threshold", "margin", "max_entity_tokens", "_votes")
 
-    def __post_init__(self) -> None:
-        if self.threshold < 0 or self.margin < 0:
+    def __init__(
+        self,
+        tables: dict[str, dict[ContextKey, float]],
+        threshold: float = 0.0,
+        margin: float = 0.0,
+        max_entity_tokens: int = 4,
+    ) -> None:
+        if threshold < 0 or margin < 0:
             raise ValueError("threshold and margin must be non-negative")
-        if self.max_entity_tokens < 1:
-            raise ValueError(
-                f"max_entity_tokens must be >= 1, got {self.max_entity_tokens}"
-            )
+        if max_entity_tokens < 1:
+            raise ValueError(f"max_entity_tokens must be >= 1, got {max_entity_tokens}")
         votes: _ContextVotes = {}
-        for label, table in self.tables.items():
+        for label, table in tables.items():
             if not label or label == UNKNOWN:
                 raise ValueError(f"invalid class label {label!r}")
             for key, weight in table.items():
@@ -77,14 +75,22 @@ class RecognitionModel:
                     )
                 group = votes.setdefault((key.side, key.length), {})
                 group[key.words] = group.get(key.words, ()) + ((label, weight),)
-        object.__setattr__(self, "_votes", dict(sorted(votes.items())))
+        self._assign(
+            tables=tables,
+            threshold=threshold,
+            margin=margin,
+            max_entity_tokens=max_entity_tokens,
+            _votes=dict(sorted(votes.items())),
+        )
 
 
-@dataclass
-class VoteState:
+class VoteState(Record, frozen=False):
     """Accumulated per-class votes."""
 
-    votes: dict[str, float] = field(default_factory=dict)
+    __slots__ = ("votes",)
+
+    def __init__(self, votes: Optional[dict[str, float]] = None) -> None:
+        self.votes = {} if votes is None else votes
 
     def top_two(self) -> tuple[str, float, float]:
         """(best label, best vote, runner-up vote); zeros when absent.
@@ -144,8 +150,7 @@ def detect_candidates(tok: WordSequence, model: RecognitionModel) -> list[tuple[
     return sorted(spans)
 
 
-@dataclass(frozen=True)
-class Annotation:
+class Annotation(NamedTuple):
     """One recognized (or rejected) span of a document."""
 
     doc: str

@@ -2,33 +2,34 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import tsv
 from .errors import DataFormatError, InputError
+from .record import Record
 
 EXAMPLES_HEADER = ["surface", "class"]
 
+# The label of a span that no class wins; never a class of its own.
+UNKNOWN = "unknown"
 
-@dataclass(frozen=True)
-class LearningExample:
+
+class LearningExample(Record):
     """A concrete surface form (e.g. "Paris") of an entity class.
 
     Surface forms may overlap or subsume each other ("Bush" and
     "George W. Bush"); both are kept and matching prefers the longest.
     """
 
-    surface: str
-    class_label: str
+    __slots__ = ("surface", "class_label")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "surface", self.surface.strip())
-        object.__setattr__(self, "class_label", self.class_label.strip())
-        if not self.surface:
+    def __init__(self, surface: str, class_label: str) -> None:
+        surface, class_label = surface.strip(), class_label.strip()
+        if not surface:
             raise ValueError("learning example surface is empty")
-        if not self.class_label:
-            raise ValueError(f"learning example {self.surface!r} has an empty class label")
+        if not class_label:
+            raise ValueError(f"learning example {surface!r} has an empty class label")
+        self._assign(surface=surface, class_label=class_label)
 
 
 def load_examples(path: str | Path) -> list[LearningExample]:

@@ -14,9 +14,8 @@ re-weighted; `context_weight` is their plain product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import tsv
 from .corpus import CorpusManifest
@@ -33,6 +32,7 @@ from .extract import (
     scan_tokenized,
     tokenize,
 )
+from .record import Record
 from .seeds import LearningExample, single_class
 
 WEIGHT_HEADER = ["context", "cf", "df", "lef", "icf", "w"]
@@ -100,8 +100,7 @@ def tf_idf(tf: float, idf: float) -> float:
     return tf * idf
 
 
-@dataclass(frozen=True)
-class ContextStats:
+class ContextStats(NamedTuple):
     """Raw counts for one context over a corpus."""
 
     context: ContextKey
@@ -112,16 +111,14 @@ class ContextStats:
     n_sources: int
 
 
-@dataclass(frozen=True)
-class GlobalStats:
+class GlobalStats(NamedTuple):
     """Corpus-wide totals the per-context factors are normalized by."""
 
     total_with_examples: int
     n_examples: int
 
 
-@dataclass(frozen=True)
-class WeightedContext:
+class WeightedContext(NamedTuple):
     stats: ContextStats
     cf: float
     lef: float
@@ -134,19 +131,17 @@ class WeightedContext:
         return self.stats.context
 
 
-@dataclass(frozen=True)
-class TableConfig:
-    context_len: int = 2
-    side: str = LEFT
-    min_count: int = 1
+class TableConfig(Record):
+    __slots__ = ("context_len", "side", "min_count")
 
-    def __post_init__(self) -> None:
-        if self.context_len < 1:
-            raise ValueError(f"context_len must be >= 1, got {self.context_len}")
-        if self.side not in (LEFT, RIGHT):
-            raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
-        if self.min_count < 1:
-            raise ValueError(f"min_count must be >= 1, got {self.min_count}")
+    def __init__(self, context_len: int = 2, side: str = LEFT, min_count: int = 1) -> None:
+        if context_len < 1:
+            raise ValueError(f"context_len must be >= 1, got {context_len}")
+        if side not in (LEFT, RIGHT):
+            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        if min_count < 1:
+            raise ValueError(f"min_count must be >= 1, got {min_count}")
+        self._assign(context_len=context_len, side=side, min_count=min_count)
 
 
 def collect_context_stats(
@@ -217,10 +212,11 @@ def collect_context_stats(
     return stats, totals
 
 
-@dataclass(frozen=True)
-class WeightTable:
-    rows: tuple[WeightedContext, ...]
-    totals: GlobalStats
+class WeightTable(Record):
+    __slots__ = ("rows", "totals")
+
+    def __init__(self, rows: tuple[WeightedContext, ...], totals: GlobalStats) -> None:
+        self._assign(rows=rows, totals=totals)
 
     def __len__(self) -> int:
         return len(self.rows)
