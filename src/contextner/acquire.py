@@ -70,25 +70,27 @@ class FixtureClient(SearchClient):
         if not index_path.is_file():
             raise InputError(f"fixture directory has no queries.tsv: {self.directory}")
         self._results: dict[str, list[str]] = {}
-        self._files: dict[str, Path] = {}
-        for lineno, (query, uri, file_name) in tsv.read_rows(index_path, QUERIES_HEADER):
+        # uri -> file name as first written, joined to the directory on fetch.
+        self._files: dict[str, str] = {}
+
+        def parse(query, uri, file_name):
             if not query or not uri or not file_name:
-                raise DataFormatError(f"{index_path}:{lineno}: empty field")
-            path = self.directory / file_name
-            if uri in self._files and self._files[uri] != path:
-                raise DataFormatError(
-                    f"{index_path}:{lineno}: uri {uri!r} mapped to conflicting files"
-                )
-            self._files[uri] = path
+                raise ValueError("empty field")
+            known = self._files.setdefault(uri, file_name)
+            if known != file_name and self.directory / known != self.directory / file_name:
+                raise ValueError(f"uri {uri!r} mapped to conflicting files")
             self._results.setdefault(query, []).append(uri)
+
+        tsv.read_rows(index_path, QUERIES_HEADER, parse)
 
     def search(self, query: str) -> list[str]:
         return self._results.get(query, [])
 
     def fetch(self, uri: str) -> tuple[bytes, str]:
-        path = self._files.get(uri)
-        if path is None:
+        file_name = self._files.get(uri)
+        if file_name is None:
             raise ClientError(f"unknown uri: {uri}")
+        path = self.directory / file_name
         try:
             raw = path.read_bytes()
         except OSError as exc:

@@ -175,27 +175,23 @@ def load_corpus(directory: str | Path) -> CorpusManifest:
     """Load a corpus directory written by save_corpus.
 
     Raises InputError when the manifest file is missing, DataFormatError
-    on duplicate uris, bad kinds, or missing document files.
+    on duplicate uris, bad kinds, missing document files, or documents
+    that are not UTF-8.
     """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.is_file():
         raise InputError(f"no {MANIFEST_NAME} in {directory}")
-    docs = []
-    for lineno, (doc_id, source, uri, kind, rel) in _manifest_rows(manifest_path):
+
+    def parse(doc_id, source, uri, kind, rel):
+        if not doc_id or not source or not uri or not rel:
+            raise ValueError("empty required field")
         if kind not in (PLAIN, MARKUP):
-            raise DataFormatError(f"{manifest_path}:{lineno}: unknown kind {kind!r}")
+            raise ValueError(f"unknown kind {kind!r}")
         doc_path = directory / rel
         if not doc_path.is_file():
-            raise DataFormatError(f"{manifest_path}:{lineno}: missing document file {rel!r}")
-        text = doc_path.read_text(encoding="utf-8")
-        docs.append(Document(id=doc_id, source=source, uri=uri, kind=kind, clean=text))
-    return CorpusManifest(documents=docs)
+            raise ValueError(f"missing document file {rel!r}")
+        text = tsv.read_text(doc_path)
+        return Document(id=doc_id, source=source, uri=uri, kind=kind, clean=text)
 
-
-def _manifest_rows(path: Path):
-    for lineno, fields in tsv.read_rows(path, _MANIFEST_HEADER):
-        doc_id, source, uri, kind, rel = fields
-        if not doc_id or not source or not uri or not rel:
-            raise DataFormatError(f"{path}:{lineno}: empty required field")
-        yield lineno, (doc_id, source, uri, kind, rel)
+    return CorpusManifest(documents=tsv.read_rows(manifest_path, _MANIFEST_HEADER, parse))

@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from . import tsv
 from .corpus import CorpusManifest
-from .errors import DataFormatError, InputError
+from .errors import InputError
 from .extract import ContextKey, instance_contexts, instance_index, tokenize
 from .seeds import UNKNOWN, LearningExample
 from .weighting import TableConfig
@@ -27,19 +27,17 @@ class GoldAnnotation(NamedTuple):
     class_label: str
 
 
+def _gold_row(doc: str, first: str, last: str, label: str) -> GoldAnnotation:
+    start, end = int(first), int(last)
+    if start < 0 or end < start:
+        raise ValueError(f"bad span {start}..{end}")
+    if not label or label == UNKNOWN:
+        raise ValueError(f"bad gold class {label!r}")
+    return GoldAnnotation(doc=doc, first=start, last=end, class_label=label)
+
+
 def load_gold(path: str | Path) -> list[GoldAnnotation]:
-    out: list[GoldAnnotation] = []
-    for lineno, (doc, first, last, label) in tsv.read_rows(path, GOLD_HEADER):
-        try:
-            start, end = int(first), int(last)
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-        if start < 0 or end < start:
-            raise DataFormatError(f"{path}:{lineno}: bad span {start}..{end}")
-        if not label or label == UNKNOWN:
-            raise DataFormatError(f"{path}:{lineno}: bad gold class {label!r}")
-        out.append(GoldAnnotation(doc=doc, first=start, last=end, class_label=label))
-    return out
+    return tsv.read_rows(path, GOLD_HEADER, _gold_row)
 
 
 class EvalReport(NamedTuple):

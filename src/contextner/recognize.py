@@ -226,25 +226,21 @@ def write_annotations(annotations: Iterable[Annotation], path: str | Path) -> No
     tsv.write_text(path, format_annotations(annotations))
 
 
+def _annotation_row(*fields: str) -> Annotation:
+    doc, first, last, surface, label, score, runner_up = fields
+    return Annotation(
+        doc=doc,
+        first=int(first),
+        last=int(last),
+        surface=surface,
+        class_label=label,
+        score=float(score),
+        runner_up=float(runner_up),
+    )
+
+
 def load_annotations(path: str | Path) -> list[Annotation]:
-    out: list[Annotation] = []
-    for lineno, row in tsv.read_rows(path, ANNOTATIONS_HEADER):
-        doc, first, last, surface, label, score, runner_up = row
-        try:
-            out.append(
-                Annotation(
-                    doc=doc,
-                    first=int(first),
-                    last=int(last),
-                    surface=surface,
-                    class_label=label,
-                    score=float(score),
-                    runner_up=float(runner_up),
-                )
-            )
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-    return out
+    return tsv.read_rows(path, ANNOTATIONS_HEADER, _annotation_row)
 
 
 def _table_file_name(label: str) -> str:
@@ -256,33 +252,25 @@ def _table_file_name(label: str) -> str:
     return f"table_{label}.tsv"
 
 
-def _read_index(index_path: Path) -> tuple[dict[str, tuple[int, str]], tuple[float, float]]:
-    """A model index as class -> (line number, table file), plus the
+def _read_index(index_path: Path) -> tuple[dict[str, str], tuple[float, float]]:
+    """A model index as class -> table file, in line order, plus the
     threshold and margin its lines share ((0, 0) when it has none)."""
-    entries: dict[str, tuple[int, str]] = {}
-    stored: Optional[tuple[float, float]] = None
-    for lineno, (label, table_file, raw_theta, raw_delta) in tsv.read_rows(
-        index_path, MODEL_HEADER
-    ):
+    entries: dict[str, str] = {}
+    shared: set[tuple[float, float]] = set()
+
+    def parse(label, table_file, theta, delta):
         if label in entries:
-            raise DataFormatError(f"{index_path}:{lineno}: duplicate class {label!r}")
-        try:
-            theta, delta = float(raw_theta), float(raw_delta)
-        except ValueError as exc:
-            raise DataFormatError(f"{index_path}:{lineno}: {exc}") from exc
-        if stored is None:
-            stored = (theta, delta)
-        elif stored != (theta, delta):
-            raise DataFormatError(
-                f"{index_path}:{lineno}: threshold/margin disagree across classes"
-            )
-        entries[label] = (lineno, table_file)
-    return entries, stored or (0.0, 0.0)
+            raise ValueError(f"duplicate class {label!r}")
+        shared.add((float(theta), float(delta)))
+        if len(shared) > 1:
+            raise ValueError("threshold/margin disagree across classes")
+        entries[label] = table_file
+
+    tsv.read_rows(index_path, MODEL_HEADER, parse)
+    return entries, next(iter(shared), (0.0, 0.0))
 
 
-def _stored_index(
-    directory: Path,
-) -> tuple[dict[str, tuple[int, str]], tuple[float, float]]:
+def _stored_index(directory: Path) -> tuple[dict[str, str], tuple[float, float]]:
     """_read_index of the directory's model.tsv, or an empty index."""
     index_path = directory / MODEL_FILE
     return _read_index(index_path) if index_path.is_file() else ({}, (0.0, 0.0))
@@ -313,11 +301,11 @@ def update_model(
     entries, stored = _stored_index(directory)
     file_name = _table_file_name(label)
     write_weight_table(table, directory / file_name)
-    entries[label] = (0, file_name)
+    entries[label] = file_name
     theta = stored[0] if threshold is None else threshold
     delta = stored[1] if margin is None else margin
     rows = [
-        [name, entries[name][1], f"{theta:.7g}", f"{delta:.7g}"]
+        [name, entries[name], f"{theta:.7g}", f"{delta:.7g}"]
         for name in sorted(entries)
     ]
     tsv.write_rows(directory / MODEL_FILE, MODEL_HEADER, rows)
@@ -339,7 +327,8 @@ def load_model(
     if not entries:
         raise DataFormatError(f"{index_path}: model lists no classes")
     tables: dict[str, dict[ContextKey, float]] = {}
-    for label, (lineno, table_file) in entries.items():
+    # Index entries keep line order, one class a line after the header.
+    for lineno, (label, table_file) in enumerate(entries.items(), start=2):
         table_path = directory / table_file
         if not table_path.is_file():
             raise DataFormatError(

@@ -5,7 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from . import tsv
-from .errors import DataFormatError, InputError
+from .errors import InputError
 from .record import Record
 
 EXAMPLES_HEADER = ["surface", "class"]
@@ -37,17 +37,7 @@ def load_examples(path: str | Path) -> list[LearningExample]:
     path = Path(path)
     if not path.is_file():
         raise InputError(f"examples file not found: {path}")
-    out: list[LearningExample] = []
-    seen = set()
-    for lineno, (surface, class_label) in tsv.read_rows(path, EXAMPLES_HEADER):
-        try:
-            example = LearningExample(surface, class_label)
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}")
-        if (example.surface, example.class_label) not in seen:
-            seen.add((example.surface, example.class_label))
-            out.append(example)
-    return out
+    return list(dict.fromkeys(tsv.read_rows(path, EXAMPLES_HEADER, LearningExample)))
 
 
 def single_class(examples: list[LearningExample]) -> str:

@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from .errors import DataFormatError
 
 _FORBIDDEN = ("\t", "\n", "\r")
+
+T = TypeVar("T")
 
 
 def format_rows(header: list[str], rows: list[list[str]]) -> str:
@@ -62,18 +65,24 @@ def write_rows(path: str | Path, header: list[str], rows: list[list[str]]) -> No
     write_text(path, format_rows(header, rows))
 
 
-def read_rows(path: str | Path, header: list[str]) -> list[tuple[int, list[str]]]:
-    """Read a TSV file, checking the header and per-row column counts.
-
-    Returns (line_number, fields) pairs for the data rows; line numbers
-    are 1-based file positions, so the first data row is line 2.
-    """
-    path = Path(path)
+def read_text(path: str | Path) -> str:
+    """Read a UTF-8 file; one that is not UTF-8 is a DataFormatError
+    naming the file and the offending byte offset."""
     try:
-        text = path.read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})")
-    lines = text.split("\n")
+
+
+def read_rows(path: str | Path, header: list[str], parse: Callable[..., T]) -> list[T]:
+    """Read a TSV file, checking the header and per-row column counts.
+
+    Returns parse(*fields) for each data row. A ValueError from parse is
+    reported, like a wrong column count, as a DataFormatError naming the
+    file and the 1-based line (the first data row is line 2).
+    """
+    path = Path(path)
+    lines = read_text(path).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
@@ -90,5 +99,8 @@ def read_rows(path: str | Path, header: list[str]) -> list[tuple[int, list[str]]
             raise DataFormatError(
                 f"{path}:{lineno}: expected {len(header)} columns, got {len(fields)}"
             )
-        out.append((lineno, fields))
+        try:
+            out.append(parse(*fields))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
     return out

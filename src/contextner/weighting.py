@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple
 
 from . import tsv
 from .corpus import CorpusManifest
-from .errors import DataFormatError, EmptyResultError
+from .errors import EmptyResultError
 from .extract import (
     LEFT,
     RIGHT,
@@ -284,18 +284,24 @@ def write_weight_table(table: WeightTable, path: str | Path) -> None:
 
 
 def read_weight_mapping(path: str | Path, side: str = LEFT) -> dict[ContextKey, float]:
-    """Load context -> weight from a saved table, dropping non-positive rows."""
+    """Load context -> weight from a saved table, dropping non-positive rows.
+
+    Two rows whose phrases split into the same words are rejected.
+    """
     mapping: dict[ContextKey, float] = {}
-    for lineno, row in tsv.read_rows(path, WEIGHT_HEADER):
-        phrase, _cf, _df, _lef, _icf, w = row
+
+    def parse(phrase, _cf, _df, _lef, _icf, w):
         words = tuple(phrase.split())
         if not words:
-            raise DataFormatError(f"{path}:{lineno}: empty context phrase")
+            raise ValueError("empty context phrase")
         try:
             weight = float(w)
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: bad weight {w!r}") from exc
-        if weight <= 0 or not math.isfinite(weight):
-            continue
-        mapping[ContextKey(words, side)] = weight
-    return mapping
+        except ValueError:
+            raise ValueError(f"bad weight {w!r}") from None
+        key = ContextKey(words, side)
+        if key in mapping:
+            raise ValueError(f"duplicate context {phrase!r}")
+        mapping[key] = weight
+
+    tsv.read_rows(path, WEIGHT_HEADER, parse)
+    return {key: w for key, w in mapping.items() if w > 0 and math.isfinite(w)}

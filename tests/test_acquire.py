@@ -90,8 +90,32 @@ def test_fixture_client_rejects_conflicting_uri(tmp_path):
         ],
         {"one.txt": b"x", "two.txt": b"y"},
     )
-    with pytest.raises(DataFormatError, match="conflicting"):
+    with pytest.raises(DataFormatError, match=r"queries\.tsv:3: .*conflicting"):
         FixtureClient(tmp_path / "bad")
+
+
+def test_fixture_client_accepts_one_file_written_two_ways(tmp_path):
+    write_fixture(
+        tmp_path,
+        [
+            ["Paris", "http://a.example/p", "p.txt"],
+            ["Tunis", "http://a.example/p", "./p.txt"],
+        ],
+        {"p.txt": b"Hotels in Paris."},
+    )
+    client = FixtureClient(tmp_path)
+    assert client.search("Tunis") == ["http://a.example/p"]
+    assert client.fetch("http://a.example/p") == (b"Hotels in Paris.", "plain")
+
+
+def test_fixture_client_reports_empty_field_line(tmp_path):
+    write_fixture(
+        tmp_path,
+        [["Paris", "http://a.example/p", "p.txt"], ["Tunis", "", "t.txt"]],
+        {"p.txt": b"x"},
+    )
+    with pytest.raises(DataFormatError, match=r"queries\.tsv:3: empty field"):
+        FixtureClient(tmp_path)
 
 
 def test_fixture_client_requires_index(tmp_path):

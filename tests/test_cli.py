@@ -284,6 +284,21 @@ def test_recognize_malformed_model_exits_4(tmp_path, capsys, trained_model_dir):
     assert "model.tsv:2" in captured.err
 
 
+@pytest.mark.parametrize("command", ["weigh", "recognize"])
+def test_document_that_is_not_utf8_exits_4(
+    tmp_path, capsys, capital_examples, trained_model_dir, command
+):
+    corpus_dir = saved_corpus(tmp_path, "bad", "Hotels in Quito.", "Hotels in Lima.")
+    doc_path = tmp_path / "bad" / "docs" / "d00.txt"
+    doc_path.write_bytes(b"Hotels in Qu\xffito.")
+    first = capital_examples if command == "weigh" else trained_model_dir
+    code = cli.main([command, first, corpus_dir])
+    assert code == 4
+    assert capsys.readouterr().err == (
+        f"error: {doc_path}: not valid UTF-8 (invalid start byte at byte 12)\n"
+    )
+
+
 def test_recognize_missing_model_exits_2(tmp_path, capsys):
     test_dir = saved_corpus(tmp_path, "test", "Hotels in Quito.")
     code = cli.main(["recognize", str(tmp_path / "nomodel"), test_dir])

@@ -130,3 +130,12 @@ def test_load_rejects_unknown_kind(tmp_path):
     )
     with pytest.raises(DataFormatError, match="parchment"):
         load_corpus(tmp_path)
+
+
+def test_load_names_a_document_that_is_not_utf8(tmp_path):
+    save_corpus(CorpusManifest([make_doc("d1", "text")]), tmp_path)
+    (tmp_path / "docs" / "d1.txt").write_bytes(b"ab\xff")
+    with pytest.raises(DataFormatError) as info:
+        load_corpus(tmp_path)
+    doc_path = tmp_path / "docs" / "d1.txt"
+    assert str(info.value) == f"{doc_path}: not valid UTF-8 (invalid start byte at byte 2)"

@@ -370,6 +370,30 @@ def test_load_model_rejects_missing_table_file(tmp_path, trained_table):
         load_model(tmp_path)
 
 
+def test_load_model_missing_table_names_its_index_line(tmp_path, trained_table):
+    update_model(tmp_path, "capital", trained_table)
+    update_model(tmp_path, "city", trained_table)
+    (tmp_path / "table_city.tsv").unlink()
+    with pytest.raises(DataFormatError, match=r"model\.tsv:3: table file not found"):
+        load_model(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "old,new,where",
+    [
+        ("\t0.25\n", "\theavy\n", r"table_capital\.tsv:2: bad weight 'heavy'"),
+        ("Map of\t", "Hotels  in\t", r"table_capital\.tsv:3: duplicate context 'Hotels  in'"),
+    ],
+    ids=["bad weight", "duplicate context"],
+)
+def test_load_model_reports_bad_table_row(tmp_path, trained_table, old, new, where):
+    update_model(tmp_path, "capital", trained_table)
+    table = tmp_path / "table_capital.tsv"
+    table.write_text(table.read_text(encoding="utf-8").replace(old, new, 1), encoding="utf-8")
+    with pytest.raises(DataFormatError, match=where):
+        load_model(tmp_path)
+
+
 def test_update_model_merges_classes(tmp_path, trained_table):
     update_model(tmp_path, "capital", trained_table)
     other = build_weight_table(

@@ -9,10 +9,14 @@ from contextner.errors import DataFormatError
 HDR = ["a", "b"]
 
 
+def fields(*row):
+    return list(row)
+
+
 def test_round_trip(tmp_path):
     path = tmp_path / "t.tsv"
     tsv.write_rows(path, HDR, [["1", "2"], ["x", "y"]])
-    assert tsv.read_rows(path, HDR) == [(2, ["1", "2"]), (3, ["x", "y"])]
+    assert tsv.read_rows(path, HDR, fields) == [["1", "2"], ["x", "y"]]
 
 
 def test_format_ends_with_newline():
@@ -38,27 +42,39 @@ def test_read_checks_header(tmp_path):
     path = tmp_path / "t.tsv"
     path.write_text("wrong\theader\n1\t2\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match="bad header"):
-        tsv.read_rows(path, HDR)
+        tsv.read_rows(path, HDR, fields)
 
 
 def test_read_reports_line_number(tmp_path):
     path = tmp_path / "t.tsv"
     path.write_text("a\tb\n1\t2\nbroken\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match=r"t\.tsv:3"):
-        tsv.read_rows(path, HDR)
+        tsv.read_rows(path, HDR, fields)
+
+
+def test_read_reports_parse_error_with_line_number(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_text("a\tb\n1\t2\nx\t2\n", encoding="utf-8")
+
+    def numbers(a, b):
+        return int(a), int(b)
+
+    with pytest.raises(DataFormatError) as info:
+        tsv.read_rows(path, HDR, numbers)
+    assert str(info.value) == f"{path}:3: invalid literal for int() with base 10: 'x'"
 
 
 def test_read_tolerates_bom(tmp_path):
     path = tmp_path / "t.tsv"
     path.write_bytes("﻿a\tb\n1\t2\n".encode("utf-8"))
-    assert tsv.read_rows(path, HDR) == [(2, ["1", "2"])]
+    assert tsv.read_rows(path, HDR, fields) == [["1", "2"]]
 
 
 def test_read_rejects_non_utf8(tmp_path):
     path = tmp_path / "t.tsv"
     path.write_bytes(b"a\tb\n\xff\t2\n")
     with pytest.raises(DataFormatError, match="not valid UTF-8"):
-        tsv.read_rows(path, HDR)
+        tsv.read_rows(path, HDR, fields)
 
 
 def test_failed_write_keeps_old_file(tmp_path, monkeypatch):
