@@ -66,9 +66,6 @@ class FixtureClient(SearchClient):
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
-        index_path = self.directory / "queries.tsv"
-        if not index_path.is_file():
-            raise InputError(f"fixture directory has no queries.tsv: {self.directory}")
         self._results: dict[str, list[str]] = {}
         # uri -> file name as first written, joined to the directory on fetch.
         self._files: dict[str, str] = {}
@@ -81,7 +78,7 @@ class FixtureClient(SearchClient):
                 raise ValueError(f"uri {uri!r} mapped to conflicting files")
             self._results.setdefault(query, []).append(uri)
 
-        tsv.read_rows(index_path, QUERIES_HEADER, parse)
+        tsv.read_rows(self.directory / "queries.tsv", QUERIES_HEADER, parse)
 
     def search(self, query: str) -> list[str]:
         return self._results.get(query, [])

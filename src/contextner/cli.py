@@ -32,7 +32,7 @@ def _positive_int(text: str) -> int:
 
 def _nonneg_float(text: str) -> float:
     value = float(text)
-    if value < 0:
+    if not value >= 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
     return value
 

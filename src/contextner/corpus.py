@@ -100,14 +100,6 @@ def _markup_text(raw: str) -> str:
     return "".join(chunks)
 
 
-def decode_text(raw: bytes) -> str:
-    """Decode UTF-8 bytes, reporting the offending byte offset on failure."""
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"undecodable input: {exc.reason} at byte offset {exc.start}")
-
-
 def clean_text(raw: str | bytes, kind: str) -> str:
     """Produce the analyzable text of a document.
 
@@ -117,7 +109,10 @@ def clean_text(raw: str | bytes, kind: str) -> str:
     Deterministic in both cases.
     """
     if isinstance(raw, bytes):
-        raw = decode_text(raw)
+        try:
+            raw = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise tsv.not_utf8(exc)
     if kind == PLAIN:
         return raw.replace("\r\n", "\n").replace("\r", "\n")
     if kind == MARKUP:
@@ -142,15 +137,6 @@ class CorpusManifest(Record, frozen=False):
 
     def __init__(self, documents: Iterable[Document] = ()) -> None:
         self.documents = sorted(documents, key=lambda d: d.id)
-        seen_ids: set[str] = set()
-        seen_uris: set[str] = set()
-        for doc in self.documents:
-            if doc.id in seen_ids:
-                raise DataFormatError(f"duplicate document id {doc.id!r}")
-            if doc.uri in seen_uris:
-                raise DataFormatError(f"duplicate document uri {doc.uri!r}")
-            seen_ids.add(doc.id)
-            seen_uris.add(doc.uri)
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -174,18 +160,23 @@ def save_corpus(manifest: CorpusManifest, directory: str | Path) -> None:
 def load_corpus(directory: str | Path) -> CorpusManifest:
     """Load a corpus directory written by save_corpus.
 
-    Raises InputError when the manifest file is missing, DataFormatError
-    on duplicate uris, bad kinds, missing document files, or documents
-    that are not UTF-8.
+    Raises InputError when the manifest file cannot be read,
+    DataFormatError on a repeated id or uri, a bad kind, a missing
+    document file, or a document that is not UTF-8.
     """
     directory = Path(directory)
-    manifest_path = directory / MANIFEST_NAME
-    if not manifest_path.is_file():
-        raise InputError(f"no {MANIFEST_NAME} in {directory}")
+    seen_ids: set[str] = set()
+    seen_uris: set[str] = set()
 
     def parse(doc_id, source, uri, kind, rel):
         if not doc_id or not source or not uri or not rel:
             raise ValueError("empty required field")
+        if doc_id in seen_ids:
+            raise ValueError(f"duplicate document id {doc_id!r}")
+        if uri in seen_uris:
+            raise ValueError(f"duplicate document uri {uri!r}")
+        seen_ids.add(doc_id)
+        seen_uris.add(uri)
         if kind not in (PLAIN, MARKUP):
             raise ValueError(f"unknown kind {kind!r}")
         doc_path = directory / rel
@@ -194,4 +185,4 @@ def load_corpus(directory: str | Path) -> CorpusManifest:
         text = tsv.read_text(doc_path)
         return Document(id=doc_id, source=source, uri=uri, kind=kind, clean=text)
 
-    return CorpusManifest(documents=tsv.read_rows(manifest_path, _MANIFEST_HEADER, parse))
+    return CorpusManifest(tsv.read_rows(directory / MANIFEST_NAME, _MANIFEST_HEADER, parse))

@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from . import tsv
 from .corpus import Document
-from .errors import DataFormatError, InputError
+from .errors import DataFormatError
 from .extract import LEFT, ContextKey, WordSequence, context_hits, context_window, tokenize
 from .record import Record
 from .seeds import UNKNOWN
@@ -60,7 +60,7 @@ class RecognitionModel(Record):
         margin: float = 0.0,
         max_entity_tokens: int = 4,
     ) -> None:
-        if threshold < 0 or margin < 0:
+        if not (threshold >= 0 and margin >= 0):
             raise ValueError("threshold and margin must be non-negative")
         if max_entity_tokens < 1:
             raise ValueError(f"max_entity_tokens must be >= 1, got {max_entity_tokens}")
@@ -254,14 +254,23 @@ def _table_file_name(label: str) -> str:
 
 def _read_index(index_path: Path) -> tuple[dict[str, str], tuple[float, float]]:
     """A model index as class -> table file, in line order, plus the
-    threshold and margin its lines share ((0, 0) when it has none)."""
+    threshold and margin its lines share ((0, 0) when it has none). Every
+    check on an index is here, so weigh and recognize reject the same files."""
     entries: dict[str, str] = {}
     shared: set[tuple[float, float]] = set()
 
     def parse(label, table_file, theta, delta):
+        if not label or label == UNKNOWN:
+            raise ValueError(f"invalid class label {label!r}")
         if label in entries:
             raise ValueError(f"duplicate class {label!r}")
-        shared.add((float(theta), float(delta)))
+        table_path = index_path.parent / table_file
+        if not table_path.is_file():
+            raise ValueError(f"table file not found: {table_path}")
+        theta, delta = float(theta), float(delta)
+        if not (theta >= 0 and delta >= 0):
+            raise ValueError("threshold and margin must be non-negative")
+        shared.add((theta, delta))
         if len(shared) > 1:
             raise ValueError("threshold/margin disagree across classes")
         entries[label] = table_file
@@ -319,28 +328,17 @@ def load_model(
     max_entity_tokens: int = 4,
 ) -> RecognitionModel:
     """Read a saved model; explicit threshold/margin arguments win."""
-    directory = Path(directory)
-    index_path = directory / MODEL_FILE
-    if not index_path.is_file():
-        raise InputError(f"no {MODEL_FILE} in {directory}")
+    index_path = Path(directory) / MODEL_FILE
     entries, stored = _read_index(index_path)
     if not entries:
         raise DataFormatError(f"{index_path}: model lists no classes")
-    tables: dict[str, dict[ContextKey, float]] = {}
-    # Index entries keep line order, one class a line after the header.
-    for lineno, (label, table_file) in enumerate(entries.items(), start=2):
-        table_path = directory / table_file
-        if not table_path.is_file():
-            raise DataFormatError(
-                f"{index_path}:{lineno}: table file not found: {table_path}"
-            )
-        tables[label] = read_weight_mapping(table_path, side)
-    try:
-        return RecognitionModel(
-            tables=tables,
-            threshold=stored[0] if threshold is None else threshold,
-            margin=stored[1] if margin is None else margin,
-            max_entity_tokens=max_entity_tokens,
-        )
-    except ValueError as exc:
-        raise DataFormatError(f"{index_path}: {exc}") from exc
+    tables = {
+        label: read_weight_mapping(index_path.parent / table_file, side)
+        for label, table_file in entries.items()
+    }
+    return RecognitionModel(
+        tables=tables,
+        threshold=stored[0] if threshold is None else threshold,
+        margin=stored[1] if margin is None else margin,
+        max_entity_tokens=max_entity_tokens,
+    )

@@ -34,9 +34,6 @@ class LearningExample(Record):
 
 def load_examples(path: str | Path) -> list[LearningExample]:
     """Read a TSV of (surface, class) rows; exact duplicates collapse."""
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"examples file not found: {path}")
     return list(dict.fromkeys(tsv.read_rows(path, EXAMPLES_HEADER, LearningExample)))
 
 

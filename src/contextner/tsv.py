@@ -11,7 +11,7 @@ import os
 from pathlib import Path
 from typing import Callable, TypeVar
 
-from .errors import DataFormatError
+from .errors import DataFormatError, InputError
 
 _FORBIDDEN = ("\t", "\n", "\r")
 
@@ -65,13 +65,23 @@ def write_rows(path: str | Path, header: list[str], rows: list[list[str]]) -> No
     write_text(path, format_rows(header, rows))
 
 
+def not_utf8(exc: UnicodeDecodeError, source: str | Path | None = None) -> DataFormatError:
+    """The one report of text that is not UTF-8: the file, when there is
+    one, and the offset of the first bad byte."""
+    where = "" if source is None else f"{source}: "
+    return DataFormatError(f"{where}not valid UTF-8 ({exc.reason} at byte {exc.start})")
+
+
 def read_text(path: str | Path) -> str:
-    """Read a UTF-8 file; one that is not UTF-8 is a DataFormatError
-    naming the file and the offending byte offset."""
+    """Read a UTF-8 file. One that cannot be read (missing, a directory,
+    unreadable) is an InputError naming it; one that is not UTF-8 is
+    reported by not_utf8."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})")
+        raise not_utf8(exc, path)
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror}") from exc
 
 
 def read_rows(path: str | Path, header: list[str], parse: Callable[..., T]) -> list[T]:

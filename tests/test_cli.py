@@ -104,8 +104,7 @@ def test_acquire_missing_examples_file(tmp_path, capsys, fixture_dir):
     )
     captured = capsys.readouterr()
     assert code == 2
-    assert "error:" in captured.err
-    assert "missing.tsv" in captured.err
+    assert captured.err == f"error: {tmp_path / 'missing.tsv'}: No such file or directory\n"
 
 
 # -- weigh -------------------------------------------------------------------
@@ -196,6 +195,21 @@ def test_weigh_checks_model_index_before_writing_a_table(
     assert capsys.readouterr().out == ""
     assert not output.exists()
     assert not table.exists()
+
+
+@pytest.mark.parametrize("command", ["weigh", "recognize"])
+def test_nan_threshold_exits_2(tmp_path, capsys, trained_model_dir, command):
+    corpus_dir = saved_corpus(tmp_path, "corpus", "Hotels in Paris.")
+    index = tmp_path / "model" / "model.tsv"
+    before = index.read_bytes()
+    examples = write_examples(tmp_path / "paris.tsv", ("Paris", "capital"))
+    first = examples if command == "weigh" else trained_model_dir
+    args = [command, first, corpus_dir, "--threshold", "nan"]
+    if command == "weigh":
+        args += ["--model-dir", trained_model_dir]
+    assert cli.main(args) == 2
+    assert "must be non-negative, got 'nan'" in capsys.readouterr().err
+    assert index.read_bytes() == before
 
 
 def test_weigh_rejects_mixed_classes(tmp_path, capsys):
@@ -299,6 +313,35 @@ def test_document_that_is_not_utf8_exits_4(
     )
 
 
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("capital\t", "unknown\t", "invalid class label 'unknown'"),
+        ("\t0\t0", "\t-1\t0", "threshold and margin must be non-negative"),
+        ("\t0\t0", "\tnan\t0", "threshold and margin must be non-negative"),
+        ("table_capital", "table_gone", "table file not found: {model}/table_gone.tsv"),
+    ],
+    ids=["unknown class", "negative threshold", "nan threshold", "missing table"],
+)
+def test_bad_model_index_line_exits_4_in_weigh_and_recognize(
+    tmp_path, capsys, trained_model_dir, old, new, message
+):
+    index = tmp_path / "model" / "model.tsv"
+    index.write_text(index.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+    before = index.read_bytes()
+    expected = f"error: {index}:2: {message.format(model=trained_model_dir)}\n"
+    corpus_dir = saved_corpus(tmp_path, "test", "Hotels in Quito.")
+    assert cli.main(["recognize", trained_model_dir, corpus_dir]) == 4
+    assert capsys.readouterr().err == expected
+    examples = write_examples(tmp_path / "quito.tsv", ("Quito", "capital"))
+    output = tmp_path / "t.tsv"
+    args = ["weigh", examples, corpus_dir, "--model-dir", trained_model_dir]
+    assert cli.main(args + ["--output", str(output)]) == 4
+    assert capsys.readouterr().err == expected
+    assert not output.exists()
+    assert index.read_bytes() == before
+
+
 def test_recognize_missing_model_exits_2(tmp_path, capsys):
     test_dir = saved_corpus(tmp_path, "test", "Hotels in Quito.")
     code = cli.main(["recognize", str(tmp_path / "nomodel"), test_dir])
@@ -344,6 +387,37 @@ def test_evaluate_rejects_bad_gold(tmp_path, capsys):
     code = cli.main(["evaluate", str(ann_path), str(gold_path)])
     assert code == 4
     assert "gold.tsv:2" in capsys.readouterr().err
+
+
+# -- stored files ------------------------------------------------------------
+
+@pytest.mark.parametrize("missing", ["queries", "manifest", "model", "annotations", "gold"])
+def test_missing_stored_file_exits_2_naming_it(
+    tmp_path, capsys, capital_examples, trained_model_dir, missing
+):
+    corpus_dir = saved_corpus(tmp_path, "corpus", "Hotels in Quito.")
+    ann_path = tmp_path / "ann.tsv"
+    ann_path.write_text(
+        "doc\tstart_token\tend_token\tsurface\tclass\tscore\trunner_up\n", encoding="utf-8"
+    )
+    gold_path = tmp_path / "gold.tsv"
+    gold_path.write_text("doc\tstart_token\tend_token\tclass\n", encoding="utf-8")
+    absent = tmp_path / "absent"
+    path, args = {
+        "queries": (
+            absent / "queries.tsv",
+            ["acquire", capital_examples, corpus_dir, "--fixtures", str(absent)],
+        ),
+        "manifest": (
+            absent / "manifest.tsv",
+            ["recognize", trained_model_dir, str(absent)],
+        ),
+        "model": (absent / "model.tsv", ["recognize", str(absent), corpus_dir]),
+        "annotations": (absent, ["evaluate", str(absent), str(gold_path)]),
+        "gold": (absent, ["evaluate", str(ann_path), str(absent)]),
+    }[missing]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == f"error: {path}: No such file or directory\n"
 
 
 # -- growth ------------------------------------------------------------------

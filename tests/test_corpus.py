@@ -59,8 +59,9 @@ def test_clean_text_bad_kind():
 
 
 def test_clean_text_bad_bytes():
-    with pytest.raises(DataFormatError, match="byte offset 1"):
+    with pytest.raises(DataFormatError) as info:
         clean_text(b"a\xff", "plain")
+    assert str(info.value) == "not valid UTF-8 (invalid start byte at byte 1)"
 
 
 @given(st.text(max_size=200))
@@ -84,20 +85,44 @@ def test_clean_text_markup_strips_well_formed_tags(pieces):
     assert cleaned == cleaned.strip()
 
 
-def test_manifest_sorts_and_rejects_duplicates():
+def saved_manifest(directory, *docs):
+    save_corpus(CorpusManifest(docs), directory)
+    return directory / "manifest.tsv"
+
+
+def test_manifest_sorts_and_rejects_duplicates(tmp_path):
     a, b = make_doc("b", "x"), make_doc("a", "y")
     m = CorpusManifest([a, b])
     assert [d.id for d in m] == ["a", "b"]
-    with pytest.raises(DataFormatError, match="duplicate document id"):
-        CorpusManifest([make_doc("a", "x"), make_doc("a", "y")])
+    manifest = saved_manifest(tmp_path, make_doc("a", "x"), make_doc("b", "y"))
+    manifest.write_text(
+        manifest.read_text(encoding="utf-8").replace("b\tb\t", "a\tb\t"),
+        encoding="utf-8",
+    )
+    with pytest.raises(DataFormatError) as info:
+        load_corpus(tmp_path)
+    assert str(info.value) == f"{manifest}:3: duplicate document id 'a'"
 
 
-def test_manifest_rejects_duplicate_uri():
-    d1 = make_doc("a", "x")
-    d2 = make_doc("b", "y")
-    clash = type(d2)(id="b", source=d2.source, uri=d1.uri, kind="plain", clean="y")
-    with pytest.raises(DataFormatError, match="duplicate document uri"):
-        CorpusManifest([d1, clash])
+def test_manifest_rejects_duplicate_uri(tmp_path):
+    manifest = saved_manifest(tmp_path, make_doc("a", "x"), make_doc("b", "y"))
+    manifest.write_text(
+        manifest.read_text(encoding="utf-8").replace("//b.example", "//a.example"),
+        encoding="utf-8",
+    )
+    with pytest.raises(DataFormatError) as info:
+        load_corpus(tmp_path)
+    assert str(info.value) == (
+        f"{manifest}:3: duplicate document uri 'http://a.example/page'"
+    )
+
+
+def test_load_reads_crlf_files_as_before(tmp_path):
+    manifest = saved_manifest(tmp_path, make_doc("a", "Hotels in Paris.\nMap of Rome.\n"))
+    for path in (manifest, tmp_path / "docs" / "a.txt"):
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    [doc] = load_corpus(tmp_path)
+    assert doc == make_doc("a", "Hotels in Paris.\nMap of Rome.\n")
 
 
 def test_save_load_round_trip(tmp_path):

@@ -187,6 +187,8 @@ def test_model_validation():
     with pytest.raises(ValueError):
         model_from({"capital": {left("x"): 1.0}}, threshold=-0.1)
     with pytest.raises(ValueError):
+        model_from({"capital": {left("x"): 1.0}}, margin=float("nan"))
+    with pytest.raises(ValueError):
         model_from({"capital": {left("x"): 1.0}}, max_entity_tokens=0)
 
 
@@ -347,6 +349,15 @@ def test_load_model_flag_overrides(tmp_path, trained_table):
     update_model(tmp_path, "capital", trained_table, threshold=0.2, margin=0.1)
     model = load_model(tmp_path, threshold=0.7)
     assert (model.threshold, model.margin) == (0.7, 0.1)
+
+
+@pytest.mark.parametrize(
+    "bad", [{"threshold": -1.0}, {"max_entity_tokens": 0}], ids=["threshold", "span"]
+)
+def test_load_model_bad_argument_is_a_value_error(tmp_path, trained_table, bad):
+    update_model(tmp_path, "capital", trained_table)
+    with pytest.raises(ValueError):
+        load_model(tmp_path, **bad)
 
 
 def test_load_model_missing_dir(tmp_path):
