@@ -30,6 +30,7 @@ _EXPORTS = {
             "acquire",
             "build_queries",
         ),
+        "annotations": ("Annotation", "GoldAnnotation", "load_gold"),
         "corpus": (
             "CorpusManifest",
             "Document",
@@ -39,14 +40,7 @@ _EXPORTS = {
             "save_corpus",
         ),
         "errors": ("DataFormatError", "EmptyResultError", "InputError", "PipelineError"),
-        "evaluate": (
-            "EvalReport",
-            "GoldAnnotation",
-            "GrowthPoint",
-            "evaluate",
-            "growth_curve",
-            "load_gold",
-        ),
+        "evaluate": ("EvalReport", "evaluate"),
         "extract": (
             "ContextKey",
             "ContextOccurrence",
@@ -59,7 +53,6 @@ _EXPORTS = {
         ),
         "recognize": (
             "UNKNOWN",
-            "Annotation",
             "RecognitionModel",
             "VoteState",
             "classify",
@@ -73,6 +66,7 @@ _EXPORTS = {
         "weighting": (
             "ContextStats",
             "GlobalStats",
+            "GrowthPoint",
             "TableConfig",
             "WeightedContext",
             "WeightTable",
@@ -81,6 +75,7 @@ _EXPORTS = {
             "context_frequency",
             "context_weight",
             "document_frequency",
+            "growth_curve",
             "inverse_context_frequency",
             "inverse_document_frequency",
             "learning_example_frequency",

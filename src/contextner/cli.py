@@ -127,13 +127,9 @@ def cmd_weigh(args: argparse.Namespace) -> int:
 
 
 def cmd_recognize(args: argparse.Namespace) -> int:
+    from .annotations import format_annotations
     from .corpus import load_corpus
-    from .recognize import (
-        format_annotations,
-        load_model,
-        recognize_corpus,
-        write_annotations,
-    )
+    from .recognize import load_model, recognize_corpus
 
     model = load_model(
         args.model_dir,
@@ -144,16 +140,13 @@ def cmd_recognize(args: argparse.Namespace) -> int:
     )
     corpus = load_corpus(args.corpus_dir)
     annotations = recognize_corpus(corpus, model)
-    if args.output:
-        write_annotations(annotations, args.output)
-    else:
-        sys.stdout.write(format_annotations(annotations))
+    _emit(format_annotations(annotations), args.output)
     return EXIT_OK
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    from .evaluate import evaluate, format_report, load_gold, write_report
-    from .recognize import load_annotations
+    from .annotations import load_annotations, load_gold
+    from .evaluate import evaluate, format_report, write_report
 
     system = load_annotations(args.annotations)
     gold = load_gold(args.gold)
@@ -166,19 +159,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_growth(args: argparse.Namespace) -> int:
     from .corpus import load_corpus
-    from .evaluate import format_growth, growth_curve, write_growth
-    from .seeds import load_examples, single_class
-    from .weighting import TableConfig
+    from .seeds import load_examples
+    from .weighting import TableConfig, format_growth, growth_curve
 
     examples = load_examples(args.examples)
-    single_class(examples)
     corpus = load_corpus(args.corpus_dir)
     config = TableConfig(context_len=args.context_len, side=args.side)
     points = growth_curve(corpus, examples, args.steps, config)
-    if args.output:
-        write_growth(points, args.output)
-    else:
-        sys.stdout.write(format_growth(points))
+    _emit(format_growth(points), args.output)
     return EXIT_OK
 
 

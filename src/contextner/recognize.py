@@ -11,27 +11,19 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from . import tsv
+from .annotations import Annotation
 from .corpus import Document
 from .errors import DataFormatError
 from .extract import LEFT, ContextKey, WordSequence, context_hits, context_window, tokenize
 from .record import Record
 from .seeds import UNKNOWN
-from .weighting import WeightTable, read_weight_mapping, write_weight_table
+from .weighting import WeightTable, format_weight_table, read_weight_mapping
 
 MODEL_FILE = "model.tsv"
 MODEL_HEADER = ["class", "table_file", "threshold", "margin"]
-ANNOTATIONS_HEADER = [
-    "doc",
-    "start_token",
-    "end_token",
-    "surface",
-    "class",
-    "score",
-    "runner_up",
-]
 
 _LABEL_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
 
@@ -150,18 +142,6 @@ def detect_candidates(tok: WordSequence, model: RecognitionModel) -> list[tuple[
     return sorted(spans)
 
 
-class Annotation(NamedTuple):
-    """One recognized (or rejected) span of a document."""
-
-    doc: str
-    first: int
-    last: int
-    surface: str
-    class_label: str
-    score: float
-    runner_up: float
-
-
 def recognize_document(doc: Document, model: RecognitionModel) -> list[Annotation]:
     """Annotate one document's candidate spans with voted classes.
 
@@ -204,43 +184,6 @@ def recognize_corpus(
     for doc in documents:
         out.extend(recognize_document(doc, model))
     return out
-
-
-def format_annotations(annotations: Iterable[Annotation]) -> str:
-    rows = [
-        [
-            a.doc,
-            str(a.first),
-            str(a.last),
-            a.surface,
-            a.class_label,
-            f"{a.score:.7g}",
-            f"{a.runner_up:.7g}",
-        ]
-        for a in annotations
-    ]
-    return tsv.format_rows(ANNOTATIONS_HEADER, rows)
-
-
-def write_annotations(annotations: Iterable[Annotation], path: str | Path) -> None:
-    tsv.write_text(path, format_annotations(annotations))
-
-
-def _annotation_row(*fields: str) -> Annotation:
-    doc, first, last, surface, label, score, runner_up = fields
-    return Annotation(
-        doc=doc,
-        first=int(first),
-        last=int(last),
-        surface=surface,
-        class_label=label,
-        score=float(score),
-        runner_up=float(runner_up),
-    )
-
-
-def load_annotations(path: str | Path) -> list[Annotation]:
-    return tsv.read_rows(path, ANNOTATIONS_HEADER, _annotation_row)
 
 
 def _table_file_name(label: str) -> str:
@@ -309,7 +252,7 @@ def update_model(
     directory.mkdir(parents=True, exist_ok=True)
     entries, stored = _stored_index(directory)
     file_name = _table_file_name(label)
-    write_weight_table(table, directory / file_name)
+    tsv.write_text(directory / file_name, format_weight_table(table))
     entries[label] = file_name
     theta = stored[0] if threshold is None else threshold
     delta = stored[1] if margin is None else margin

@@ -9,6 +9,9 @@ The composite weight of a context multiplies four factors:
 
 Each factor is exposed on its own so the parts can be inspected or
 re-weighted; `context_weight` is their plain product.
+
+`growth_curve` runs the same per-document extraction over growing
+prefixes of a corpus, to show how the context set saturates.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Iterable, NamedTuple
 
 from . import tsv
 from .corpus import CorpusManifest
-from .errors import EmptyResultError
+from .errors import EmptyResultError, InputError
 from .extract import (
     LEFT,
     RIGHT,
@@ -36,6 +39,7 @@ from .record import Record
 from .seeds import LearningExample, single_class
 
 WEIGHT_HEADER = ["context", "cf", "df", "lef", "icf", "w"]
+GROWTH_HEADER = ["docs", "occurrences", "contexts"]
 
 
 def context_frequency(count: int, total: int) -> float:
@@ -212,6 +216,73 @@ def collect_context_stats(
     return stats, totals
 
 
+class GrowthPoint(NamedTuple):
+    doc_count: int
+    example_occurrences: int
+    context_count: int
+
+
+def growth_curve(
+    corpus: CorpusManifest,
+    examples: Iterable[LearningExample],
+    steps: Iterable[int],
+    config: TableConfig = TableConfig(),
+) -> list[GrowthPoint]:
+    """Extraction statistics over growing prefixes of the corpus.
+
+    For each prefix size, reports how many example occurrences the
+    prefix contains and how many distinct contexts they produce.
+    Prefixes follow manifest (document-id) order.
+    """
+    examples = list(examples)
+    single_class(examples)  # rejects examples of more than one class
+    steps = list(steps)
+    if not steps:
+        raise InputError("no growth steps given")
+    previous = 0
+    for step in steps:
+        if step <= previous:
+            raise InputError(
+                f"growth steps must be positive and increasing, got {steps}"
+            )
+        previous = step
+    if steps[-1] > len(corpus):
+        raise InputError(
+            f"growth step {steps[-1]} exceeds corpus size {len(corpus)}"
+        )
+
+    index = instance_index(examples)
+    documents = list(corpus)
+    points: list[GrowthPoint] = []
+    occurrences = 0
+    contexts: set[ContextKey] = set()
+    done = 0
+    for step in steps:
+        for doc in documents[done:step]:
+            found = instance_contexts(
+                tokenize(doc.clean), index, config.context_len, config.side
+            )
+            occurrences += len(found)
+            contexts.update(key for _occ, key in found if key is not None)
+        done = step
+        points.append(
+            GrowthPoint(
+                doc_count=step,
+                example_occurrences=occurrences,
+                context_count=len(contexts),
+            )
+        )
+    return points
+
+
+def format_growth(points: Iterable[GrowthPoint]) -> str:
+    rows = [
+        [str(p.doc_count), str(p.example_occurrences), str(p.context_count)]
+        for p in points
+    ]
+    return tsv.format_rows(GROWTH_HEADER, rows)
+
+
 class WeightTable(Record):
     __slots__ = ("rows", "totals")
 
@@ -277,10 +348,6 @@ def format_weight_table(table: WeightTable) -> str:
         for row in table.rows
     ]
     return tsv.format_rows(WEIGHT_HEADER, rows)
-
-
-def write_weight_table(table: WeightTable, path: str | Path) -> None:
-    tsv.write_text(path, format_weight_table(table))
 
 
 def read_weight_mapping(path: str | Path, side: str = LEFT) -> dict[ContextKey, float]:

@@ -19,9 +19,10 @@ import pytest
 
 from conftest import capitals, make_corpus, make_doc
 from contextner import cli
+from contextner.annotations import GoldAnnotation
 from contextner.corpus import CorpusManifest, save_corpus
 from contextner.errors import EmptyResultError
-from contextner.evaluate import GoldAnnotation, evaluate, growth_curve
+from contextner.evaluate import evaluate
 from contextner.extract import tokenize
 from contextner.recognize import (
     RecognitionModel,
@@ -35,6 +36,7 @@ from contextner.weighting import (
     context_frequency,
     context_weight,
     document_frequency,
+    growth_curve,
     inverse_context_frequency,
     learning_example_frequency,
 )

@@ -13,37 +13,34 @@ import contextner
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Every name `contextner` exported when its __init__ imported each
-# submodule eagerly, by defining module.
+# submodule eagerly, by the module that defines it now.
 PUBLIC = {
     "acquire": [
         "AcquireResult", "AcquisitionError", "ClientError", "FixtureClient",
         "SearchClient", "acquire", "build_queries",
     ],
+    "annotations": ["Annotation", "GoldAnnotation", "load_gold"],
     "corpus": [
         "CorpusManifest", "Document", "clean_text", "load_corpus",
         "normalize_source", "save_corpus",
     ],
     "errors": ["DataFormatError", "EmptyResultError", "InputError", "PipelineError"],
-    "evaluate": [
-        "EvalReport", "GoldAnnotation", "GrowthPoint", "evaluate", "growth_curve",
-        "load_gold",
-    ],
+    "evaluate": ["EvalReport", "evaluate"],
     "extract": [
         "ContextKey", "ContextOccurrence", "InstanceOccurrence", "Tokenization",
         "extract_context", "find_instances", "instance_index", "tokenize",
     ],
     "recognize": [
-        "UNKNOWN", "Annotation", "RecognitionModel", "VoteState", "classify",
-        "detect_candidates", "load_model", "recognize_corpus", "recognize_document",
-        "vote",
+        "UNKNOWN", "RecognitionModel", "VoteState", "classify", "detect_candidates",
+        "load_model", "recognize_corpus", "recognize_document", "vote",
     ],
     "seeds": ["LearningExample", "load_examples"],
     "weighting": [
-        "ContextStats", "GlobalStats", "TableConfig", "WeightedContext", "WeightTable",
-        "build_weight_table", "collect_context_stats", "context_frequency",
-        "context_weight", "document_frequency", "inverse_context_frequency",
-        "inverse_document_frequency", "learning_example_frequency", "term_frequency",
-        "tf_idf",
+        "ContextStats", "GlobalStats", "GrowthPoint", "TableConfig", "WeightedContext",
+        "WeightTable", "build_weight_table", "collect_context_stats", "context_frequency",
+        "context_weight", "document_frequency", "growth_curve",
+        "inverse_context_frequency", "inverse_document_frequency",
+        "learning_example_frequency", "term_frequency", "tf_idf",
     ],
 }
 NAMES = [(module, name) for module, names in PUBLIC.items() for name in names]

@@ -389,6 +389,27 @@ def test_evaluate_rejects_bad_gold(tmp_path, capsys):
     assert "gold.tsv:2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["annotations", "gold"])
+def test_evaluate_rejects_bad_span_in_either_file(tmp_path, capsys, bad):
+    # One span rule for both span files: start >= 0 and end >= start.
+    ann_path = tmp_path / "ann.tsv"
+    ann_path.write_text(
+        "doc\tstart_token\tend_token\tsurface\tclass\tscore\trunner_up\n"
+        + ("d00\t5\t3\tParis\tcapital\tnan\t0\n" if bad == "annotations" else ""),
+        encoding="utf-8",
+    )
+    gold_path = tmp_path / "gold.tsv"
+    gold_path.write_text(
+        "doc\tstart_token\tend_token\tclass\n"
+        + ("d00\t5\t3\tcapital\n" if bad == "gold" else "d00\t1\t1\tcapital\n"),
+        encoding="utf-8",
+    )
+    code = cli.main(["evaluate", str(ann_path), str(gold_path)])
+    assert code == 4
+    bad_path = ann_path if bad == "annotations" else gold_path
+    assert capsys.readouterr().err == f"error: {bad_path}:2: bad span 5..3\n"
+
+
 # -- stored files ------------------------------------------------------------
 
 @pytest.mark.parametrize("missing", ["queries", "manifest", "model", "annotations", "gold"])

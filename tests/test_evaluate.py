@@ -2,18 +2,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import capitals, make_corpus
+from contextner import tsv
+from contextner.annotations import Annotation, GoldAnnotation, load_gold
 from contextner.errors import DataFormatError, InputError
-from contextner.evaluate import (
-    EvalReport,
-    GoldAnnotation,
-    evaluate,
-    format_growth,
-    format_report,
-    growth_curve,
-    load_gold,
-    write_growth,
-    write_report,
-)
+from contextner.evaluate import EvalReport, evaluate, format_report, write_report
 from contextner.extract import (
     RIGHT,
     extract_context,
@@ -21,8 +13,8 @@ from contextner.extract import (
     instance_index,
     tokenize,
 )
-from contextner.recognize import UNKNOWN, Annotation
-from contextner.weighting import TableConfig
+from contextner.seeds import UNKNOWN, LearningExample
+from contextner.weighting import TableConfig, format_growth, growth_curve
 
 
 def ann(doc, first, last, label):
@@ -226,17 +218,37 @@ def test_growth_last_point_matches_direct_extraction():
     assert points[0].context_count <= len(contexts)
 
 
-@pytest.mark.parametrize("steps", [[], [0], [2, 2], [3, 1], [99]])
+BAD_STEPS = {
+    (): "no growth steps given",
+    (0,): r"growth steps must be positive and increasing, got \[0\]",
+    (2, 2): "positive and increasing",
+    (3, 1): "positive and increasing",
+    (99,): "exceeds corpus size 5",
+}
+
+
+@pytest.mark.parametrize("steps", [list(s) for s in BAD_STEPS])
 def test_growth_rejects_bad_steps(steps):
     corpus = make_corpus(*TEMPLATE)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=BAD_STEPS[tuple(steps)]):
         growth_curve(corpus, capitals("Paris"), steps)
+
+
+@pytest.mark.parametrize("examples, match", [
+    ([LearningExample("Paris", "capital"), LearningExample("Chirac", "president")],
+     "run once per class"),
+    ([], "no learning examples given"),
+], ids=["mixed-classes", "no-examples"])
+def test_growth_rejects_what_weighing_rejects(examples, match):
+    corpus = make_corpus(*TEMPLATE)
+    with pytest.raises(InputError, match=match):
+        growth_curve(corpus, examples, [1])
 
 
 def test_growth_file_output(tmp_path):
     corpus = make_corpus(*TEMPLATE)
     points = growth_curve(corpus, capitals("Paris", "Berlin"), [1, 5])
     path = tmp_path / "growth.tsv"
-    write_growth(points, path)
+    tsv.write_text(path, format_growth(points))
     assert path.read_text(encoding="utf-8") == format_growth(points)
     assert format_growth(points).splitlines()[0] == "docs\toccurrences\tcontexts"

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from conftest import capitals, make_corpus, make_doc
+from contextner import tsv
+from contextner.annotations import format_annotations, load_annotations
 from contextner.errors import DataFormatError, InputError
 from contextner.extract import ContextKey, tokenize
 from contextner.seeds import LearningExample
@@ -13,12 +15,10 @@ from contextner.recognize import (
     VoteState,
     classify,
     detect_candidates,
-    load_annotations,
     load_model,
     recognize_document,
     update_model,
     vote,
-    write_annotations,
 )
 from contextner.weighting import build_weight_table
 from oracle import oracle_recognize, random_recognition_case
@@ -425,7 +425,7 @@ def test_annotations_file_round_trip(tmp_path):
     model = model_from({"capital": {left("Hotels", "in"): 0.25}})
     annotations = recognize_document(doc, model)
     path = tmp_path / "ann.tsv"
-    write_annotations(annotations, path)
+    tsv.write_text(path, format_annotations(annotations))
     assert load_annotations(path) == annotations
 
 
@@ -437,4 +437,16 @@ def test_load_annotations_reports_bad_ints(tmp_path):
         encoding="utf-8",
     )
     with pytest.raises(DataFormatError, match=r"ann\.tsv:2"):
+        load_annotations(path)
+
+
+@pytest.mark.parametrize("first, last", [("5", "3"), ("-1", "2")])
+def test_load_annotations_rejects_bad_spans(tmp_path, first, last):
+    path = tmp_path / "ann.tsv"
+    path.write_text(
+        "doc\tstart_token\tend_token\tsurface\tclass\tscore\trunner_up\n"
+        f"d\t{first}\t{last}\tParis\tcapital\tnan\t0\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(DataFormatError, match=rf"ann\.tsv:2: bad span {first}\.\.{last}"):
         load_annotations(path)

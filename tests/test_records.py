@@ -7,8 +7,9 @@ import re
 import pytest
 
 from contextner.acquire import AcquireResult, FetchFailure
+from contextner.annotations import Annotation, GoldAnnotation
 from contextner.corpus import CorpusManifest, Document
-from contextner.evaluate import EvalReport, GoldAnnotation, GrowthPoint
+from contextner.evaluate import EvalReport
 from contextner.extract import (
     ContextKey,
     ContextOccurrence,
@@ -17,11 +18,12 @@ from contextner.extract import (
     WordSequence,
     tokenize,
 )
-from contextner.recognize import Annotation, RecognitionModel, VoteState
+from contextner.recognize import RecognitionModel, VoteState
 from contextner.seeds import LearningExample
 from contextner.weighting import (
     ContextStats,
     GlobalStats,
+    GrowthPoint,
     TableConfig,
     WeightedContext,
     WeightTable,

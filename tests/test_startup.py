@@ -18,6 +18,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 PIPELINE_MODULES = {
     "contextner.acquire",
+    "contextner.annotations",
     "contextner.evaluate",
     "contextner.recognize",
     "contextner.weighting",
@@ -114,5 +115,18 @@ def test_only_acquire_loads_acquisition_modules(command_loads, command):
 
 
 def test_growth_does_not_load_recognize(command_loads):
-    assert "contextner.evaluate" in command_loads["growth"]
-    assert "contextner.recognize" not in command_loads["growth"]
+    # Growth runs weigh's extraction, which lives in `weighting`, and
+    # neither recognition nor scoring.
+    assert "contextner.weighting" in command_loads["growth"]
+    assert not command_loads["growth"] & {"contextner.recognize", "contextner.evaluate"}
+
+
+def test_evaluate_loads_only_the_span_files_and_scoring(command_loads):
+    loaded = command_loads["evaluate"]
+    assert {"contextner.annotations", "contextner.evaluate"} <= loaded
+    assert not loaded & {
+        "contextner.recognize",
+        "contextner.weighting",
+        "contextner.extract",
+        "contextner.corpus",
+    }
