@@ -97,13 +97,14 @@ def cmd_acquire(args: argparse.Namespace) -> int:
 
 def cmd_weigh(args: argparse.Namespace) -> int:
     from .corpus import load_corpus
-    from .recognize import check_model_update, update_model
     from .seeds import load_examples, single_class
     from .weighting import TableConfig, build_weight_table, format_weight_table
 
     examples = load_examples(args.examples)
     label = single_class(examples)
     if args.model_dir:
+        from .recognize import check_model_update
+
         check_model_update(args.model_dir, label)
     corpus = load_corpus(args.corpus_dir)
     config = TableConfig(
@@ -112,6 +113,8 @@ def cmd_weigh(args: argparse.Namespace) -> int:
     table = build_weight_table(corpus, examples, config)
     _emit(format_weight_table(table), args.output)
     if args.model_dir:
+        from .recognize import update_model
+
         update_model(
             args.model_dir,
             label,

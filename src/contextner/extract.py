@@ -7,8 +7,8 @@ run in parallel as long as results are concatenated in document-id order.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
-from itertools import accumulate, repeat
+from bisect import bisect_left
+from itertools import accumulate, compress, count, islice, repeat
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, TypeVar
 
 from .record import Record
@@ -24,7 +24,7 @@ _WORD_RE = re.compile(r"([^\W_]+(?:['’.\-][^\W_]+)*)")
 # The period after a word of one character, which that word keeps ("W."
 # but not "U.S." or "a.W."): no word character follows the period, and
 # the character before it follows neither a word character nor a joiner
-# that follows one. tokenize checks with str.isalpha that the character
+# that follows one. _boundaries checks with str.isalpha that the character
 # is a letter, which no regex class matches exactly.
 _INITIAL_RE = re.compile(
     r"\.(?![^\W_])(?<=[^\W\d_]\.)(?<![^\W_]{2}\.)(?<![^\W_]['’.\-][^\W_]\.)"
@@ -70,37 +70,48 @@ class Tokenization(WordSequence):
         self._assign(words=words, sent=sent, text=text, starts=starts, ends=ends)
 
 
-def tokenize(text: str) -> Tokenization:
-    """Split cleaned text into words and find sentence breaks.
+def _boundaries(text: str) -> tuple[list[int], list[int]]:
+    """The periods that initials keep, and where sentences after the first start.
 
     A single letter immediately followed by a period keeps the period
     ("W."), which also stops that period from ending a sentence. A
     sentence ends only at '.', '!' or '?' followed by whitespace and a
     capitalized word, and at the end of the text; commas never end one.
+    Both lists are in text order. Each start is the offset of the word
+    that opens a sentence, and some word comes before it.
     """
+    initials = [
+        m.start() for m in _INITIAL_RE.finditer(text) if text[m.start() - 1].isalpha()
+    ]
+    kept = set(initials)
+    starts = [
+        m.end()
+        for m in _BREAK_RE.finditer(text)
+        if text[m.end()].isupper() and m.start() not in kept
+    ]
+    if starts and not _WORD_RE.search(text, 0, starts[0]):
+        del starts[0]  # a terminator before the first word ends no sentence
+    return initials, starts
+
+
+def tokenize(text: str) -> Tokenization:
+    """Split cleaned text into words, sentence ids and character offsets,
+    by the rules of _boundaries. split_words gives the same words and
+    sentence ids without the offsets."""
     parts = _WORD_RE.split(text)  # gap, word, gap, ..., word, gap
     words = parts[1::2]
     offsets = list(accumulate(map(len, parts)))
     starts = offsets[0:-1:2]
     ends = offsets[1::2]
-    for m in _INITIAL_RE.finditer(text):
-        if text[m.start() - 1].isalpha():
-            i = bisect_left(starts, m.start() - 1)
-            words[i] += "."
-            ends[i] += 1
-
-    breaks: list[int] = []
-    for m in _BREAK_RE.finditer(text):
-        i = bisect_right(starts, m.start()) - 1
-        if i < 0 or m.start() < ends[i]:
-            continue  # before the first word, or an initial's own period
-        if not text[m.end()].isupper():
-            continue
-        breaks.append(i)
+    initials, sentence_starts = _boundaries(text)
+    for period in initials:
+        i = bisect_left(starts, period - 1)
+        words[i] += "."
+        ends[i] += 1
     sent: list[int] = []
-    for number, last in enumerate(breaks):
-        sent += repeat(number, last + 1 - len(sent))
-    sent += repeat(len(breaks), len(words) - len(sent))
+    for number, start in enumerate(sentence_starts):
+        sent += repeat(number, bisect_left(starts, start) - len(sent))
+    sent += repeat(len(sentence_starts), len(words) - len(sent))
     return Tokenization(
         words=tuple(words),
         sent=tuple(sent),
@@ -108,6 +119,33 @@ def tokenize(text: str) -> Tokenization:
         starts=tuple(starts),
         ends=tuple(ends),
     )
+
+
+def split_words(text: str) -> WordSequence:
+    """The words and sentence ids of tokenize(text), without offsets.
+
+    One findall gives each sentence's words. A sentence that holds an
+    initial is scanned with finditer instead, whose match ends show
+    which words take their initial's period.
+    """
+    initials, sentence_starts = _boundaries(text)
+    words: list[str] = []
+    sent: list[int] = []
+    lo = 0
+    for number, hi in enumerate(sentence_starts + [len(text)]):
+        first, last = bisect_left(initials, lo), bisect_left(initials, hi)
+        if first == last:
+            found = _WORD_RE.findall(text, lo, hi)
+        else:
+            periods = initials[first:last]
+            found = [
+                m[0] + "." if m.end() in periods else m[0]
+                for m in _WORD_RE.finditer(text, lo, hi)
+            ]
+        words += found
+        sent += repeat(number, len(found))
+        lo = hi
+    return WordSequence(tuple(words), tuple(sent))
 
 
 class InstanceOccurrence(NamedTuple):
@@ -151,7 +189,7 @@ def find_instances(tok: WordSequence, index: InstanceIndex) -> list[InstanceOccu
     words = tok.words
     out: list[InstanceOccurrence] = []
     free = 0  # the first position past the previous match
-    for i in [i for i, w in enumerate(words) if w in index]:
+    for i in compress(count(), map(index.__contains__, words)):
         if i < free:
             continue
         for length, surface, example in index[words[i]]:
@@ -272,11 +310,12 @@ def context_hits(
     words = seq.words
     for (side, length), entries in groups.items():
         shift = length if side == LEFT else -1
-        for p in range(len(words) - length + 1):
-            value = entries.get(words[p : p + length])
-            if value is None or context_window(seq, p + shift, length, side) is None:
-                continue
-            yield side, p + shift, value
+        # keys[p] = words[p : p + length], built and probed in C, so
+        # that only the positions of hits come back to Python.
+        keys = zip(*(islice(words, k, None) for k in range(length)))
+        for p in compress(count(), map(entries.__contains__, keys)):
+            if context_window(seq, p + shift, length, side) is not None:
+                yield side, p + shift, entries[words[p : p + length]]
 
 
 def scan_tokenized(

@@ -45,8 +45,10 @@ def write_text(path: str | Path, text: str) -> None:
     symbolic link's target), which then takes its place in one rename,
     so a failed or interrupted run leaves the old file or none, never a
     half-written one. A device or a pipe, such as /dev/null, is written
-    directly: there is no file to replace.
+    directly: there is no file to replace. An OSError names `path` as
+    given, never the temporary file.
     """
+    given = path
     path = Path(path)
     if path.exists() and not path.is_file():
         path.write_text(text, encoding="utf-8", newline="\n")
@@ -56,8 +58,10 @@ def write_text(path: str | Path, text: str) -> None:
     try:
         tmp.write_text(text, encoding="utf-8", newline="\n")
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            raise OSError(exc.errno, exc.strerror, str(given)) from exc
         raise
 
 

@@ -33,7 +33,7 @@ from .extract import (
     instance_contexts,
     instance_index,
     scan_tokenized,
-    tokenize,
+    split_words,
 )
 from .record import Record
 from .seeds import LearningExample, single_class
@@ -169,7 +169,7 @@ def collect_context_stats(
     analyzed: list[tuple[str, str, WordSequence, list[InstanceOccurrence]]] = []
     vocabulary: dict[str, str] = {}
     for doc in corpus:
-        tok = tokenize(doc.clean)
+        tok = split_words(doc.clean)
         found = instance_contexts(tok, index, config.context_len, config.side)
         for _occ, key in found:
             if key is not None:
@@ -260,7 +260,7 @@ def growth_curve(
     for step in steps:
         for doc in documents[done:step]:
             found = instance_contexts(
-                tokenize(doc.clean), index, config.context_len, config.side
+                split_words(doc.clean), index, config.context_len, config.side
             )
             occurrences += len(found)
             contexts.update(key for _occ, key in found if key is not None)

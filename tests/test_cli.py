@@ -476,6 +476,18 @@ def test_growth_rejects_mixed_classes(tmp_path, capsys):
     assert "run once per class" in capsys.readouterr().err
 
 
+def test_output_into_a_missing_directory_names_the_path_given(
+    tmp_path, capsys, capital_examples
+):
+    corpus_dir = saved_corpus(tmp_path, "corpus", "Hotels in Paris.")
+    output = str(tmp_path / "nodir" / "g.tsv")
+    code = cli.main(["growth", capital_examples, corpus_dir, "--steps", "1", "--output", output])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: {output!r}\n"
+    )
+
+
 # -- parser plumbing ---------------------------------------------------------
 
 def test_unknown_flag_exits_2(capsys):

@@ -17,6 +17,7 @@ from contextner.extract import (
     group_contexts,
     instance_index,
     scan_tokenized,
+    split_words,
     tokenize,
 )
 from contextner.seeds import LearningExample
@@ -121,6 +122,38 @@ def test_tokenize_matches_frozen_tokenizer(text):
 @given(biased_text)
 def test_tokenize_matches_frozen_tokenizer_on_punctuated_text(text):
     assert_matches_oracle(text)
+
+
+def assert_split_matches_oracle(text):
+    split = split_words(text)
+    words, _spans, breaks = oracle_tokenize(text)
+    assert split.words == tuple(words)
+    assert breaks_of(split) == breaks - {len(words) - 1}
+    tok = tokenize(text)
+    assert (split.words, split.sent) == (tok.words, tok.sent)
+    # Sentence ids count up from 0 in steps of one.
+    assert all(b - a in (0, 1) for a, b in zip(split.sent, split.sent[1:]))
+    assert split.sent[:1] in ((), (0,))
+
+
+@given(st.text())
+def test_split_words_matches_frozen_tokenizer(text):
+    assert_split_matches_oracle(text)
+
+
+@given(biased_text)
+def test_split_words_matches_frozen_tokenizer_on_punctuated_text(text):
+    assert_split_matches_oracle(text)
+
+
+def test_split_words_keeps_an_initial_and_breaks_after_a_sentence():
+    split = split_words("George W. Bush spoke. Then he left.")
+    assert split.words == ("George", "W.", "Bush", "spoke", "Then", "he", "left")
+    assert split.sent == (0, 0, 0, 0, 1, 1, 1)
+
+
+def test_terminator_before_the_first_word_ends_no_sentence():
+    assert tokenize("! Go. Now").sent == split_words("! Go. Now").sent == (0, 1)
 
 
 @given(biased_text)
@@ -330,3 +363,40 @@ def test_extraction_and_scan_apply_one_window_rule():
                         assert (kept == key) == ((side, anchor, key) in hits)
                         checked[kept == key] += 1
     assert min(checked.values()) >= 100, checked
+
+
+def brute_force_hits(seq, groups):
+    """context_hits by definition: every group, every anchor left to
+    right, and context_window's verdict on the words beside it."""
+    hits = []
+    for (side, length), entries in groups.items():
+        for anchor in range(len(seq)):
+            window = context_window(seq, anchor, length, side)
+            words = None if window is None else seq.words[window[0] : window[1]]
+            if words in entries:
+                hits.append((side, anchor, entries[words]))
+    return hits
+
+
+def test_context_hits_match_brute_force_scan():
+    rng = random.Random(11)
+    total = 0
+    for _ in range(80):
+        docs, _surfaces = random_corpus(rng)
+        seqs = [split_words(doc.text) for doc in docs]
+        # Contexts cut from the documents, so most of them hit somewhere,
+        # of both sides and lengths 1 to 3.
+        contexts = set()
+        for seq in seqs:
+            for _ in range(rng.randint(0, 6)):
+                length = rng.randint(1, 3)
+                if len(seq) >= length:
+                    p = rng.randrange(len(seq) - length + 1)
+                    side = rng.choice((LEFT, RIGHT))
+                    contexts.add(ContextKey(seq.words[p : p + length], side))
+        groups = group_contexts(contexts)
+        for seq in seqs:
+            expected = brute_force_hits(seq, groups)
+            assert list(context_hits(seq, groups)) == expected
+            total += len(expected)
+    assert total > 500

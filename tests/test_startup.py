@@ -32,6 +32,7 @@ COMMANDS = {
     "weigh": [
         "weigh", "examples.tsv", "corpus", "--model-dir", "model", "--output", "table.tsv",
     ],
+    "weigh-table-only": ["weigh", "examples.tsv", "corpus", "--output", "table-only.tsv"],
     "recognize": ["recognize", "model", "corpus", "--output", "annotations.tsv"],
     "evaluate": ["evaluate", "annotations.tsv", "gold.tsv", "--output", "report.tsv"],
     "growth": [
@@ -119,6 +120,14 @@ def test_growth_does_not_load_recognize(command_loads):
     # neither recognition nor scoring.
     assert "contextner.weighting" in command_loads["growth"]
     assert not command_loads["growth"] & {"contextner.recognize", "contextner.evaluate"}
+
+
+def test_weigh_without_a_model_dir_does_not_load_recognize(command_loads):
+    # Only the --model-dir branches check and update a model.
+    assert "contextner.recognize" in command_loads["weigh"]
+    loaded = command_loads["weigh-table-only"]
+    assert "contextner.weighting" in loaded
+    assert not loaded & {"contextner.recognize", "contextner.annotations"}
 
 
 def test_evaluate_loads_only_the_span_files_and_scoring(command_loads):
