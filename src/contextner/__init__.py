@@ -43,7 +43,6 @@ _EXPORTS = {
         "evaluate": ("EvalReport", "evaluate"),
         "extract": (
             "ContextKey",
-            "ContextOccurrence",
             "InstanceOccurrence",
             "Tokenization",
             "extract_context",
@@ -54,13 +53,11 @@ _EXPORTS = {
         "recognize": (
             "UNKNOWN",
             "RecognitionModel",
-            "VoteState",
             "classify",
             "detect_candidates",
             "load_model",
             "recognize_corpus",
             "recognize_document",
-            "vote",
         ),
         "seeds": ("LearningExample", "load_examples"),
         "weighting": (

@@ -8,7 +8,6 @@ from a directory so the pipeline stays deterministic and offline.
 from __future__ import annotations
 
 import hashlib
-import logging
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -25,8 +24,6 @@ from .corpus import (
 )
 from .errors import DataFormatError, InputError, PipelineError
 from .seeds import LearningExample
-
-logger = logging.getLogger(__name__)
 
 QUERIES_HEADER = ["query", "uri", "file"]
 _MARKUP_SUFFIXES = {".html", ".htm", ".xml"}
@@ -108,9 +105,22 @@ def build_queries(examples: Iterable[LearningExample], suffix: str = "") -> list
 
 
 class FetchFailure(NamedTuple):
+    """A query or URI that acquire skipped.
+
+    `stage` is "search" (then `uri` holds the query), "fetch" or "clean".
+    """
+
     uri: str
     stage: str
     error: str
+
+    def message(self) -> str:
+        """The failure as the acquire command reports it on stderr."""
+        if self.stage == "search":
+            return f"search failed for {self.uri!r}: {self.error}"
+        if self.stage == "fetch":
+            return f"fetch failed for {self.uri}: {self.error}"
+        return f"discarding {self.uri}: {self.error}"
 
 
 class AcquireResult(NamedTuple):
@@ -156,7 +166,6 @@ def acquire(
         except (ClientError, OSError) as exc:
             search_errors += 1
             failures.append(FetchFailure(uri=query, stage="search", error=str(exc)))
-            logger.warning("search failed for %r: %s", query, exc)
             continue
         for uri in links[:max_results]:
             if uri not in known_uris:
@@ -173,13 +182,11 @@ def acquire(
                 raw, kind = future.result()
             except (ClientError, OSError) as exc:
                 failures.append(FetchFailure(uri=uri, stage="fetch", error=str(exc)))
-                logger.warning("fetch failed for %s: %s", uri, exc)
                 continue
             try:
                 clean = clean_text(raw, kind)
             except (DataFormatError, InputError) as exc:
                 failures.append(FetchFailure(uri=uri, stage="clean", error=str(exc)))
-                logger.warning("discarding %s: %s", uri, exc)
                 continue
             new_docs.append(
                 Document(

@@ -87,6 +87,8 @@ def cmd_acquire(args: argparse.Namespace) -> int:
     result = acquire(
         client, queries, existing, workers=args.workers, max_results=args.max_results
     )
+    for failure in result.failures:
+        print(failure.message(), file=sys.stderr)
     save_corpus(result.manifest, corpus_dir)
     added = len(result.manifest) - len(existing)
     print(f"{added} new documents, {len(result.manifest)} documents total")

@@ -130,13 +130,13 @@ class Document(NamedTuple):
     clean: str
 
 
-class CorpusManifest(Record, frozen=False):
+class CorpusManifest(Record):
     """An id-ordered document collection gathered for one entity class."""
 
     __slots__ = ("documents",)
 
     def __init__(self, documents: Iterable[Document] = ()) -> None:
-        self.documents = sorted(documents, key=lambda d: d.id)
+        self._assign(documents=sorted(documents, key=lambda d: d.id))
 
     def __len__(self) -> int:
         return len(self.documents)

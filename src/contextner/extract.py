@@ -217,19 +217,6 @@ class ContextKey(NamedTuple):
         return " ".join(self.words)
 
 
-class ContextOccurrence(NamedTuple):
-    """One position where a context's word sequence appears in a document.
-
-    `example` is the learning example the context is adjacent to, if any;
-    with_example=False occurrences are the ones counted against a
-    context's pertinence.
-    """
-
-    context: ContextKey
-    with_example: bool
-    example: Optional[LearningExample] = None
-
-
 def context_window(
     seq: WordSequence, anchor: int, length: int, side: str
 ) -> Optional[tuple[int, int]]:
@@ -302,10 +289,12 @@ def context_hits(
 ) -> Iterator[tuple[str, int, _V]]:
     """Every place where grouped context words occur as a context.
 
-    `groups` maps (side, length) to words to a value, as group_contexts
-    does. Yields (side, anchor, value), groups in their own order and
-    positions left to right, wherever context_window accepts a group's
-    words as the context of word `anchor`.
+    Weigh counts these hits and recognize votes with them; nothing else
+    reads contexts out of a document. `groups` maps (side, length) to
+    words to a value, as group_contexts does. Yields (side, anchor,
+    value), groups in their own order and positions left to right,
+    wherever context_window accepts a group's words as the context of
+    word `anchor`.
     """
     words = seq.words
     for (side, length), entries in groups.items():
@@ -316,30 +305,3 @@ def context_hits(
         for p in compress(count(), map(entries.__contains__, keys)):
             if context_window(seq, p + shift, length, side) is not None:
                 yield side, p + shift, entries[words[p : p + length]]
-
-
-def scan_tokenized(
-    tok: WordSequence,
-    groups: ContextGroups,
-    instances: list[InstanceOccurrence],
-) -> list[ContextOccurrence]:
-    """All occurrences of the grouped contexts in one document's words.
-
-    `groups` comes from group_contexts, built once for a whole corpus;
-    the occurrences are those of context_hits. with_example is True iff
-    the anchor starts (left side) or ends (right side) a
-    learning-example occurrence.
-    """
-    by_first = {occ.first: occ for occ in instances}
-    by_last = {occ.last: occ for occ in instances}
-    out: list[ContextOccurrence] = []
-    for side, anchor, key in context_hits(tok, groups):
-        occ = (by_first if side == LEFT else by_last).get(anchor)
-        out.append(
-            ContextOccurrence(
-                context=key,
-                with_example=occ is not None,
-                example=occ.example if occ else None,
-            )
-        )
-    return out

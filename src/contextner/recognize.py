@@ -10,14 +10,15 @@ margin or the span stays `unknown`.
 from __future__ import annotations
 
 import re
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 from . import tsv
 from .annotations import Annotation
 from .corpus import Document
 from .errors import DataFormatError
-from .extract import LEFT, ContextKey, WordSequence, context_hits, context_window, tokenize
+from .extract import LEFT, RIGHT, ContextKey, WordSequence, context_hits, tokenize
 from .record import Record
 from .seeds import UNKNOWN
 from .weighting import WeightTable, format_weight_table, read_weight_mapping
@@ -76,61 +77,48 @@ class RecognitionModel(Record):
         )
 
 
-class VoteState(Record, frozen=False):
-    """Accumulated per-class votes."""
+def classify(
+    votes: Mapping[str, float], threshold: float = 0.0, margin: float = 0.0
+) -> tuple[str, float, float]:
+    """The decision on one span's class votes: (label, best, runner-up).
 
-    __slots__ = ("votes",)
-
-    def __init__(self, votes: Optional[dict[str, float]] = None) -> None:
-        self.votes = {} if votes is None else votes
-
-    def top_two(self) -> tuple[str, float, float]:
-        """(best label, best vote, runner-up vote); zeros when absent.
-
-        Votes rank highest first, equal votes by label.
-        """
-        ranked = sorted(self.votes.items(), key=lambda kv: (-kv[1], kv[0]))
-        if not ranked:
-            return UNKNOWN, 0.0, 0.0
-        second = ranked[1][1] if len(ranked) > 1 else 0.0
-        return ranked[0][0], ranked[0][1], second
-
-
-def vote(state: VoteState, class_label: str, weight: float) -> VoteState:
-    """Add one context's weight to a class's vote. Mutates and returns state."""
-    if weight <= 0:
-        raise ValueError(f"vote weight must be positive, got {weight}")
-    state.votes[class_label] = state.votes.get(class_label, 0.0) + weight
-    return state
-
-
-def classify(state: VoteState, threshold: float = 0.0, margin: float = 0.0) -> str:
-    """Pick the winning class, or `unknown`.
-
-    The best vote must reach `threshold` and exceed the runner-up by at
-    least `margin`; an exact tie for first place is always unknown.
+    Votes rank highest first, equal votes by label; best and runner-up
+    are the top two votes, 0.0 where absent. The label is the best
+    class if its vote reaches `threshold` and exceeds the runner-up by
+    at least `margin`, otherwise `unknown`; an exact tie for first
+    place is always unknown.
     """
-    best_label, best, second = state.top_two()
-    if len(state.votes) > 1 and (second == best or best - second < margin):
-        return UNKNOWN
-    if best < threshold:
-        return UNKNOWN
-    return best_label
+    ranked = sorted(votes.items(), key=lambda kv: (-kv[1], kv[0]))
+    if not ranked:
+        return UNKNOWN, 0.0, 0.0
+    label, best = ranked[0]
+    second = ranked[1][1] if len(ranked) > 1 else 0.0
+    close = len(ranked) > 1 and (second == best or best - second < margin)
+    if close or best < threshold:
+        label = UNKNOWN
+    return label, best, second
 
 
-def detect_candidates(tok: WordSequence, model: RecognitionModel) -> list[tuple[int, int]]:
-    """Candidate entity spans, as (first, last) token index pairs.
+def detect_candidates(
+    tok: WordSequence, model: RecognitionModel
+) -> dict[tuple[int, int], dict[str, float]]:
+    """Candidate entity spans, as (first, last) token index pairs in
+    order, each with its summed vote per class.
 
     Wherever a table's context words occur as a context (context_hits),
     the span grows from the anchor away from the context, up to
     max_entity_tokens, stopping at a sentence break or before a token
-    that starts lowercase.
+    that starts lowercase. A span's votes are those of every context at
+    its edges: the left contexts of its first word, then the right
+    contexts of its last, each group's votes in table order.
     """
+    hits: dict[tuple[str, int], list[tuple[str, float]]] = {}
     spans: set[tuple[int, int]] = set()
     words = tok.words
     sent = tok.sent
     n = len(words)
-    for side, anchor, _ in context_hits(tok, model._votes):
+    for side, anchor, votes in context_hits(tok, model._votes):
+        hits.setdefault((side, anchor), []).extend(votes)
         step = 1 if side == LEFT else -1
         edge = anchor
         for _ in range(model.max_entity_tokens - 1):
@@ -139,37 +127,35 @@ def detect_candidates(tok: WordSequence, model: RecognitionModel) -> list[tuple[
                 break
             edge = nxt
         spans.add((min(anchor, edge), max(anchor, edge)))
-    return sorted(spans)
+    candidates: dict[tuple[int, int], dict[str, float]] = {}
+    for first, last in sorted(spans):
+        totals: dict[str, float] = {}
+        for label, weight in chain(hits.get((LEFT, first), ()), hits.get((RIGHT, last), ())):
+            totals[label] = totals.get(label, 0.0) + weight
+        candidates[first, last] = totals
+    return candidates
 
 
 def recognize_document(doc: Document, model: RecognitionModel) -> list[Annotation]:
     """Annotate one document's candidate spans with voted classes.
 
     Every class whose table holds a context of the span (as
-    context_window defines it) gets one vote per matching context, so a
-    context shared across tables pulls each class up by its own weight.
+    detect_candidates finds them) gets one vote per matching context, so
+    a context shared across tables pulls each class up by its own weight.
     """
     if not model.tables:
         return []
     tok = tokenize(doc.clean)
     out: list[Annotation] = []
-    for first, last in detect_candidates(tok, model):
-        state = VoteState()
-        for (side, length), by_words in model._votes.items():
-            window = context_window(tok, first if side == LEFT else last, length, side)
-            if window is None:
-                continue
-            for label, weight in by_words.get(tok.words[window[0] : window[1]], ()):
-                vote(state, label, weight)
-        decided = classify(state, model.threshold, model.margin)
-        _, best, second = state.top_two()
+    for (first, last), votes in detect_candidates(tok, model).items():
+        label, best, second = classify(votes, model.threshold, model.margin)
         out.append(
             Annotation(
                 doc=doc.id,
                 first=first,
                 last=last,
                 surface=tok.text[tok.starts[first] : tok.ends[last]],
-                class_label=decided,
+                class_label=label,
                 score=best,
                 runner_up=second,
             )

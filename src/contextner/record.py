@@ -1,12 +1,11 @@
 """The base class of the package's `__slots__` records.
 
 Plain value records are `typing.NamedTuple`s. A record that has a size
-or can be iterated, checks its fields, or changes after construction
-cannot be a tuple, so it derives from `Record`. Records compare as
-values: two records of one class are equal when their fields are, and
-a frozen record (the default) hashes as the tuple of its fields and
-refuses assignment. A subclass declared with `frozen=False` can be
-assigned to and is unhashable.
+or can be iterated, or checks its fields, cannot be a tuple, so it
+derives from `Record`. Records compare as values: two records of one
+class are equal when their fields are. A record refuses assignment and
+hashes as the tuple of its fields, so one that holds a list or a dict
+is unhashable.
 
 A record's fields are the public names in `__slots__`, base classes
 first. Slots whose names start with an underscore hold derived state
@@ -20,17 +19,13 @@ class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, frozen: bool = True) -> None:
+    def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         own = cls.__dict__.get("__slots__", ())
         cls._fields = cls._fields + tuple(s for s in own if not s.startswith("_"))
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def _assign(self, **values: object) -> None:
-        """Set fields in __init__, where a frozen record refuses setattr."""
+        """Set fields in __init__, where a record refuses setattr."""
         for name, value in values.items():
             object.__setattr__(self, name, value)
 
@@ -47,7 +42,7 @@ class Record:
 
     def __reduce__(self) -> tuple:
         # Copy and pickle rebuild a record through __init__, since a
-        # frozen record refuses the setattr they would otherwise use.
+        # record refuses the setattr they would otherwise use.
         return type(self), self._values()
 
     def __repr__(self) -> str:

@@ -27,12 +27,11 @@ from .extract import (
     LEFT,
     RIGHT,
     ContextKey,
-    InstanceOccurrence,
     WordSequence,
+    context_hits,
     group_contexts,
     instance_contexts,
     instance_index,
-    scan_tokenized,
     split_words,
 )
 from .record import Record
@@ -156,17 +155,18 @@ def collect_context_stats(
     """Gather raw per-context counts from a corpus.
 
     First pass pulls the adjacent context of every example occurrence;
-    second pass rescans all documents for those contexts to split
-    example-adjacent from other-adjacent occurrences and collect the
-    document / source / example coverage. Between the passes only each
-    document's words, sentence ids and example occurrences are kept.
+    second pass counts every context_hits hit of those contexts, split
+    into example-adjacent and other-adjacent occurrences, and collects
+    the document / source / example coverage. Between the passes only
+    each document's words, sentence ids and the example surface at each
+    instance's context anchor are kept.
     """
     examples = list(examples)
     single_class(examples)  # rejects examples of more than one class
     index = instance_index(examples)
     contexts: set[ContextKey] = set()
     total_with_examples = 0
-    analyzed: list[tuple[str, str, WordSequence, list[InstanceOccurrence]]] = []
+    analyzed: list[tuple[str, str, WordSequence, dict[int, str]]] = []
     vocabulary: dict[str, str] = {}
     for doc in corpus:
         tok = split_words(doc.clean)
@@ -177,7 +177,13 @@ def collect_context_stats(
                 total_with_examples += 1
         # One string object per distinct word, so each kept word costs a pointer.
         seq = WordSequence(tuple(map(vocabulary.setdefault, tok.words, tok.words)), tok.sent)
-        analyzed.append((doc.id, doc.source, seq, [occ for occ, _key in found]))
+        # Every context is of config.side, so its anchor is an instance's
+        # first word (left) or last word (right).
+        surfaces = {
+            (occ.first if config.side == LEFT else occ.last): occ.example.surface
+            for occ, _key in found
+        }
+        analyzed.append((doc.id, doc.source, seq, surfaces))
 
     with_examples: dict[ContextKey, int] = {}
     with_others: dict[ContextKey, int] = {}
@@ -185,18 +191,16 @@ def collect_context_stats(
     docs_seen: dict[ContextKey, set[str]] = {}
     sources_seen: dict[ContextKey, set[str]] = {}
     groups = group_contexts(contexts)
-    for doc_id, source, seq, instances in analyzed:
-        occs = scan_tokenized(seq, groups, instances)
-        for occ in occs:
-            key = occ.context
+    for doc_id, source, seq, surfaces in analyzed:
+        for _side, anchor, key in context_hits(seq, groups):
             docs_seen.setdefault(key, set()).add(doc_id)
             sources_seen.setdefault(key, set()).add(source)
-            if occ.with_example:
-                with_examples[key] = with_examples.get(key, 0) + 1
-                assert occ.example is not None
-                seen_examples.setdefault(key, set()).add(occ.example.surface)
-            else:
+            surface = surfaces.get(anchor)
+            if surface is None:
                 with_others[key] = with_others.get(key, 0) + 1
+            else:
+                with_examples[key] = with_examples.get(key, 0) + 1
+                seen_examples.setdefault(key, set()).add(surface)
 
     stats = [
         ContextStats(

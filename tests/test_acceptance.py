@@ -26,7 +26,6 @@ from contextner.evaluate import evaluate
 from contextner.extract import tokenize
 from contextner.recognize import (
     RecognitionModel,
-    VoteState,
     classify,
     recognize_corpus,
 )
@@ -366,10 +365,8 @@ def test_classify_is_scale_invariant():
         threshold = rng.uniform(0.0, 5.0)
         margin = rng.uniform(0.0, 2.0)
         scale = math.exp(rng.uniform(-4.0, 4.0))
-        plain = classify(VoteState(votes=dict(votes)), threshold, margin)
+        plain = classify(dict(votes), threshold, margin)[0]
         scaled = classify(
-            VoteState(votes={k: v * scale for k, v in votes.items()}),
-            threshold * scale,
-            margin * scale,
-        )
+            {k: v * scale for k, v in votes.items()}, threshold * scale, margin * scale
+        )[0]
         assert plain == scaled

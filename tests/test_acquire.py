@@ -1,11 +1,11 @@
-import logging
-
 import pytest
 
+from contextner import cli
 from contextner.acquire import (
     AcquireResult,
     AcquisitionError,
     ClientError,
+    FetchFailure,
     FixtureClient,
     SearchClient,
     acquire,
@@ -144,7 +144,7 @@ def test_acquire_is_idempotent(fixture_dir):
     assert [d.clean for d in second.manifest] == [d.clean for d in first.manifest]
 
 
-def test_acquire_records_dead_links(tmp_path, caplog):
+def test_acquire_records_dead_links(tmp_path, capsys):
     root = tmp_path / "fix"
     write_fixture(
         root,
@@ -155,13 +155,31 @@ def test_acquire_records_dead_links(tmp_path, caplog):
         ],
         {"p1.txt": b"Hotels in Paris.", "t1.txt": b"Travel to Tunis."},
     )
-    with caplog.at_level(logging.WARNING):
-        result = acquire(FixtureClient(root), queries_for("Paris", "Tunis"))
+    result = acquire(FixtureClient(root), queries_for("Paris", "Tunis"))
     assert len(result.manifest) == 2
-    assert len(result.failures) == 1
-    assert result.failures[0].uri == "http://gone.example/x"
-    assert result.failures[0].stage == "fetch"
-    assert "gone.example" in caplog.text
+    [failure] = result.failures
+    assert (failure.uri, failure.stage) == ("http://gone.example/x", "fetch")
+    assert failure.error.startswith(f"cannot read {root / 'missing.txt'}: ")
+    examples = tmp_path / "examples.tsv"
+    examples.write_text("surface\tclass\nParis\tcapital\nTunis\tcapital\n", encoding="utf-8")
+    argv = ["acquire", str(examples), str(tmp_path / "corpus"), "--fixtures", str(root)]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == (
+        f"fetch failed for http://gone.example/x: {failure.error}\n1 fetches failed\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "failure, message",
+    [
+        (FetchFailure("Paris", "search", "down"), "search failed for 'Paris': down"),
+        (FetchFailure("http://x/", "fetch", "gone"), "fetch failed for http://x/: gone"),
+        (FetchFailure("http://x/", "clean", "bad"), "discarding http://x/: bad"),
+    ],
+    ids=["search", "fetch", "clean"],
+)
+def test_fetch_failure_message(failure, message):
+    assert failure.message() == message
 
 
 class DownClient(SearchClient):

@@ -12,8 +12,7 @@ import contextner
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Every name `contextner` exported when its __init__ imported each
-# submodule eagerly, by the module that defines it now.
+# Every public name of `contextner`, by the module that defines it.
 PUBLIC = {
     "acquire": [
         "AcquireResult", "AcquisitionError", "ClientError", "FixtureClient",
@@ -27,12 +26,12 @@ PUBLIC = {
     "errors": ["DataFormatError", "EmptyResultError", "InputError", "PipelineError"],
     "evaluate": ["EvalReport", "evaluate"],
     "extract": [
-        "ContextKey", "ContextOccurrence", "InstanceOccurrence", "Tokenization",
-        "extract_context", "find_instances", "instance_index", "tokenize",
+        "ContextKey", "InstanceOccurrence", "Tokenization", "extract_context",
+        "find_instances", "instance_index", "tokenize",
     ],
     "recognize": [
-        "UNKNOWN", "RecognitionModel", "VoteState", "classify", "detect_candidates",
-        "load_model", "recognize_corpus", "recognize_document", "vote",
+        "UNKNOWN", "RecognitionModel", "classify", "detect_candidates", "load_model",
+        "recognize_corpus", "recognize_document",
     ],
     "seeds": ["LearningExample", "load_examples"],
     "weighting": [

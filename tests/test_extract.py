@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import capitals
+from conftest import capitals, make_corpus
 from oracle import oracle_find_instances, oracle_tokenize, random_corpus
 from contextner.extract import (
     LEFT,
@@ -16,11 +16,11 @@ from contextner.extract import (
     find_instances,
     group_contexts,
     instance_index,
-    scan_tokenized,
     split_words,
     tokenize,
 )
 from contextner.seeds import LearningExample
+from contextner.weighting import TableConfig, collect_context_stats
 
 
 def words_of(text):
@@ -283,39 +283,34 @@ def test_extract_context_rejects_bad_args():
         extract_context(occ, tok, 2, "above")
 
 
-def scan(text, contexts, examples):
-    """Every occurrence of `contexts` in one document, as weigh scans it."""
-    tok = tokenize(text)
-    instances = find_instances(tok, instance_index(examples))
-    return scan_tokenized(tok, group_contexts(contexts), instances)
+def counts(texts, examples, side=LEFT):
+    """(context, with-example count, other count, examples seen, documents)
+    for every context weigh's scan counts in a corpus of `texts`."""
+    stats, _totals = collect_context_stats(
+        make_corpus(*texts), examples, TableConfig(context_len=2, side=side)
+    )
+    return [
+        (s.context.phrase(), s.n_with_examples, s.n_with_others, s.n_examples_seen, s.n_docs)
+        for s in stats
+    ]
 
 
 def test_scan_counts_example_and_other_occurrences():
     text = "Hotels in Paris. " * 3 + "Hotels in budget. Hotels in comfort."
-    occs = scan(text, [ContextKey(("Hotels", "in"), "left")], capitals("Paris"))
-    assert len(occs) == 5
-    assert sum(o.with_example for o in occs) == 3
-    assert {o.example.surface for o in occs if o.with_example} == {"Paris"}
-    assert all(o.example is None for o in occs if not o.with_example)
+    assert counts([text], capitals("Paris")) == [("Hotels in", 3, 2, 1, 1)]
 
 
 def test_scan_requires_adjacent_token_in_same_sentence():
-    # "in" ends a sentence before "Paris", so this window has no valid
-    # adjacent phrase and must not be counted on either side of the gap.
-    occs = scan(
-        "They checked Hotels in. Paris was next.",
-        [ContextKey(("Hotels", "in"), "left")],
-        capitals("Paris"),
-    )
-    assert occs == []
+    # "in" ends a sentence before "Paris", so in the second document this
+    # window has no valid adjacent phrase and must not be counted on
+    # either side of the gap.
+    texts = ["Hotels in Paris.", "They checked Hotels in. Paris was next."]
+    assert counts(texts, capitals("Paris")) == [("Hotels in", 1, 0, 1, 1)]
 
 
 def test_scan_right_side():
-    occs = scan(
-        "Paris is big. Rome is big.", [ContextKey(("is", "big"), "right")], capitals("Paris")
-    )
-    assert len(occs) == 2
-    assert sum(o.with_example for o in occs) == 1
+    texts = ["Paris is big. Rome is big."]
+    assert counts(texts, capitals("Paris"), side=RIGHT) == [("is big", 1, 1, 1, 1)]
 
 
 def test_scan_grouped_contexts_of_both_sides():
@@ -328,14 +323,11 @@ def test_scan_grouped_contexts_of_both_sides():
     assert list(groups) == [("left", 1), ("left", 2), ("right", 2)]
     assert groups[("left", 2)] == {("Hotels", "in"): contexts[1]}
     tok = tokenize("Hotels in Paris. Paris is big.")
-    instances = find_instances(tok, instance_index(capitals("Paris")))
-    occs = scan_tokenized(tok, groups, instances)
-    assert [(o.context.phrase(), o.with_example, o.example.surface) for o in occs] == [
-        ("in", True, "Paris"),
-        ("Hotels in", True, "Paris"),
-        ("is big", True, "Paris"),
+    assert list(context_hits(tok, groups)) == [
+        ("left", 2, contexts[2]),
+        ("left", 2, contexts[1]),
+        ("right", 3, contexts[0]),
     ]
-
 
 
 def test_extraction_and_scan_apply_one_window_rule():

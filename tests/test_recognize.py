@@ -12,13 +12,11 @@ from contextner.seeds import LearningExample
 from contextner.recognize import (
     UNKNOWN,
     RecognitionModel,
-    VoteState,
     classify,
     detect_candidates,
     load_model,
     recognize_document,
     update_model,
-    vote,
 )
 from contextner.weighting import build_weight_table
 from oracle import oracle_recognize, random_recognition_case
@@ -38,68 +36,78 @@ def model_from(tables, **kwargs):
 
 # -- voting and the decision rule -------------------------------------------
 
+def votes_for(text, tables):
+    """Each candidate span of `text` with its class votes."""
+    return detect_candidates(tokenize(text), model_from(tables))
+
+
 def test_vote_accumulates():
-    state = VoteState()
-    vote(state, "capital", 0.5)
-    vote(state, "capital", 0.25)
-    assert state.votes == {"capital": 0.75}
+    tables = {"capital": {left("in"): 0.5, left("Hotels", "in"): 0.25}}
+    assert votes_for("Hotels in Paris", tables) == {(2, 2): {"capital": 0.75}}
 
 
 def test_single_vote_keeps_exact_weight():
-    state = vote(VoteState(), "capital", 0.008110106)
-    assert state.votes["capital"] == 0.008110106
+    votes = votes_for("Hotels in Paris", {"capital": {left("Hotels", "in"): 0.008110106}})
+    assert votes[2, 2]["capital"] == 0.008110106
 
 
 def test_votes_per_class_are_independent():
-    state = VoteState()
-    vote(state, "capital", 0.3)
-    vote(state, "president", 0.2)
-    assert state.votes == {"capital": 0.3, "president": 0.2}
+    tables = {"capital": {left("in"): 0.3}, "president": {left("Hotels", "in"): 0.2}}
+    assert votes_for("Hotels in Paris", tables) == {
+        (2, 2): {"capital": 0.3, "president": 0.2}
+    }
 
 
 def test_vote_rejects_non_positive_weight():
     with pytest.raises(ValueError):
-        vote(VoteState(), "capital", 0.0)
+        model_from({"capital": {left("in"): 0.0}})
     with pytest.raises(ValueError):
-        vote(VoteState(), "capital", -1.0)
+        model_from({"capital": {left("in"): -1.0}})
 
 
 def test_vote_totals_match_summed_weights():
-    state = VoteState()
-    weights = (0.1, 0.2, 0.40625)
-    for w in weights:
-        vote(state, "capital", w)
-    assert state.votes["capital"] == sum(weights)
+    # Left contexts by length, then the right one: the order votes add up in.
+    weights = (0.1, 0.2, 0.40625, 0.3)
+    contexts = (left("in"), left("Hotels", "in"), left("Cheap", "Hotels", "in"), right("now"))
+    votes = votes_for("Cheap Hotels in Paris now", {"capital": dict(zip(contexts, weights))})
+    assert votes == {(3, 3): {"capital": sum(weights)}}
+
+
+def test_span_takes_the_votes_at_both_edges():
+    # Both contexts grow the one span New York: "in" at its first word,
+    # "said" at its last.
+    tables = {"capital": {left("in"): 0.5}, "city": {right("said"): 0.25}}
+    assert votes_for("Hotels in New York said so", tables) == {
+        (2, 3): {"capital": 0.5, "city": 0.25}
+    }
 
 
 def test_ranking_follows_later_votes():
-    state = vote(VoteState(), "a", 0.5)
-    assert (classify(state), state.top_two()) == ("a", ("a", 0.5, 0.0))
-    vote(state, "b", 0.75)
-    assert (classify(state), state.top_two()) == ("b", ("b", 0.75, 0.5))
+    assert classify({"a": 0.5}) == ("a", 0.5, 0.0)
+    assert classify({"a": 0.5, "b": 0.75}) == ("b", 0.75, 0.5)
 
 
 def test_ranking_follows_votes_changed_directly():
-    state = vote(VoteState(), "a", 0.5)
-    assert classify(state) == "a"
-    state.votes["b"] = 0.9
-    assert (classify(state), state.top_two()) == ("b", ("b", 0.9, 0.5))
-    state.votes["a"] = 0.9
-    assert (classify(state), state.top_two()) == (UNKNOWN, ("a", 0.9, 0.9))
+    votes = {"a": 0.5}
+    assert classify(votes) == ("a", 0.5, 0.0)
+    votes["b"] = 0.9
+    assert classify(votes) == ("b", 0.9, 0.5)
+    votes["a"] = 0.9
+    assert classify(votes) == (UNKNOWN, 0.9, 0.9)
 
 
 def test_classify_threshold_and_margin():
-    state = VoteState(votes={"capital": 0.9, "president": 0.1})
-    assert classify(state, threshold=0.5, margin=0.2) == "capital"
-    assert classify(VoteState(votes={"capital": 0.4}), threshold=0.5) == UNKNOWN
-    assert classify(VoteState(votes={"a": 0.6, "b": 0.6}), threshold=0.5) == UNKNOWN
-    assert classify(VoteState()) == UNKNOWN
+    votes = {"capital": 0.9, "president": 0.1}
+    assert classify(votes, threshold=0.5, margin=0.2)[0] == "capital"
+    assert classify({"capital": 0.4}, threshold=0.5)[0] == UNKNOWN
+    assert classify({"a": 0.6, "b": 0.6}, threshold=0.5)[0] == UNKNOWN
+    assert classify({}) == (UNKNOWN, 0.0, 0.0)
 
 
 def test_classify_margin_blocks_close_calls():
-    state = VoteState(votes={"a": 0.5, "b": 0.45})
-    assert classify(state, margin=0.1) == UNKNOWN
-    assert classify(state, margin=0.01) == "a"
+    votes = {"a": 0.5, "b": 0.45}
+    assert classify(votes, margin=0.1)[0] == UNKNOWN
+    assert classify(votes, margin=0.01)[0] == "a"
 
 
 @given(
@@ -122,12 +130,10 @@ def test_classify_scale_invariance(votes, threshold, margin, scale):
     second = ranked[1] if len(ranked) > 1 else 0.0
     assume(abs(best - threshold) > 1e-6 * (1 + best + threshold))
     assume(abs((best - second) - margin) > 1e-6 * (1 + best + margin))
-    plain = classify(VoteState(votes=dict(votes)), threshold, margin)
+    plain = classify(dict(votes), threshold, margin)[0]
     scaled = classify(
-        VoteState(votes={k: v * scale for k, v in votes.items()}),
-        threshold * scale,
-        margin * scale,
-    )
+        {k: v * scale for k, v in votes.items()}, threshold * scale, margin * scale
+    )[0]
     assert plain == scaled
 
 
@@ -136,37 +142,37 @@ def test_classify_scale_invariance(votes, threshold, margin, scale):
 def test_detect_after_left_context():
     tok = tokenize("Hotels in Paris are nice")
     model = model_from({"capital": {left("Hotels", "in"): 1.0}})
-    assert detect_candidates(tok, model) == [(2, 2)]
+    assert list(detect_candidates(tok, model)) == [(2, 2)]
 
 
 def test_detect_multiword_until_lowercase():
     tok = tokenize("president Nicolas Sarkozy with him")
     model = model_from({"president": {left("president"): 1.0}})
-    assert detect_candidates(tok, model) == [(1, 2)]
+    assert list(detect_candidates(tok, model)) == [(1, 2)]
 
 
 def test_detect_nothing_without_context():
     tok = tokenize("Just some words here")
     model = model_from({"capital": {left("Hotels", "in"): 1.0}})
-    assert detect_candidates(tok, model) == []
+    assert detect_candidates(tok, model) == {}
 
 
 def test_detect_stops_at_sentence_break():
     tok = tokenize("Hotels in Paris. Prices are high")
     model = model_from({"capital": {left("Hotels", "in"): 1.0}})
-    assert detect_candidates(tok, model) == [(2, 2)]
+    assert list(detect_candidates(tok, model)) == [(2, 2)]
 
 
 def test_detect_caps_span_length():
     tok = tokenize("Hotels in Rio De La Plata Grande Norte")
     model = model_from({"capital": {left("Hotels", "in"): 1.0}}, max_entity_tokens=4)
-    assert detect_candidates(tok, model) == [(2, 5)]
+    assert list(detect_candidates(tok, model)) == [(2, 5)]
 
 
 def test_detect_right_side_extends_backwards():
     tok = tokenize("old George W. Bush arrived in town")
     model = model_from({"president": {right("arrived", "in"): 1.0}})
-    assert detect_candidates(tok, model) == [(1, 3)]
+    assert list(detect_candidates(tok, model)) == [(1, 3)]
 
 
 def test_detect_deduplicates_spans():
@@ -174,7 +180,7 @@ def test_detect_deduplicates_spans():
     model = model_from(
         {"capital": {left("Map", "of"): 1.0}, "other": {left("of"): 0.5}}
     )
-    spans = detect_candidates(tok, model)
+    spans = list(detect_candidates(tok, model))
     assert spans == sorted(set(spans))
     assert (2, 2) in spans and (6, 6) in spans
 
@@ -252,7 +258,7 @@ def test_no_context_across_a_sentence_break(text, context):
     and the span's next word are not in one sentence neither makes a
     candidate nor votes."""
     model = model_from({"capital": {context: 1.0}})
-    assert detect_candidates(tokenize(text), model) == []
+    assert detect_candidates(tokenize(text), model) == {}
     assert recognize_document(make_doc("t1", text), model) == []
 
 

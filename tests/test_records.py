@@ -12,13 +12,12 @@ from contextner.corpus import CorpusManifest, Document
 from contextner.evaluate import EvalReport
 from contextner.extract import (
     ContextKey,
-    ContextOccurrence,
     InstanceOccurrence,
     Tokenization,
     WordSequence,
     tokenize,
 )
-from contextner.recognize import RecognitionModel, VoteState
+from contextner.recognize import RecognitionModel
 from contextner.seeds import LearningExample
 from contextner.weighting import (
     ContextStats,
@@ -43,7 +42,6 @@ FROZEN = [
     (PARIS, ("surface", "class_label")),
     (InstanceOccurrence(PARIS, 2, 2), ("example", "first", "last")),
     (KEY, ("words", "side")),
-    (ContextOccurrence(KEY, True, PARIS), ("context", "with_example", "example")),
     (WordSequence(("a", "b"), (0, 0)), ("words", "sent")),
     (tokenize("Hotels in Paris."), ("words", "sent", "text", "starts", "ends")),
     (DOC, ("id", "source", "uri", "kind", "clean")),
@@ -106,9 +104,8 @@ def test_record_refuses_assignment(record, fields):
     + [
         RecognitionModel(tables={"capital": {KEY: 1.0}}, threshold=0.5),
         CorpusManifest([DOC]),
-        VoteState({"capital": 1.0}),
     ],
-    ids=IDS + ["RecognitionModel", "CorpusManifest", "VoteState"],
+    ids=IDS + ["RecognitionModel", "CorpusManifest"],
 )
 def test_record_survives_copy_and_pickle(record):
     for twin in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
@@ -118,17 +115,20 @@ def test_record_survives_copy_and_pickle(record):
 def test_records_with_unhashable_fields_are_unhashable():
     model = RecognitionModel(tables={"capital": {KEY: 1.0}})
     manifest = CorpusManifest([DOC])
-    for record in (model, AcquireResult(manifest), manifest, VoteState()):
+    for record in (model, AcquireResult(manifest), manifest):
         with pytest.raises(TypeError):
             hash(record)
 
 
-def test_mutable_records_accept_assignment():
-    manifest = CorpusManifest()
-    manifest.documents = [DOC]
-    state = VoteState()
-    state.votes = {"capital": 1.0}
-    assert (len(manifest), state.top_two()) == (1, ("capital", 1.0, 0.0))
+def test_unhashable_records_refuse_assignment():
+    # A manifest holds a list, so it cannot hash, but it is as fixed as
+    # every other record.
+    manifest = CorpusManifest([DOC])
+    with pytest.raises(AttributeError):
+        manifest.documents = []
+    with pytest.raises(AttributeError):
+        del manifest.documents
+    assert list(manifest) == [DOC]
 
 
 def test_slots_records_compare_by_class_and_fields():
