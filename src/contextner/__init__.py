@@ -44,7 +44,7 @@ _EXPORTS = {
         "extract": (
             "ContextKey",
             "InstanceOccurrence",
-            "Tokenization",
+            "WordSequence",
             "extract_context",
             "find_instances",
             "instance_index",

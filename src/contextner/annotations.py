@@ -26,7 +26,8 @@ GOLD_HEADER = ["doc", "start_token", "end_token", "class"]
 
 
 class Annotation(NamedTuple):
-    """One recognized (or rejected) span of a document."""
+    """One recognized (or rejected) span of a document. Its surface is
+    the span's words joined by single spaces."""
 
     doc: str
     first: int

@@ -9,7 +9,7 @@ Documents are immutable after load and safe to share across threads.
 from __future__ import annotations
 
 from pathlib import Path, PurePosixPath
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 from urllib.parse import urlsplit
 
 from . import tsv
@@ -145,30 +145,13 @@ class CorpusManifest(Record):
         return iter(self.documents)
 
 
-def save_corpus(manifest: CorpusManifest, directory: str | Path) -> None:
-    """Write manifest.tsv plus one cleaned-text file per document."""
-    directory = Path(directory)
-    (directory / "docs").mkdir(parents=True, exist_ok=True)
-    rows = []
-    for doc in manifest:
-        rel = f"docs/{doc.id}.txt"
-        tsv.write_text(directory / rel, doc.clean)
-        rows.append([doc.id, doc.source, doc.uri, doc.kind, rel])
-    tsv.write_rows(directory / MANIFEST_NAME, _MANIFEST_HEADER, rows)
-
-
-def load_corpus(directory: str | Path) -> CorpusManifest:
-    """Load a corpus directory written by save_corpus.
-
-    Raises InputError when the manifest file cannot be read,
-    DataFormatError on a repeated id or uri, a bad kind, a missing
-    document file, or a document that is not UTF-8.
-    """
-    directory = Path(directory)
+def _manifest_row_check() -> Callable[[str, str, str, str, str], None]:
+    """A check for manifest rows in order: it raises ValueError on an
+    empty field, an unknown kind, or an id or uri an earlier row holds."""
     seen_ids: set[str] = set()
     seen_uris: set[str] = set()
 
-    def parse(doc_id, source, uri, kind, rel):
+    def check(doc_id: str, source: str, uri: str, kind: str, rel: str) -> None:
         if not doc_id or not source or not uri or not rel:
             raise ValueError("empty required field")
         if doc_id in seen_ids:
@@ -179,6 +162,45 @@ def load_corpus(directory: str | Path) -> CorpusManifest:
         seen_uris.add(uri)
         if kind not in (PLAIN, MARKUP):
             raise ValueError(f"unknown kind {kind!r}")
+
+    return check
+
+
+def save_corpus(manifest: CorpusManifest, directory: str | Path) -> None:
+    """Write manifest.tsv plus one cleaned-text file per document.
+
+    Every row is checked as load_corpus checks it, and a fault raises
+    DataFormatError naming the manifest line, before any file is written.
+    """
+    directory = Path(directory)
+    rows = [
+        [doc.id, doc.source, doc.uri, doc.kind, f"docs/{doc.id}.txt"] for doc in manifest
+    ]
+    check = _manifest_row_check()
+    for lineno, row in enumerate(rows, start=2):
+        try:
+            check(*row)
+        except ValueError as exc:
+            raise DataFormatError(f"{directory / MANIFEST_NAME}:{lineno}: {exc}") from exc
+    text = tsv.format_rows(_MANIFEST_HEADER, rows)
+    (directory / "docs").mkdir(parents=True, exist_ok=True)
+    for doc, (*_, rel) in zip(manifest, rows):
+        tsv.write_text(directory / rel, doc.clean)
+    tsv.write_text(directory / MANIFEST_NAME, text)
+
+
+def load_corpus(directory: str | Path) -> CorpusManifest:
+    """Load a corpus directory written by save_corpus.
+
+    Raises InputError when the manifest file cannot be read,
+    DataFormatError on a repeated id or uri, a bad kind, a missing
+    document file, or a document that is not UTF-8.
+    """
+    directory = Path(directory)
+    check = _manifest_row_check()
+
+    def parse(doc_id, source, uri, kind, rel):
+        check(doc_id, source, uri, kind, rel)
         doc_path = directory / rel
         if not doc_path.is_file():
             raise ValueError(f"missing document file {rel!r}")

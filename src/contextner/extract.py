@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from itertools import accumulate, compress, count, islice, repeat
+from itertools import compress, count, islice, repeat
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, TypeVar
 
 from .record import Record
@@ -19,8 +19,7 @@ RIGHT = "right"
 
 # Maximal runs of letters/digits, allowing internal apostrophes, periods
 # and hyphens ("Bush's", "U.S", "far-right"). Underscore is a separator.
-# The group makes re.split return the words between the gaps.
-_WORD_RE = re.compile(r"([^\W_]+(?:['’.\-][^\W_]+)*)")
+_WORD_RE = re.compile(r"[^\W_]+(?:['’.\-][^\W_]+)*")
 # The period after a word of one character, which that word keeps ("W."
 # but not "U.S." or "a.W."): no word character follows the period, and
 # the character before it follows neither a word character nor a joiner
@@ -51,25 +50,6 @@ class WordSequence(Record):
         return len(self.words)
 
 
-class Tokenization(WordSequence):
-    """The words of one document plus where they sit in its text.
-
-    Word i is text[starts[i]:ends[i]].
-    """
-
-    __slots__ = ("text", "starts", "ends")
-
-    def __init__(
-        self,
-        words: tuple[str, ...],
-        sent: tuple[int, ...],
-        text: str,
-        starts: tuple[int, ...],
-        ends: tuple[int, ...],
-    ) -> None:
-        self._assign(words=words, sent=sent, text=text, starts=starts, ends=ends)
-
-
 def _boundaries(text: str) -> tuple[list[int], list[int]]:
     """The periods that initials keep, and where sentences after the first start.
 
@@ -94,35 +74,9 @@ def _boundaries(text: str) -> tuple[list[int], list[int]]:
     return initials, starts
 
 
-def tokenize(text: str) -> Tokenization:
-    """Split cleaned text into words, sentence ids and character offsets,
-    by the rules of _boundaries. split_words gives the same words and
-    sentence ids without the offsets."""
-    parts = _WORD_RE.split(text)  # gap, word, gap, ..., word, gap
-    words = parts[1::2]
-    offsets = list(accumulate(map(len, parts)))
-    starts = offsets[0:-1:2]
-    ends = offsets[1::2]
-    initials, sentence_starts = _boundaries(text)
-    for period in initials:
-        i = bisect_left(starts, period - 1)
-        words[i] += "."
-        ends[i] += 1
-    sent: list[int] = []
-    for number, start in enumerate(sentence_starts):
-        sent += repeat(number, bisect_left(starts, start) - len(sent))
-    sent += repeat(len(sentence_starts), len(words) - len(sent))
-    return Tokenization(
-        words=tuple(words),
-        sent=tuple(sent),
-        text=text,
-        starts=tuple(starts),
-        ends=tuple(ends),
-    )
-
-
-def split_words(text: str) -> WordSequence:
-    """The words and sentence ids of tokenize(text), without offsets.
+def tokenize(text: str) -> WordSequence:
+    """Split cleaned text into words and sentence ids, by the rules of
+    _boundaries.
 
     One findall gives each sentence's words. A sentence that holds an
     initial is scanned with finditer instead, whose match ends show

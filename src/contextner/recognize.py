@@ -154,7 +154,7 @@ def recognize_document(doc: Document, model: RecognitionModel) -> list[Annotatio
                 doc=doc.id,
                 first=first,
                 last=last,
-                surface=tok.text[tok.starts[first] : tok.ends[last]],
+                surface=" ".join(tok.words[first : last + 1]),
                 class_label=label,
                 score=best,
                 runner_up=second,

@@ -32,7 +32,7 @@ from .extract import (
     group_contexts,
     instance_contexts,
     instance_index,
-    split_words,
+    tokenize,
 )
 from .record import Record
 from .seeds import LearningExample, single_class
@@ -169,7 +169,7 @@ def collect_context_stats(
     analyzed: list[tuple[str, str, WordSequence, dict[int, str]]] = []
     vocabulary: dict[str, str] = {}
     for doc in corpus:
-        tok = split_words(doc.clean)
+        tok = tokenize(doc.clean)
         found = instance_contexts(tok, index, config.context_len, config.side)
         for _occ, key in found:
             if key is not None:
@@ -264,7 +264,7 @@ def growth_curve(
     for step in steps:
         for doc in documents[done:step]:
             found = instance_contexts(
-                split_words(doc.clean), index, config.context_len, config.side
+                tokenize(doc.clean), index, config.context_len, config.side
             )
             occurrences += len(found)
             contexts.update(key for _occ, key in found if key is not None)

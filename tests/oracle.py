@@ -378,7 +378,7 @@ def oracle_recognize(
             OracleAnnotation(
                 first=first,
                 last=last,
-                surface=text[offsets[first][0] : offsets[last][1]],
+                surface=" ".join(words[first : last + 1]),
                 class_label=decided,
                 score=best,
                 runner_up=runner_up,

@@ -26,7 +26,7 @@ PUBLIC = {
     "errors": ["DataFormatError", "EmptyResultError", "InputError", "PipelineError"],
     "evaluate": ["EvalReport", "evaluate"],
     "extract": [
-        "ContextKey", "InstanceOccurrence", "Tokenization", "extract_context",
+        "ContextKey", "InstanceOccurrence", "WordSequence", "extract_context",
         "find_instances", "instance_index", "tokenize",
     ],
     "recognize": [

@@ -261,6 +261,32 @@ def test_recognize_annotates_corpus(tmp_path, capsys, trained_model_dir):
     ]
 
 
+@pytest.mark.parametrize("gap", ["\n", "\t"], ids=["newline", "tab"])
+def test_recognize_joins_a_name_split_by_a_line_or_tab(
+    tmp_path, capsys, capital_examples, gap
+):
+    fixtures = write_fixture(
+        tmp_path / "fixtures",
+        [
+            ("Paris", "http://a.example/p1", "p1.txt"),
+            ("Berlin", "http://b.example/b1", "b1.txt"),
+        ],
+        {
+            "p1.txt": "Hotels in Paris. Map of Paris here.",
+            "b1.txt": f"Hotels in Berlin today. Hotels in New{gap}York are full.",
+        },
+    )
+    corpus_dir, model_dir = str(tmp_path / "corpus"), str(tmp_path / "model")
+    out = tmp_path / "annotations.tsv"
+    assert cli.main(["acquire", capital_examples, corpus_dir, "--fixtures", fixtures]) == 0
+    assert cli.main(["weigh", capital_examples, corpus_dir, "--model-dir", model_dir]) == 0
+    capsys.readouterr()
+    code = cli.main(["recognize", model_dir, corpus_dir, "--output", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert "\t6\t7\tNew York\tcapital\t" in out.read_text(encoding="utf-8")
+
+
 def test_recognize_threshold_flag_overrides_model(tmp_path, capsys, trained_model_dir):
     test_dir = saved_corpus(tmp_path, "test", "Visit Hotels in Lisbon now.")
     code = cli.main(

@@ -117,6 +117,28 @@ def test_manifest_rejects_duplicate_uri(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "docs, fault",
+    [
+        ([make_doc("a", "x"), make_doc("a", "y")], "{manifest}:3: duplicate document id 'a'"),
+        (
+            [make_doc("a", "x"), make_doc("b", "y")._replace(uri="http://a.example/page")],
+            "{manifest}:3: duplicate document uri 'http://a.example/page'",
+        ),
+        ([make_doc("a", "x")._replace(kind="parchment")], "{manifest}:2: unknown kind 'parchment'"),
+        ([make_doc("a", "x", source="")], "{manifest}:2: empty required field"),
+        ([make_doc("a", "x", source="a\tb")], "field contains tab or newline: 'a\\tb'"),
+    ],
+    ids=["id", "uri", "kind", "empty", "tab"],
+)
+def test_save_rejects_what_load_rejects_and_writes_nothing(tmp_path, docs, fault):
+    directory = tmp_path / "corpus"
+    with pytest.raises(DataFormatError) as info:
+        save_corpus(CorpusManifest(docs), directory)
+    assert str(info.value) == fault.format(manifest=directory / "manifest.tsv")
+    assert not directory.exists()
+
+
 def test_load_reads_crlf_files_as_before(tmp_path):
     manifest = saved_manifest(tmp_path, make_doc("a", "Hotels in Paris.\nMap of Rome.\n"))
     for path in (manifest, tmp_path / "docs" / "a.txt"):

@@ -16,7 +16,6 @@ from contextner.extract import (
     find_instances,
     group_contexts,
     instance_index,
-    split_words,
     tokenize,
 )
 from contextner.seeds import LearningExample
@@ -81,20 +80,6 @@ def test_abbreviation_period_does_not_break():
     assert breaks_of(tok) == frozenset()
 
 
-@given(st.text(max_size=300))
-def test_tokenize_round_trip(text):
-    tok = tokenize(text)
-    assert len(tok.starts) == len(tok.ends) == len(tok.sent) == len(tok)
-    previous_end = 0
-    for word, start, end in zip(tok.words, tok.starts, tok.ends):
-        assert text[start:end] == word
-        assert start >= previous_end
-        assert start < end
-        previous_end = end
-    # Sentence ids count up from 0 in steps of one.
-    assert all(b - a in (0, 1) for a, b in zip((0,) + tok.sent, tok.sent))
-
-
 # Pieces that hit every rule of the tokenizer: terminators, runs of mixed
 # whitespace, separators and joiners, initials and dotted abbreviations,
 # and letters, digits and other numerals outside ASCII.
@@ -107,11 +92,14 @@ biased_text = st.lists(st.sampled_from(PIECES), max_size=40).map("".join)
 
 def assert_matches_oracle(text):
     tok = tokenize(text)
-    words, spans, breaks = oracle_tokenize(text)
+    words, _spans, breaks = oracle_tokenize(text)
     assert tok.words == tuple(words)
-    assert list(zip(tok.starts, tok.ends)) == spans
     # A break after the final word is implicit in sentence ids.
     assert breaks_of(tok) == breaks - {len(words) - 1}
+    # One sentence id per word, counting up from 0 in steps of one.
+    assert len(tok.sent) == len(tok)
+    assert tok.sent[:1] in ((), (0,))
+    assert all(b - a in (0, 1) for a, b in zip(tok.sent, tok.sent[1:]))
 
 
 @given(st.text())
@@ -124,36 +112,14 @@ def test_tokenize_matches_frozen_tokenizer_on_punctuated_text(text):
     assert_matches_oracle(text)
 
 
-def assert_split_matches_oracle(text):
-    split = split_words(text)
-    words, _spans, breaks = oracle_tokenize(text)
-    assert split.words == tuple(words)
-    assert breaks_of(split) == breaks - {len(words) - 1}
-    tok = tokenize(text)
-    assert (split.words, split.sent) == (tok.words, tok.sent)
-    # Sentence ids count up from 0 in steps of one.
-    assert all(b - a in (0, 1) for a, b in zip(split.sent, split.sent[1:]))
-    assert split.sent[:1] in ((), (0,))
-
-
-@given(st.text())
-def test_split_words_matches_frozen_tokenizer(text):
-    assert_split_matches_oracle(text)
-
-
-@given(biased_text)
-def test_split_words_matches_frozen_tokenizer_on_punctuated_text(text):
-    assert_split_matches_oracle(text)
-
-
-def test_split_words_keeps_an_initial_and_breaks_after_a_sentence():
-    split = split_words("George W. Bush spoke. Then he left.")
-    assert split.words == ("George", "W.", "Bush", "spoke", "Then", "he", "left")
-    assert split.sent == (0, 0, 0, 0, 1, 1, 1)
+def test_tokenize_keeps_an_initial_and_breaks_after_a_sentence():
+    tok = tokenize("George W. Bush spoke. Then he left.")
+    assert tok.words == ("George", "W.", "Bush", "spoke", "Then", "he", "left")
+    assert tok.sent == (0, 0, 0, 0, 1, 1, 1)
 
 
 def test_terminator_before_the_first_word_ends_no_sentence():
-    assert tokenize("! Go. Now").sent == split_words("! Go. Now").sent == (0, 1)
+    assert tokenize("! Go. Now").sent == (0, 1)
 
 
 @given(biased_text)
@@ -375,7 +341,7 @@ def test_context_hits_match_brute_force_scan():
     total = 0
     for _ in range(80):
         docs, _surfaces = random_corpus(rng)
-        seqs = [split_words(doc.text) for doc in docs]
+        seqs = [tokenize(doc.text) for doc in docs]
         # Contexts cut from the documents, so most of them hit somewhere,
         # of both sides and lengths 1 to 3.
         contexts = set()

@@ -213,6 +213,14 @@ def test_recognize_simple_document():
     assert a.runner_up == 0.0
 
 
+def test_surface_is_the_span_words_joined_by_spaces():
+    doc = make_doc("t1", "Hotels in Paris, Texas are cheap")
+    model = model_from({"capital": {left("Hotels", "in"): 1.0}})
+    [a] = recognize_document(doc, model)
+    assert (a.first, a.last, a.surface) == (2, 3, "Paris Texas")
+    assert tuple(a.surface.split()) == tokenize(doc.clean).words[a.first : a.last + 1]
+
+
 def test_recognize_threshold_flips_to_unknown():
     doc = make_doc("t1", "Hotels in Paris")
     model = model_from(
