@@ -64,7 +64,6 @@ _EXPORTS = {
             "ContextStats",
             "GlobalStats",
             "GrowthPoint",
-            "TableConfig",
             "WeightedContext",
             "WeightTable",
             "build_weight_table",

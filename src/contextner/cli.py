@@ -100,7 +100,7 @@ def cmd_acquire(args: argparse.Namespace) -> int:
 def cmd_weigh(args: argparse.Namespace) -> int:
     from .corpus import load_corpus
     from .seeds import load_examples, single_class
-    from .weighting import TableConfig, build_weight_table, format_weight_table
+    from .weighting import build_weight_table, format_weight_table
 
     examples = load_examples(args.examples)
     label = single_class(examples)
@@ -109,10 +109,9 @@ def cmd_weigh(args: argparse.Namespace) -> int:
 
         check_model_update(args.model_dir, label)
     corpus = load_corpus(args.corpus_dir)
-    config = TableConfig(
-        context_len=args.context_len, side=args.side, min_count=args.min_count
+    table = build_weight_table(
+        corpus, examples, args.context_len, args.side, args.min_count
     )
-    table = build_weight_table(corpus, examples, config)
     _emit(format_weight_table(table), args.output)
     if args.model_dir:
         from .recognize import update_model
@@ -165,12 +164,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_growth(args: argparse.Namespace) -> int:
     from .corpus import load_corpus
     from .seeds import load_examples
-    from .weighting import TableConfig, format_growth, growth_curve
+    from .weighting import format_growth, growth_curve
 
     examples = load_examples(args.examples)
     corpus = load_corpus(args.corpus_dir)
-    config = TableConfig(context_len=args.context_len, side=args.side)
-    points = growth_curve(corpus, examples, args.steps, config)
+    points = growth_curve(corpus, examples, args.steps, args.context_len, args.side)
     _emit(format_growth(points), args.output)
     return EXIT_OK
 

@@ -103,7 +103,7 @@ def _markup_text(raw: str) -> str:
 def clean_text(raw: str | bytes, kind: str) -> str:
     """Produce the analyzable text of a document.
 
-    kind="plain": newline normalization only, so offsets are stable.
+    kind="plain": newline normalization only.
     kind="markup": tags and script/style blocks removed, character
     references decoded, whitespace runs collapsed to single spaces.
     Deterministic in both cases.
@@ -147,13 +147,16 @@ class CorpusManifest(Record):
 
 def _manifest_row_check() -> Callable[[str, str, str, str, str], None]:
     """A check for manifest rows in order: it raises ValueError on an
-    empty field, an unknown kind, or an id or uri an earlier row holds."""
+    empty field, an unknown kind, an id holding a path separator, or an
+    id or uri an earlier row holds."""
     seen_ids: set[str] = set()
     seen_uris: set[str] = set()
 
     def check(doc_id: str, source: str, uri: str, kind: str, rel: str) -> None:
         if not doc_id or not source or not uri or not rel:
             raise ValueError("empty required field")
+        if "/" in doc_id or "\\" in doc_id:
+            raise ValueError(f"document id {doc_id!r} holds a path separator")
         if doc_id in seen_ids:
             raise ValueError(f"duplicate document id {doc_id!r}")
         if uri in seen_uris:

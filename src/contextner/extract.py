@@ -209,20 +209,6 @@ def extract_context(
     return ContextKey(tok.words[window[0] : window[1]], side)
 
 
-def instance_contexts(
-    tok: WordSequence,
-    index: InstanceIndex,
-    length: int,
-    side: str,
-) -> list[tuple[InstanceOccurrence, Optional[ContextKey]]]:
-    """Every example occurrence of one document with its adjacent
-    context, or None where extract_context rejects the window."""
-    return [
-        (occ, extract_context(occ, tok, length, side))
-        for occ in find_instances(tok, index)
-    ]
-
-
 # (side, length) -> context words -> the context, groups in sorted order.
 ContextGroups = dict[tuple[str, int], dict[tuple[str, ...], ContextKey]]
 

@@ -10,18 +10,19 @@ The composite weight of a context multiplies four factors:
 Each factor is exposed on its own so the parts can be inspected or
 re-weighted; `context_weight` is their plain product.
 
-`growth_curve` runs the same per-document extraction over growing
+`growth_curve` reads the statistics' first-pass scan over growing
 prefixes of a corpus, to show how the context set saturates.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import tsv
-from .corpus import CorpusManifest
+from .corpus import CorpusManifest, Document
 from .errors import EmptyResultError, InputError
 from .extract import (
     LEFT,
@@ -29,8 +30,9 @@ from .extract import (
     ContextKey,
     WordSequence,
     context_hits,
+    extract_context,
+    find_instances,
     group_contexts,
-    instance_contexts,
     instance_index,
     tokenize,
 )
@@ -134,23 +136,40 @@ class WeightedContext(NamedTuple):
         return self.stats.context
 
 
-class TableConfig(Record):
-    __slots__ = ("context_len", "side", "min_count")
+def _example_contexts(
+    corpus: CorpusManifest, examples: list[LearningExample], context_len: int, side: str
+) -> Iterator[tuple[Document, WordSequence, dict[int, tuple[str, Optional[ContextKey]]]]]:
+    """The per-document scan that weigh and growth read.
 
-    def __init__(self, context_len: int = 2, side: str = LEFT, min_count: int = 1) -> None:
-        if context_len < 1:
-            raise ValueError(f"context_len must be >= 1, got {context_len}")
-        if side not in (LEFT, RIGHT):
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        if min_count < 1:
-            raise ValueError(f"min_count must be >= 1, got {min_count}")
-        self._assign(context_len=context_len, side=side, min_count=min_count)
+    Checks the examples and settings before reading any document, then
+    yields each document in corpus order with its words and every
+    example occurrence keyed by its context anchor (an instance's first
+    word for left contexts, its last for right) as (surface, context or
+    None where extract_context rejects the window).
+    """
+    single_class(examples)  # rejects examples of more than one class
+    if context_len < 1:
+        raise ValueError(f"context_len must be >= 1, got {context_len}")
+    if side not in (LEFT, RIGHT):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    index = instance_index(examples)
+    for doc in corpus:
+        tok = tokenize(doc.clean)
+        found = {
+            (occ.first if side == LEFT else occ.last): (
+                occ.example.surface,
+                extract_context(occ, tok, context_len, side),
+            )
+            for occ in find_instances(tok, index)
+        }
+        yield doc, tok, found
 
 
 def collect_context_stats(
     corpus: CorpusManifest,
     examples: Iterable[LearningExample],
-    config: TableConfig = TableConfig(),
+    context_len: int = 2,
+    side: str = LEFT,
 ) -> tuple[list[ContextStats], GlobalStats]:
     """Gather raw per-context counts from a corpus.
 
@@ -159,30 +178,19 @@ def collect_context_stats(
     into example-adjacent and other-adjacent occurrences, and collects
     the document / source / example coverage. Between the passes only
     each document's words, sentence ids and the example surface at each
-    instance's context anchor are kept.
+    instance's context anchor are kept. total_with_examples sums the
+    second pass's example-adjacent counts: it hits each example
+    occurrence that has a context once, at its own anchor.
     """
     examples = list(examples)
-    single_class(examples)  # rejects examples of more than one class
-    index = instance_index(examples)
     contexts: set[ContextKey] = set()
-    total_with_examples = 0
     analyzed: list[tuple[str, str, WordSequence, dict[int, str]]] = []
     vocabulary: dict[str, str] = {}
-    for doc in corpus:
-        tok = tokenize(doc.clean)
-        found = instance_contexts(tok, index, config.context_len, config.side)
-        for _occ, key in found:
-            if key is not None:
-                contexts.add(key)
-                total_with_examples += 1
+    for doc, tok, found in _example_contexts(corpus, examples, context_len, side):
+        contexts.update(key for _surface, key in found.values() if key is not None)
         # One string object per distinct word, so each kept word costs a pointer.
         seq = WordSequence(tuple(map(vocabulary.setdefault, tok.words, tok.words)), tok.sent)
-        # Every context is of config.side, so its anchor is an instance's
-        # first word (left) or last word (right).
-        surfaces = {
-            (occ.first if config.side == LEFT else occ.last): occ.example.surface
-            for occ, _key in found
-        }
+        surfaces = {anchor: surface for anchor, (surface, _key) in found.items()}
         analyzed.append((doc.id, doc.source, seq, surfaces))
 
     with_examples: dict[ContextKey, int] = {}
@@ -214,7 +222,7 @@ def collect_context_stats(
         for key in sorted(contexts)
     ]
     totals = GlobalStats(
-        total_with_examples=total_with_examples,
+        total_with_examples=sum(with_examples.values()),
         n_examples=len({ex.surface for ex in examples}),
     )
     return stats, totals
@@ -230,7 +238,8 @@ def growth_curve(
     corpus: CorpusManifest,
     examples: Iterable[LearningExample],
     steps: Iterable[int],
-    config: TableConfig = TableConfig(),
+    context_len: int = 2,
+    side: str = LEFT,
 ) -> list[GrowthPoint]:
     """Extraction statistics over growing prefixes of the corpus.
 
@@ -238,8 +247,6 @@ def growth_curve(
     prefix contains and how many distinct contexts they produce.
     Prefixes follow manifest (document-id) order.
     """
-    examples = list(examples)
-    single_class(examples)  # rejects examples of more than one class
     steps = list(steps)
     if not steps:
         raise InputError("no growth steps given")
@@ -255,19 +262,15 @@ def growth_curve(
             f"growth step {steps[-1]} exceeds corpus size {len(corpus)}"
         )
 
-    index = instance_index(examples)
-    documents = list(corpus)
+    scan = _example_contexts(corpus, list(examples), context_len, side)
     points: list[GrowthPoint] = []
     occurrences = 0
     contexts: set[ContextKey] = set()
     done = 0
     for step in steps:
-        for doc in documents[done:step]:
-            found = instance_contexts(
-                tokenize(doc.clean), index, config.context_len, config.side
-            )
+        for _doc, _tok, found in islice(scan, step - done):
             occurrences += len(found)
-            contexts.update(key for _occ, key in found if key is not None)
+            contexts.update(key for _surface, key in found.values() if key is not None)
         done = step
         points.append(
             GrowthPoint(
@@ -321,18 +324,23 @@ def weigh_context(stats: ContextStats, totals: GlobalStats) -> WeightedContext:
 def build_weight_table(
     corpus: CorpusManifest,
     examples: Iterable[LearningExample],
-    config: TableConfig = TableConfig(),
+    context_len: int = 2,
+    side: str = LEFT,
+    min_count: int = 1,
 ) -> WeightTable:
-    """Score every context of a corpus against a single class's examples."""
-    stats, totals = collect_context_stats(corpus, examples, config)
+    """Score every context of a corpus against a single class's examples,
+    keeping those seen with examples at least `min_count` times."""
+    if min_count < 1:
+        raise ValueError(f"min_count must be >= 1, got {min_count}")
+    stats, totals = collect_context_stats(corpus, examples, context_len, side)
     if not stats:
         raise EmptyResultError(
             "no contexts extracted; check that the examples occur in the corpus"
         )
-    kept = [s for s in stats if s.n_with_examples >= config.min_count]
+    kept = [s for s in stats if s.n_with_examples >= min_count]
     if not kept:
         raise EmptyResultError(
-            f"no context occurs with examples at least {config.min_count} times"
+            f"no context occurs with examples at least {min_count} times"
         )
     rows = [weigh_context(s, totals) for s in kept]
     rows.sort(key=lambda r: (-r.weight, -r.stats.n_with_examples, r.context.words))

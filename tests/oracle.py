@@ -139,6 +139,23 @@ def _window_ok(breaks: set[int], lo: int, hi: int) -> bool:
     return not any(j in breaks for j in range(lo, hi))
 
 
+def _instance_context(
+    words: list[str], breaks: set[int], first: int, last: int, length: int, side: str
+) -> tuple[str, ...] | None:
+    """The `length` words beside instance [first, last] on `side`, or None
+    when they run past the document or a sentence break falls among them
+    and the instance's nearest word."""
+    if side == LEFT:
+        lo = first - length
+        if lo < 0 or not _window_ok(breaks, lo, first):
+            return None
+        return tuple(words[lo:first])
+    hi = last + length
+    if hi >= len(words) or not _window_ok(breaks, last, hi):
+        return None
+    return tuple(words[last + 1 : hi + 1])
+
+
 def oracle_stats(
     docs: list[OracleDoc],
     surfaces: list[str],
@@ -160,17 +177,10 @@ def oracle_stats(
     total_nc = 0
     for _doc, words, breaks, insts in prepared:
         for first, last, _surface in insts:
-            if side == LEFT:
-                lo = first - length
-                if lo < 0 or not _window_ok(breaks, lo, first):
-                    continue
-                keys.add(tuple(words[lo:first]))
-            else:
-                hi = last + length
-                if hi >= len(words) or not _window_ok(breaks, last, hi):
-                    continue
-                keys.add(tuple(words[last + 1 : hi + 1]))
-            total_nc += 1
+            key = _instance_context(words, breaks, first, last, length, side)
+            if key is not None:
+                keys.add(key)
+                total_nc += 1
 
     n_examples = len(set(surfaces))
     rows: dict[tuple[str, ...], OracleRow] = {}
@@ -219,6 +229,35 @@ def oracle_stats(
             weight=cf * lef * df * icf,
         )
     return rows, total_nc
+
+
+def oracle_growth(
+    docs: list[OracleDoc],
+    surfaces: list[str],
+    steps: list[int],
+    length: int = 2,
+    side: str = LEFT,
+) -> list[tuple[int, int, int]]:
+    """(prefix size, example occurrences, distinct contexts) per step.
+
+    Every prefix of the id-ordered documents is recounted from scratch:
+    each instance counts as an occurrence, and those whose window holds
+    adds its words to the prefix's context set.
+    """
+    ordered = sorted(docs, key=lambda d: d.doc_id)
+    points = []
+    for step in steps:
+        occurrences = 0
+        keys: set[tuple[str, ...]] = set()
+        for doc in ordered[:step]:
+            words, _spans, breaks = oracle_tokenize(doc.text)
+            for first, last, _surface in naive_instances(words, surfaces):
+                occurrences += 1
+                key = _instance_context(words, breaks, first, last, length, side)
+                if key is not None:
+                    keys.add(key)
+        points.append((step, occurrences, len(keys)))
+    return points
 
 
 # Small vocabularies keep n-grams repeating often enough to be interesting.

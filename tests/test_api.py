@@ -35,7 +35,7 @@ PUBLIC = {
     ],
     "seeds": ["LearningExample", "load_examples"],
     "weighting": [
-        "ContextStats", "GlobalStats", "GrowthPoint", "TableConfig", "WeightedContext",
+        "ContextStats", "GlobalStats", "GrowthPoint", "WeightedContext",
         "WeightTable", "build_weight_table", "collect_context_stats", "context_frequency",
         "context_weight", "document_frequency", "growth_curve",
         "inverse_context_frequency", "inverse_document_frequency",

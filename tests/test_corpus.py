@@ -128,15 +128,39 @@ def test_manifest_rejects_duplicate_uri(tmp_path):
         ([make_doc("a", "x")._replace(kind="parchment")], "{manifest}:2: unknown kind 'parchment'"),
         ([make_doc("a", "x", source="")], "{manifest}:2: empty required field"),
         ([make_doc("a", "x", source="a\tb")], "field contains tab or newline: 'a\\tb'"),
+        (
+            [make_doc("a", "x"), make_doc("../up", "y")],
+            "{manifest}:2: document id '../up' holds a path separator",
+        ),
+        (
+            [make_doc("a", "x"), make_doc("b/c", "y")],
+            "{manifest}:3: document id 'b/c' holds a path separator",
+        ),
+        (
+            [make_doc("b\\c", "y")],
+            "{manifest}:2: document id 'b\\\\c' holds a path separator",
+        ),
     ],
-    ids=["id", "uri", "kind", "empty", "tab"],
+    ids=["id", "uri", "kind", "empty", "tab", "id-up", "id-slash", "id-backslash"],
 )
 def test_save_rejects_what_load_rejects_and_writes_nothing(tmp_path, docs, fault):
     directory = tmp_path / "corpus"
     with pytest.raises(DataFormatError) as info:
         save_corpus(CorpusManifest(docs), directory)
     assert str(info.value) == fault.format(manifest=directory / "manifest.tsv")
-    assert not directory.exists()
+    assert not any(tmp_path.iterdir())  # nor anything beside the corpus directory
+
+
+@pytest.mark.parametrize("doc_id", ["../up", "b/c", "b\\c"])
+def test_load_rejects_an_id_holding_a_path_separator(tmp_path, doc_id):
+    manifest = saved_manifest(tmp_path, make_doc("a", "x"), make_doc("b", "y"))
+    manifest.write_text(
+        manifest.read_text(encoding="utf-8").replace("\nb\t", f"\n{doc_id}\t"),
+        encoding="utf-8",
+    )
+    with pytest.raises(DataFormatError) as info:
+        load_corpus(tmp_path)
+    assert str(info.value) == f"{manifest}:3: document id {doc_id!r} holds a path separator"
 
 
 def test_load_reads_crlf_files_as_before(tmp_path):

@@ -1,12 +1,16 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import capitals, make_corpus
+from conftest import capitals, make_corpus, make_doc
 from contextner import tsv
 from contextner.annotations import Annotation, GoldAnnotation, load_gold
+from contextner.corpus import CorpusManifest
 from contextner.errors import DataFormatError, InputError
 from contextner.evaluate import EvalReport, evaluate, format_report, write_report
 from contextner.extract import (
+    LEFT,
     RIGHT,
     extract_context,
     find_instances,
@@ -14,7 +18,8 @@ from contextner.extract import (
     tokenize,
 )
 from contextner.seeds import UNKNOWN, LearningExample
-from contextner.weighting import TableConfig, format_growth, growth_curve
+from contextner.weighting import format_growth, growth_curve
+from oracle import oracle_growth, random_corpus
 
 
 def ann(doc, first, last, label):
@@ -189,8 +194,7 @@ def test_growth_counts_occurrences_without_context():
 
 def test_growth_respects_side_config():
     corpus = make_corpus("Paris is lovely.")
-    config = TableConfig(side=RIGHT)
-    (point,) = growth_curve(corpus, capitals("Paris"), [1], config)
+    (point,) = growth_curve(corpus, capitals("Paris"), [1], side=RIGHT)
     assert point.context_count == 1
 
 
@@ -216,6 +220,18 @@ def test_growth_last_point_matches_direct_extraction():
     assert points[-1].context_count == len(contexts)
     assert points[0].example_occurrences <= occurrences
     assert points[0].context_count <= len(contexts)
+
+
+@pytest.mark.parametrize("side", [LEFT, RIGHT])
+def test_growth_matches_brute_force_oracle(side):
+    rng = random.Random(f"growth-oracle:{side}")
+    for i in range(120):
+        docs, surfaces = random_corpus(rng)
+        corpus = CorpusManifest([make_doc(d.doc_id, d.text, source=d.source) for d in docs])
+        steps = sorted(rng.sample(range(1, len(docs) + 1), rng.randint(1, len(docs))))
+        length = 1 + i % 3
+        points = growth_curve(corpus, capitals(*surfaces), steps, length, side)
+        assert [tuple(p) for p in points] == oracle_growth(docs, surfaces, steps, length, side)
 
 
 BAD_STEPS = {

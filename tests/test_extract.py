@@ -19,7 +19,7 @@ from contextner.extract import (
     tokenize,
 )
 from contextner.seeds import LearningExample
-from contextner.weighting import TableConfig, collect_context_stats
+from contextner.weighting import collect_context_stats
 
 
 def words_of(text):
@@ -252,9 +252,7 @@ def test_extract_context_rejects_bad_args():
 def counts(texts, examples, side=LEFT):
     """(context, with-example count, other count, examples seen, documents)
     for every context weigh's scan counts in a corpus of `texts`."""
-    stats, _totals = collect_context_stats(
-        make_corpus(*texts), examples, TableConfig(context_len=2, side=side)
-    )
+    stats, _totals = collect_context_stats(make_corpus(*texts), examples, 2, side)
     return [
         (s.context.phrase(), s.n_with_examples, s.n_with_others, s.n_examples_seen, s.n_docs)
         for s in stats

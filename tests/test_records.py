@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from conftest import make_corpus
 from contextner.acquire import AcquireResult, FetchFailure
 from contextner.annotations import Annotation, GoldAnnotation
 from contextner.corpus import CorpusManifest, Document
@@ -22,9 +23,9 @@ from contextner.weighting import (
     ContextStats,
     GlobalStats,
     GrowthPoint,
-    TableConfig,
     WeightedContext,
     WeightTable,
+    build_weight_table,
 )
 
 PARIS = LearningExample("Paris", "capital")
@@ -58,7 +59,6 @@ FROZEN = [
     ),
     (TOTALS, ("total_with_examples", "n_examples")),
     (ROW, ("stats", "cf", "lef", "df", "icf", "weight")),
-    (TableConfig(), ("context_len", "side", "min_count")),
     (WeightTable(rows=(ROW,), totals=TOTALS), ("rows", "totals")),
 ]
 IDS = [type(record).__name__ for record, _fields in FROZEN]
@@ -138,7 +138,6 @@ def test_slots_records_compare_by_class_and_fields():
         __slots__ = ()
 
     assert seq != Words(("a",), (0,))
-    assert TableConfig(side="right") != TableConfig()
     assert CorpusManifest([DOC]) == CorpusManifest([DOC])
     assert repr(PARIS) == "LearningExample(surface='Paris', class_label='capital')"
 
@@ -157,9 +156,18 @@ def test_sized_records_keep_their_length():
             lambda: LearningExample("Paris", " "),
             "learning example 'Paris' has an empty class label",
         ),
-        (lambda: TableConfig(context_len=0), "context_len must be >= 1, got 0"),
-        (lambda: TableConfig(side="up"), "side must be 'left' or 'right', got 'up'"),
-        (lambda: TableConfig(min_count=0), "min_count must be >= 1, got 0"),
+        (
+            lambda: build_weight_table(make_corpus("Paris"), [PARIS], context_len=0),
+            "context_len must be >= 1, got 0",
+        ),
+        (
+            lambda: build_weight_table(make_corpus("Paris"), [PARIS], side="up"),
+            "side must be 'left' or 'right', got 'up'",
+        ),
+        (
+            lambda: build_weight_table(make_corpus("Paris"), [PARIS], min_count=0),
+            "min_count must be >= 1, got 0",
+        ),
         (
             lambda: RecognitionModel(tables={}, threshold=-1.0),
             "threshold and margin must be non-negative",

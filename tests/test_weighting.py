@@ -6,14 +6,15 @@ import pytest
 from conftest import capitals, make_corpus, make_doc
 from contextner.corpus import CorpusManifest
 from contextner.errors import EmptyResultError
+from contextner.extract import LEFT, RIGHT
 from contextner.weighting import (
-    TableConfig,
     build_weight_table,
     collect_context_stats,
     context_frequency,
     context_weight,
     document_frequency,
     format_weight_table,
+    growth_curve,
     inverse_context_frequency,
     inverse_document_frequency,
     learning_example_frequency,
@@ -124,14 +125,14 @@ def test_min_count_filter_and_empty_result():
     corpus = make_corpus("Hotels in Paris and Map of Berlin and Hotels in Paris")
     examples = capitals("Paris", "Berlin")
     full = build_weight_table(corpus, examples)
-    filtered = build_weight_table(corpus, examples, TableConfig(min_count=2))
+    filtered = build_weight_table(corpus, examples, min_count=2)
     assert {r.context.phrase() for r in full} == {"Hotels in", "Map of"}
     assert [r.context.phrase() for r in filtered] == ["Hotels in"]
     # the cf denominator stays the unfiltered total
     assert filtered.totals.total_with_examples == full.totals.total_with_examples
     assert filtered.rows[0].cf == full.rows[0].cf < 1
     with pytest.raises(EmptyResultError, match="at least 3"):
-        build_weight_table(corpus, examples, TableConfig(min_count=3))
+        build_weight_table(corpus, examples, min_count=3)
 
 
 def test_sum_nc_equals_row_counts():
@@ -222,33 +223,38 @@ def test_disjoint_source_doubling():
 
 
 def test_matches_brute_force_oracle():
-    rng = random.Random(2024)
-    checked = 0
-    for _ in range(30):
-        docs, surfaces = random_corpus(rng)
-        corpus = CorpusManifest(
-            [make_doc(d.doc_id, d.text, source=d.source) for d in docs]
-        )
-        expected, expected_total = oracle_stats(docs, surfaces)
-        try:
-            table = build_weight_table(corpus, capitals(*surfaces))
-        except EmptyResultError:
-            assert expected_total == 0
-            continue
-        checked += 1
-        assert table.totals.total_with_examples == expected_total
-        assert {r.context.words for r in table} == set(expected)
-        for row in table:
-            want = expected[row.context.words]
-            s = row.stats
-            assert (s.n_with_examples, s.n_with_others) == (want.nc, want.c_other)
-            assert (s.n_examples_seen, s.n_sources, s.n_docs) == (
-                want.nle,
-                want.nd,
-                want.d_docs,
-            )
-            assert abs(row.weight - want.weight) <= 4 * math.ulp(max(abs(row.weight), abs(want.weight)))
-    assert checked >= 15
+    """build_weight_table against oracle_stats on 30 random corpora for
+    each side and each context length from 1 to 3."""
+    for side in (LEFT, RIGHT):
+        for length in (1, 2, 3):
+            rng = random.Random(f"weigh-oracle:{side}:{length}")
+            checked = 0
+            for _ in range(30):
+                docs, surfaces = random_corpus(rng)
+                if _agrees_with_oracle(docs, surfaces, length, side):
+                    checked += 1
+            assert checked >= 10, (side, length)
+
+
+def _agrees_with_oracle(docs, surfaces, length, side):
+    """Assert that one corpus's table equals the oracle's; False when
+    both find no context."""
+    corpus = CorpusManifest([make_doc(d.doc_id, d.text, source=d.source) for d in docs])
+    expected, expected_total = oracle_stats(docs, surfaces, length, side)
+    try:
+        table = build_weight_table(corpus, capitals(*surfaces), length, side)
+    except EmptyResultError:
+        assert expected_total == 0, (side, length, docs)
+        return False
+    assert table.totals.total_with_examples == expected_total
+    assert {r.context for r in table} == {(words, side) for words in expected}
+    for row in table:
+        want = expected[row.context.words]
+        s = row.stats
+        assert (s.n_with_examples, s.n_with_others) == (want.nc, want.c_other)
+        assert (s.n_examples_seen, s.n_sources, s.n_docs) == (want.nle, want.nd, want.d_docs)
+        assert abs(row.weight - want.weight) <= 4 * math.ulp(max(abs(row.weight), abs(want.weight)))
+    return True
 
 
 def test_format_weight_table_layout():
@@ -259,10 +265,23 @@ def test_format_weight_table_layout():
     assert lines[1] == "Hotels in\t1\t1\t1\t1\t1"
 
 
-def test_table_config_validation():
-    with pytest.raises(ValueError):
-        TableConfig(context_len=0)
-    with pytest.raises(ValueError):
-        TableConfig(side="up")
-    with pytest.raises(ValueError):
-        TableConfig(min_count=0)
+@pytest.mark.parametrize(
+    "settings",
+    [{"context_len": 0}, {"side": "up"}],
+    ids=["context_len", "side"],
+)
+def test_settings_are_checked_before_any_document_is_read(settings):
+    # No example occurs here, so only a check made up front can fail.
+    corpus = make_corpus("nothing relevant here")
+    examples = capitals("Paris")
+    with pytest.raises(ValueError, match=next(iter(settings))):
+        collect_context_stats(corpus, examples, **settings)
+    with pytest.raises(ValueError, match=next(iter(settings))):
+        growth_curve(corpus, examples, [1], **settings)
+    with pytest.raises(ValueError, match=next(iter(settings))):
+        build_weight_table(corpus, examples, **settings)
+
+
+def test_min_count_is_checked_before_any_document_is_read():
+    with pytest.raises(ValueError, match="min_count must be >= 1, got 0"):
+        build_weight_table(make_corpus("nothing relevant here"), capitals("Paris"), min_count=0)
