@@ -39,12 +39,9 @@ def _nonneg_float(text: str) -> float:
 
 def _step_list(text: str) -> list[int]:
     try:
-        steps = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
+        return [int(part) for part in text.split(",")]
+    except ValueError:  # also an empty part, as in "1,,2"
         raise argparse.ArgumentTypeError(f"bad step list {text!r}, expected e.g. 80,110")
-    if not steps:
-        raise argparse.ArgumentTypeError("step list is empty")
-    return steps
 
 
 def _emit(text: str, output: Optional[str]) -> None:

@@ -7,8 +7,8 @@ run in parallel as long as results are concatenated in document-id order.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
-from itertools import compress, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat
+from operator import not_, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, TypeVar
 
 from .record import Record
@@ -19,18 +19,11 @@ RIGHT = "right"
 
 # Maximal runs of letters/digits, allowing internal apostrophes, periods
 # and hyphens ("Bush's", "U.S", "far-right"). Underscore is a separator.
-_WORD_RE = re.compile(r"[^\W_]+(?:['’.\-][^\W_]+)*")
-# The period after a word of one character, which that word keeps ("W."
-# but not "U.S." or "a.W."): no word character follows the period, and
-# the character before it follows neither a word character nor a joiner
-# that follows one. _boundaries checks with str.isalpha that the character
-# is a letter, which no regex class matches exactly.
-_INITIAL_RE = re.compile(
-    r"\.(?![^\W_])(?<=[^\W\d_]\.)(?<![^\W_]{2}\.)(?<![^\W_]['’.\-][^\W_]\.)"
-)
-# A terminator with only whitespace, at least some, between it and the
-# next word. The text's end closes the last sentence without one.
-_BREAK_RE = re.compile(r"[.!?]\s+(?=[^\W_])")
+# A word of one character also takes a period that no word character
+# follows ("W." but not "U.S." or "a.W."); tokenize gives that period
+# back unless the character is a letter, which no regex class matches
+# exactly.
+_WORD_RE = re.compile(r"[^\W_](?:\.(?![^\W_])|[^\W_]*(?:['’.\-][^\W_]+)*)")
 
 
 class WordSequence(Record):
@@ -50,55 +43,65 @@ class WordSequence(Record):
         return len(self.words)
 
 
-def _boundaries(text: str) -> tuple[list[int], list[int]]:
-    """The periods that initials keep, and where sentences after the first start.
-
-    A single letter immediately followed by a period keeps the period
-    ("W."), which also stops that period from ending a sentence. A
-    sentence ends only at '.', '!' or '?' followed by whitespace and a
-    capitalized word, and at the end of the text; commas never end one.
-    Both lists are in text order. Each start is the offset of the word
-    that opens a sentence, and some word comes before it.
-    """
-    initials = [
-        m.start() for m in _INITIAL_RE.finditer(text) if text[m.start() - 1].isalpha()
-    ]
-    kept = set(initials)
-    starts = [
-        m.end()
-        for m in _BREAK_RE.finditer(text)
-        if text[m.end()].isupper() and m.start() not in kept
-    ]
-    if starts and not _WORD_RE.search(text, 0, starts[0]):
-        del starts[0]  # a terminator before the first word ends no sentence
-    return initials, starts
-
-
 def tokenize(text: str) -> WordSequence:
-    """Split cleaned text into words and sentence ids, by the rules of
-    _boundaries.
+    """Split cleaned text into words and sentence ids.
 
-    One findall gives each sentence's words. A sentence that holds an
-    initial is scanned with finditer instead, whose match ends show
-    which words take their initial's period.
+    Words are maximal runs of letters and digits joined by single
+    apostrophes, periods or hyphens, and a word of one letter keeps a
+    period that follows it ("W." but not "U.S." or "a.W."). A sentence
+    ends at a '.', '!' or '?' that no word keeps, when whitespace and
+    then a capitalized word follow it and some word came before; the
+    end of the text closes the last sentence. Commas never end one.
+
+    Neither rule looks across more than one run of whitespace, so one
+    str.split cuts the text into pieces that are read alone. A piece
+    that is alphanumeric is one word as it stands, and a word with one
+    mark after it is cut without a regex; only the other pieces are
+    searched, with one findall of _WORD_RE. Each piece is overwritten by
+    its word in the split list, and only pieces of zero or several words
+    are spliced. The initial rule is written twice, in the word-and-mark
+    branch and in _WORD_RE with the letter check after it; the two must
+    agree.
     """
-    initials, sentence_starts = _boundaries(text)
-    words: list[str] = []
-    sent: list[int] = []
-    lo = 0
-    for number, hi in enumerate(sentence_starts + [len(text)]):
-        first, last = bisect_left(initials, lo), bisect_left(initials, hi)
-        if first == last:
-            found = _WORD_RE.findall(text, lo, hi)
+    words = text.split()
+    starts: list[int] = []  # the first word of each sentence after the first
+    several: list[tuple[int, list[str]]] = []  # pieces of zero or several words
+    extra = 0  # words minus pieces, over the pieces read so far
+    last = len(words) - 1
+    for i in compress(count(), map(not_, map(str.isalnum, words))):
+        piece = words[i]
+        head = piece[:-1]
+        if head.isalnum():  # a word and one mark
+            if len(head) == 1 and piece[-1] == "." and head.isalpha():
+                continue  # an initial, which keeps its period
+            words[i] = head
         else:
-            periods = initials[first:last]
-            found = [
-                m[0] + "." if m.end() in periods else m[0]
-                for m in _WORD_RE.finditer(text, lo, hi)
+            found = [  # a period taken by a character that is no letter goes back
+                w if w[-1] != "." or w[0].isalpha() else w[0]
+                for w in _WORD_RE.findall(piece)
             ]
-        words += found
-        sent += repeat(number, len(found))
-        lo = hi
+            if len(found) == 1:
+                words[i] = found[0]
+            else:
+                several.append((i, found))
+                extra += len(found) - 1
+            if found and piece.endswith(found[-1]):
+                continue  # the piece ends inside a word
+        # A terminator that no word kept: the next piece opens a sentence
+        # if its first word is capitalized and some word came before it.
+        if piece[-1] in ".!?" and i < last and i + 1 + extra > 0:
+            first = words[i + 1][0]
+            if first.isupper() and first.isalnum():
+                starts.append(i + 1 + extra)
+    if several:
+        pieces, words, lo = words, [], 0
+        for i, found in several:
+            words += pieces[lo:i]
+            words += found
+            lo = i + 1
+        words += pieces[lo:]
+    bounds = [0, *starts, len(words)]
+    sent = chain.from_iterable(map(repeat, count(), map(sub, bounds[1:], bounds)))
     return WordSequence(tuple(words), tuple(sent))
 
 

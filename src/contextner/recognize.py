@@ -193,6 +193,8 @@ def _read_index(index_path: Path) -> tuple[dict[str, str], tuple[float, float]]:
             raise ValueError(f"invalid class label {label!r}")
         if label in entries:
             raise ValueError(f"duplicate class {label!r}")
+        if table_file in (".", "..") or "/" in table_file or "\\" in table_file:
+            raise ValueError(f"table file {table_file!r} is not a bare file name")
         table_path = index_path.parent / table_file
         if not table_path.is_file():
             raise ValueError(f"table file not found: {table_path}")

@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+from hypothesis import settings
+
 from contextner.corpus import CorpusManifest, Document
 from contextner.seeds import LearningExample
+
+# `pytest --hypothesis-profile=thorough` runs each property test on 20
+# times the default number of examples.
+settings.register_profile("thorough", max_examples=2000)
 
 
 def make_doc(doc_id: str, text: str, source: str | None = None) -> Document:

@@ -346,8 +346,13 @@ def test_document_that_is_not_utf8_exits_4(
         ("\t0\t0", "\t-1\t0", "threshold and margin must be non-negative"),
         ("\t0\t0", "\tnan\t0", "threshold and margin must be non-negative"),
         ("table_capital", "table_gone", "table file not found: {model}/table_gone.tsv"),
+        (
+            "table_capital",
+            "../model/table_capital",
+            "table file '../model/table_capital.tsv' is not a bare file name",
+        ),
     ],
-    ids=["unknown class", "negative threshold", "nan threshold", "missing table"],
+    ids=["unknown class", "negative threshold", "nan threshold", "missing table", "table path"],
 )
 def test_bad_model_index_line_exits_4_in_weigh_and_recognize(
     tmp_path, capsys, trained_model_dir, old, new, message
@@ -490,6 +495,14 @@ def test_growth_rejects_malformed_steps(tmp_path, capsys, capital_examples):
     corpus_dir = saved_corpus(tmp_path, "corpus", "Hotels in Paris.")
     code = cli.main(["growth", capital_examples, corpus_dir, "--steps", "a,b"])
     assert code == 2
+
+
+@pytest.mark.parametrize("steps", ["1,,2", ",1", "1,"])
+def test_growth_rejects_an_empty_step(tmp_path, capsys, capital_examples, steps):
+    corpus_dir = saved_corpus(tmp_path, "corpus", "Hotels in Paris.", "Map of Berlin.")
+    code = cli.main(["growth", capital_examples, corpus_dir, "--steps", steps])
+    assert code == 2
+    assert f"bad step list {steps!r}" in capsys.readouterr().err
 
 
 def test_growth_rejects_mixed_classes(tmp_path, capsys):

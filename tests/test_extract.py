@@ -112,6 +112,24 @@ def test_tokenize_matches_frozen_tokenizer_on_punctuated_text(text):
     assert_matches_oracle(text)
 
 
+# More pieces for the piece-by-piece reading: every other character that
+# str.split splits on, numerals that are alphanumeric but neither
+# alphabetic nor decimal, one letter with marks, pieces of several words
+# and pieces with none.
+WIDE_PIECES = PIECES + [
+    "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u1680",
+    *map(chr, range(0x2000, 0x200B)), "\u2028", "\u2029", "\u202f", "\u205f", "\u3000",
+    "½", "Ⅻ", "³", "½.", "Ⅻ.", "³.",
+    "W.,", "é...", "x.)", "a.W.", "and/or", "x--y", "—",
+]
+
+
+@given(st.lists(st.sampled_from(WIDE_PIECES), max_size=40).map("".join))
+@example("é... Paris")  # the last period is no initial's, so a sentence ends
+def test_tokenize_matches_frozen_tokenizer_on_wide_pieces(text):
+    assert_matches_oracle(text)
+
+
 def test_tokenize_keeps_an_initial_and_breaks_after_a_sentence():
     tok = tokenize("George W. Bush spoke. Then he left.")
     assert tok.words == ("George", "W.", "Bush", "spoke", "Then", "he", "left")

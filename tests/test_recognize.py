@@ -404,6 +404,26 @@ def test_load_model_missing_table_names_its_index_line(tmp_path, trained_table):
 
 
 @pytest.mark.parametrize(
+    "name",
+    [".", "..", "sub/table_capital.tsv", "sub\\table_capital.tsv", "{model}/table_capital.tsv"],
+)
+def test_load_model_rejects_a_table_path_in_the_index(tmp_path, trained_table, name):
+    model = tmp_path / "model"
+    update_model(model, "capital", trained_table)
+    table = (model / "table_capital.tsv").read_bytes()
+    (model / "sub").mkdir()
+    # Each name that can be a file is one, so only the check on the name rejects it.
+    for path in (model / "sub" / "table_capital.tsv", model / "sub\\table_capital.tsv"):
+        path.write_bytes(table)
+    index = model / "model.tsv"
+    body = index.read_text(encoding="utf-8").replace("table_capital.tsv", name.format(model=model))
+    index.write_text(body, encoding="utf-8")
+    message = r"model\.tsv:2: table file .* is not a bare file name"
+    with pytest.raises(DataFormatError, match=message):
+        load_model(model)
+
+
+@pytest.mark.parametrize(
     "old,new,where",
     [
         ("\t0.25\n", "\theavy\n", r"table_capital\.tsv:2: bad weight 'heavy'"),
