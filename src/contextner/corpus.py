@@ -8,6 +8,7 @@ Documents are immutable after load and safe to share across threads.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path, PurePosixPath
 from typing import Callable, Iterable, NamedTuple
 from urllib.parse import urlsplit
@@ -58,54 +59,63 @@ def _path_stem(path: str, original: str) -> str:
     return str(p)
 
 
-_SKIP_TAGS = {"script", "style"}
+# Markup, as one regular expression for `_markup_text`. Every construct
+# opens with `<`, which stays outside the alternation so a scan finds the
+# next `<` before it tries any alternative; the alternatives are tried in
+# order. In a tag, a value in quotes after `=` may hold `>`; a quote that
+# never closes is plain text.
+_QUOTED = r"""[\s=]*(?:"[^"]*"|'[^']*')"""
+_ATTRIBUTES = rf"(?:[\t\n\r\f /][^>=]*(?:=(?:{_QUOTED}|(?!{_QUOTED}))[^>=]*)*)?"
+
+
+def _raw_text_element(name: str) -> str:
+    """A `name` start tag and, unless it ends in `/>`, what follows it up
+    to the first `</name>` (any case, spaces allowed around the name) or
+    to the end of the text."""
+    name = f"(?ai:{name})"
+    close = rf"/\s*{name}\s*>"
+    return rf"{name}{_ATTRIBUTES}(?:(?<=/)>|>[^<]*(?:<(?!{close})[^<]*)*(?:<{close})?)"
+
+
+_MARKUP = "<(?:" + "|".join([
+    r"!--[\s\S]*?--\s*>",  # comment
+    _raw_text_element("script"),
+    _raw_text_element("style"),
+    # A script or style end tag.
+    r"/(?:\s*(?ai:script|style)\s*|(?ai:script|style)[\t\n\r\f /][^>]*)>",
+    # Start and end tags: the only group, which matches (empty) exactly
+    # for the markup that leaves a space.
+    rf"()(?:[a-zA-Z][^\t\n\r\f />]*{_ATTRIBUTES}"
+    r"|/(?:[a-zA-Z][^>]*|\s+[a-zA-Z][-.a-zA-Z0-9:_]*\s*))>",
+    r"/[^>]*>",  # any other end tag: `</>`, `</ 1>`, `</ a b>`
+    r"(?:!(?!--)|\?)[^>]*>",  # declaration, processing instruction
+]) + ")"
 
 
 def _markup_text(raw: str) -> str:
-    """The text content of markup, skipping script/style subtrees.
+    """The text content of markup, with one space for each tag other than
+    script and style, and nothing for the rest of the markup.
 
-    html.parser is imported here, on the first markup document, so the
-    commands that only read stored corpora never load it.
+    `_MARKUP` splits `raw` into text runs; each run's character
+    references are decoded on their own. `html` is imported and the
+    pattern compiled (and cached by `re`) on the first markup document,
+    so the commands that only read stored corpora do neither.
     """
-    from html.parser import HTMLParser
+    from html import unescape
 
-    chunks: list[str] = []
-    skip_depth = 0
-
-    def handle_starttag(tag, attrs):
-        nonlocal skip_depth
-        if tag in _SKIP_TAGS:
-            skip_depth += 1
-        else:
-            chunks.append(" ")
-
-    def handle_endtag(tag):
-        nonlocal skip_depth
-        if tag in _SKIP_TAGS:
-            if skip_depth:
-                skip_depth -= 1
-        else:
-            chunks.append(" ")
-
-    def handle_data(data):
-        if not skip_depth:
-            chunks.append(data)
-
-    parser = HTMLParser(convert_charrefs=True)
-    parser.handle_starttag = handle_starttag
-    parser.handle_endtag = handle_endtag
-    parser.handle_data = handle_data
-    parser.feed(raw)
-    parser.close()
-    return "".join(chunks)
+    parts = re.split(_MARKUP, raw)
+    parts[::2] = [unescape(text) if "&" in text else text for text in parts[::2]]
+    parts[1::2] = ["" if space is None else " " for space in parts[1::2]]
+    return "".join(parts)
 
 
 def clean_text(raw: str | bytes, kind: str) -> str:
     """Produce the analyzable text of a document.
 
     kind="plain": newline normalization only.
-    kind="markup": tags and script/style blocks removed, character
-    references decoded, whitespace runs collapsed to single spaces.
+    kind="markup": markup removed as `_markup_text` reads it (README,
+    step 1), character references decoded, whitespace runs collapsed to
+    single spaces. Never raises on text.
     Deterministic in both cases.
     """
     if isinstance(raw, bytes):

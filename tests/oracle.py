@@ -3,7 +3,9 @@
 Everything here recounts from scratch with plain loops over token lists,
 and shares nothing with the package. That includes the tokenizer:
 `oracle_tokenize` is a frozen copy of the package's original per-token
-gap scan, kept as the reference its faster replacement must match.
+gap scan, kept as the reference its faster replacement must match. The
+markup stripper's reference, `oracle_markup_text`, is the package's
+original `html.parser` stripper.
 """
 
 from __future__ import annotations
@@ -59,6 +61,50 @@ def oracle_tokenize(text: str) -> tuple[list[str], list[tuple[int, int]], set[in
                 breaks.add(i)
                 break
     return [t.text for t in tokens], [(t.start, t.end) for t in tokens], breaks
+
+
+# -- markup --------------------------------------------------------------------
+
+_SKIP_TAGS = {"script", "style"}
+
+
+def oracle_markup_text(raw: str) -> str:
+    """The text content of markup, skipping script/style subtrees.
+
+    The package's original stripper, unchanged: `html.parser` callbacks
+    that add one space per tag and drop script and style content.
+    """
+    from html.parser import HTMLParser
+
+    chunks: list[str] = []
+    skip_depth = 0
+
+    def handle_starttag(tag, attrs):
+        nonlocal skip_depth
+        if tag in _SKIP_TAGS:
+            skip_depth += 1
+        else:
+            chunks.append(" ")
+
+    def handle_endtag(tag):
+        nonlocal skip_depth
+        if tag in _SKIP_TAGS:
+            if skip_depth:
+                skip_depth -= 1
+        else:
+            chunks.append(" ")
+
+    def handle_data(data):
+        if not skip_depth:
+            chunks.append(data)
+
+    parser = HTMLParser(convert_charrefs=True)
+    parser.handle_starttag = handle_starttag
+    parser.handle_endtag = handle_endtag
+    parser.handle_data = handle_data
+    parser.feed(raw)
+    parser.close()
+    return "".join(chunks)
 
 
 # -- instance matching ---------------------------------------------------------

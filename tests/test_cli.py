@@ -2,7 +2,7 @@ import pytest
 
 from conftest import make_corpus
 from contextner import cli
-from contextner.corpus import save_corpus
+from contextner.corpus import load_corpus, save_corpus
 
 
 def write_examples(path, *rows):
@@ -90,6 +90,30 @@ def test_acquire_reports_failed_fetches(tmp_path, capsys, capital_examples):
     assert code == 0
     assert "1 new documents" in captured.out
     assert "1 fetches failed" in captured.err
+
+
+def test_acquire_reads_pages_with_marked_sections(tmp_path, capsys, capital_examples):
+    fixtures = write_fixture(
+        tmp_path / "fixtures",
+        [
+            ("Paris", "http://a.example/p1", "p1.html"),
+            ("Berlin", "http://b.example/b1", "b1.html"),
+        ],
+        {
+            "p1.html": "<p>Hotels in Paris.</p><![foo[ x ]]><p>Map of Paris.</p>",
+            "b1.html": "<p>Hotels in Berlin.</p> <![ x",
+        },
+    )
+    corpus_dir = tmp_path / "corpus"
+    code = cli.main(
+        ["acquire", capital_examples, str(corpus_dir), "--fixtures", fixtures]
+    )
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(doc.clean for doc in load_corpus(corpus_dir)) == [
+        "Hotels in Berlin. <![ x",
+        "Hotels in Paris. Map of Paris.",
+    ]
 
 
 def test_acquire_missing_examples_file(tmp_path, capsys, fixture_dir):

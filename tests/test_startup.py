@@ -25,7 +25,9 @@ PIPELINE_MODULES = {
     "contextner.extract",
     "contextner.corpus",
 }
-ACQUISITION_MODULES = {"contextner.acquire", "logging", "hashlib", "concurrent.futures"}
+ACQUISITION_MODULES = {
+    "contextner.acquire", "logging", "hashlib", "concurrent.futures", "html",
+}
 
 COMMANDS = {
     "acquire": ["acquire", "examples.tsv", "corpus", "--fixtures", "fixtures"],
@@ -108,6 +110,12 @@ def test_import_cli_loads_no_pipeline_module(tmp_path):
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_command_does_not_load_dataclasses(command_loads, command):
     assert "dataclasses" not in command_loads[command]
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_command_does_not_load_html_parser(command_loads, command):
+    # Markup is stripped by one regular expression, not by html.parser.
+    assert not command_loads[command] & {"html.parser", "_markupbase"}
 
 
 @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "acquire"])
