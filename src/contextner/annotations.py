@@ -7,6 +7,7 @@ both readers reject the same bad spans.
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -52,8 +53,11 @@ def _span(first: str, last: str) -> tuple[int, int]:
     return start, end
 
 
-def format_annotations(annotations: Iterable[Annotation]) -> str:
-    rows = [
+def write_annotations(output: str | Path | None, annotations: Iterable[Annotation]) -> None:
+    """Write the annotations file to `output`, or to stdout when it is
+    None or empty, a row as each annotation arrives, so a stream of
+    annotations is never held whole."""
+    rows = (
         [
             a.doc,
             str(a.first),
@@ -64,8 +68,11 @@ def format_annotations(annotations: Iterable[Annotation]) -> str:
             f"{a.runner_up:.7g}",
         ]
         for a in annotations
-    ]
-    return tsv.format_rows(ANNOTATIONS_HEADER, rows)
+    )
+    if output:
+        tsv.write_rows(output, ANNOTATIONS_HEADER, rows)
+    else:
+        tsv.write_lines(sys.stdout, ANNOTATIONS_HEADER, rows)
 
 
 def _annotation_row(*fields: str) -> Annotation:

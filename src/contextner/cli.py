@@ -1,7 +1,8 @@
 """Command-line pipeline: acquire, weigh, recognize, evaluate, growth.
 
-Exit codes: 0 success, 2 usage or input error, 3 empty result,
-4 malformed stored data (manifest, model, TSV).
+Exit codes: 0 success, 1 stdout closed before the output was written,
+2 usage or input error, 3 empty result, 4 malformed stored data
+(manifest, model, TSV).
 
 Each command imports the modules it runs inside its handler, so a
 command's start-up loads only what that command uses.
@@ -10,6 +11,7 @@ command's start-up loads only what that command uses.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -18,6 +20,7 @@ from . import tsv
 from .errors import DataFormatError, EmptyResultError, PipelineError
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_INPUT = 2
 EXIT_EMPTY = 3
 EXIT_DATA = 4
@@ -128,7 +131,7 @@ def cmd_weigh(args: argparse.Namespace) -> int:
 
 
 def cmd_recognize(args: argparse.Namespace) -> int:
-    from .annotations import format_annotations
+    from .annotations import write_annotations
     from .corpus import load_corpus
     from .recognize import load_model, recognize_corpus
 
@@ -140,8 +143,7 @@ def cmd_recognize(args: argparse.Namespace) -> int:
         max_entity_tokens=args.max_entity_tokens,
     )
     corpus = load_corpus(args.corpus_dir)
-    annotations = recognize_corpus(corpus, model)
-    _emit(format_annotations(annotations), args.output)
+    write_annotations(args.output, recognize_corpus(corpus, model))
     return EXIT_OK
 
 
@@ -311,7 +313,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flush here, so that a closed stdout raises below, not at exit.
+        # (stdout is None when the process was started without one.)
+        if sys.stdout is not None:
+            sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Whatever read stdout has gone, as in `contextner ... | head -1`.
+        # Point stdout at the null device, so that the flush at exit
+        # cannot raise again (see "Note on SIGPIPE" in the signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except EmptyResultError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY

@@ -8,6 +8,7 @@ Documents are immutable after load and safe to share across threads.
 
 from __future__ import annotations
 
+import os
 import re
 from pathlib import Path, PurePosixPath
 from typing import Callable, Iterable, NamedTuple
@@ -210,12 +211,14 @@ def load_corpus(directory: str | Path) -> CorpusManifest:
     document file, or a document that is not UTF-8.
     """
     directory = Path(directory)
+    root = str(directory)
     check = _manifest_row_check()
 
     def parse(doc_id, source, uri, kind, rel):
         check(doc_id, source, uri, kind, rel)
-        doc_path = directory / rel
-        if not doc_path.is_file():
+        doc_path = os.path.join(root, rel)
+        # Only a regular file: reading a FIFO would block.
+        if not os.path.isfile(doc_path):
             raise ValueError(f"missing document file {rel!r}")
         text = tsv.read_text(doc_path)
         return Document(id=doc_id, source=source, uri=uri, kind=kind, clean=text)

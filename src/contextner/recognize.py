@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from . import tsv
 from .annotations import Annotation
@@ -165,11 +165,11 @@ def recognize_document(doc: Document, model: RecognitionModel) -> list[Annotatio
 
 def recognize_corpus(
     documents: Iterable[Document], model: RecognitionModel
-) -> list[Annotation]:
-    out: list[Annotation] = []
+) -> Iterator[Annotation]:
+    """Each document's annotations in document order, yielded as each
+    document is decided, so only one document's spans are held at a time."""
     for doc in documents:
-        out.extend(recognize_document(doc, model))
-    return out
+        yield from recognize_document(doc, model)
 
 
 def _table_file_name(label: str) -> str:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, Iterator, TextIO, TypeVar
 
 from .errors import DataFormatError, InputError
 
@@ -18,9 +18,11 @@ _FORBIDDEN = ("\t", "\n", "\r")
 T = TypeVar("T")
 
 
-def format_rows(header: list[str], rows: list[list[str]]) -> str:
-    """Render header + rows as TSV text, validating every field."""
-    lines = ["\t".join(header)]
+def _lines(header: list[str], rows: Iterable[list[str]]) -> Iterator[str]:
+    """Header + rows as TSV lines, each ending in "\n", checking each row
+    as it is reached: a wrong field count, or a field holding a tab or a
+    line break, raises DataFormatError."""
+    yield "\t".join(header) + "\n"
     tabs = len(header) - 1
     for row in rows:
         if len(row) != len(header):
@@ -34,29 +36,43 @@ def format_rows(header: list[str], rows: list[list[str]]) -> str:
             for field in row:
                 if any(ch in field for ch in _FORBIDDEN):
                     raise DataFormatError(f"field contains tab or newline: {field!r}")
-        lines.append(line)
-    return "\n".join(lines) + "\n"
+        yield line + "\n"
 
 
-def write_text(path: str | Path, text: str) -> None:
-    """Write UTF-8 text with "\n" line endings, replacing `path` whole.
+def format_rows(header: list[str], rows: Iterable[list[str]]) -> str:
+    """Render header + rows as TSV text, validating every field."""
+    return "".join(_lines(header, rows))
 
-    The text goes to a temporary file next to the file `path` names (a
-    symbolic link's target), which then takes its place in one rename,
-    so a failed or interrupted run leaves the old file or none, never a
-    half-written one. A device or a pipe, such as /dev/null, is written
-    directly: there is no file to replace. An OSError names `path` as
-    given, never the temporary file.
+
+def write_lines(out: TextIO, header: list[str], rows: Iterable[list[str]]) -> None:
+    """Write header + rows to an open text stream, each row as it
+    arrives, checked as format_rows checks it. The stream gets the text
+    of format_rows(header, rows), up to the first bad row."""
+    out.writelines(_lines(header, rows))
+
+
+def _replace(path: str | Path, write: Callable[[TextIO], None]) -> None:
+    """Replace the file `path` names whole with what `write` writes to it.
+
+    `write` gets a UTF-8 text stream with "\n" line endings on a
+    temporary file next to the file `path` names (a symbolic link's
+    target), which then takes its place in one rename, so a failed or
+    interrupted run leaves the old file or none, never a half-written
+    one. A device or a pipe, such as /dev/null, is written directly:
+    there is no file to replace. An OSError names `path` as given, never
+    the temporary file.
     """
     given = path
     path = Path(path)
     if path.exists() and not path.is_file():
-        path.write_text(text, encoding="utf-8", newline="\n")
+        with open(path, "w", encoding="utf-8", newline="\n") as out:
+            write(out)
         return
     path = path.resolve() if path.is_symlink() else path
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8", newline="\n")
+        with open(tmp, "w", encoding="utf-8", newline="\n") as out:
+            write(out)
         os.replace(tmp, path)
     except BaseException as exc:
         tmp.unlink(missing_ok=True)
@@ -65,8 +81,18 @@ def write_text(path: str | Path, text: str) -> None:
         raise
 
 
-def write_rows(path: str | Path, header: list[str], rows: list[list[str]]) -> None:
-    write_text(path, format_rows(header, rows))
+def write_text(path: str | Path, text: str) -> None:
+    """Write UTF-8 text with "\n" line endings, replacing `path` whole
+    (see _replace)."""
+    _replace(path, lambda out: out.write(text))
+
+
+def write_rows(path: str | Path, header: list[str], rows: Iterable[list[str]]) -> None:
+    """Write header + rows as TSV, replacing `path` whole (see _replace).
+    Each row is checked and written as it arrives, so `rows` may be a
+    stream that is never held in memory; a bad row or an error from
+    `rows` leaves the old file in place."""
+    _replace(path, lambda out: write_lines(out, header, rows))
 
 
 def not_utf8(exc: UnicodeDecodeError, source: str | Path | None = None) -> DataFormatError:
@@ -81,7 +107,8 @@ def read_text(path: str | Path) -> str:
     unreadable) is an InputError naming it; one that is not UTF-8 is
     reported by not_utf8."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            return file.read()
     except UnicodeDecodeError as exc:
         raise not_utf8(exc, path)
     except OSError as exc:

@@ -1,8 +1,21 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from conftest import make_corpus
 from contextner import cli
 from contextner.corpus import load_corpus, save_corpus
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env(**extra):
+    """The environment for a `python -m contextner` child of this test."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def write_examples(path, *rows):
@@ -326,6 +339,51 @@ def test_recognize_writes_output_file(tmp_path, capsys, trained_model_dir):
     out = tmp_path / "ann.tsv"
     code = cli.main(["recognize", trained_model_dir, test_dir, "--output", str(out)])
     assert code == 0
+    assert "Quito\tcapital" in out.read_text(encoding="utf-8")
+
+
+def test_recognize_prints_what_it_writes(tmp_path, capsys, trained_model_dir):
+    test_dir = saved_corpus(
+        tmp_path, "test", "Hotels in Quito.", "Visit Hotels in Lisbon. Hotels in cafes."
+    )
+    out = tmp_path / "ann.tsv"
+    assert cli.main(["recognize", trained_model_dir, test_dir, "--output", str(out)]) == 0
+    assert cli.main(["recognize", trained_model_dir, test_dir]) == 0
+    printed = capsys.readouterr().out
+    assert printed.count("\tcapital\t") == 3
+    assert printed.encode("utf-8") == out.read_bytes()
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_1_quietly(tmp_path, trained_model_dir, unbuffered):
+    # As in `contextner recognize ... | head -1` once head has exited.
+    test_dir = saved_corpus(tmp_path, "test", "Hotels in Quito.")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "contextner", "recognize", trained_model_dir, test_dir],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=child_env(PYTHONUNBUFFERED=unbuffered),
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (1, "")
+
+
+def test_recognize_runs_without_stdout(tmp_path, trained_model_dir):
+    test_dir = saved_corpus(tmp_path, "test", "Hotels in Quito.")
+    out = tmp_path / "ann.tsv"
+    result = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m contextner "$@" >&-', sys.executable,
+         "recognize", trained_model_dir, test_dir, "--output", str(out)],
+        stderr=subprocess.PIPE,
+        env=child_env(),
+        text=True,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
     assert "Quito\tcapital" in out.read_text(encoding="utf-8")
 
 

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -242,6 +244,18 @@ def test_load_missing_document_file(tmp_path):
     (tmp_path / "docs" / "d1.txt").unlink()
     with pytest.raises(DataFormatError, match=r"manifest\.tsv:2"):
         load_corpus(tmp_path)
+
+
+@pytest.mark.parametrize("replace", [os.mkdir, os.mkfifo], ids=["directory", "fifo"])
+def test_load_rejects_a_document_that_is_not_a_regular_file(tmp_path, replace):
+    # A FIFO is rejected before it is opened, where reading it would block.
+    save_corpus(CorpusManifest([make_doc("d1", "text")]), tmp_path)
+    doc_path = tmp_path / "docs" / "d1.txt"
+    doc_path.unlink()
+    replace(doc_path)
+    with pytest.raises(DataFormatError) as info:
+        load_corpus(tmp_path)
+    assert str(info.value) == f"{tmp_path / 'manifest.tsv'}:2: missing document file 'docs/d1.txt'"
 
 
 def test_load_rejects_unknown_kind(tmp_path):

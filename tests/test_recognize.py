@@ -5,7 +5,7 @@ from hypothesis import assume, given, strategies as st
 
 from conftest import capitals, make_corpus, make_doc
 from contextner import tsv
-from contextner.annotations import format_annotations, load_annotations
+from contextner.annotations import load_annotations, write_annotations
 from contextner.errors import DataFormatError, InputError
 from contextner.extract import ContextKey, tokenize
 from contextner.seeds import LearningExample
@@ -459,7 +459,7 @@ def test_annotations_file_round_trip(tmp_path):
     model = model_from({"capital": {left("Hotels", "in"): 0.25}})
     annotations = recognize_document(doc, model)
     path = tmp_path / "ann.tsv"
-    tsv.write_text(path, format_annotations(annotations))
+    write_annotations(path, annotations)
     assert load_annotations(path) == annotations
 
 

@@ -1,7 +1,11 @@
 import os
 import stat
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from contextner import tsv
 from contextner.errors import DataFormatError
@@ -112,3 +116,62 @@ def test_write_text_replaces_a_linked_file_not_the_link(tmp_path):
     tsv.write_text(link, "new\n")
     assert link.is_symlink()
     assert target.read_text(encoding="utf-8") == "new\n"
+
+
+# Fields drawn mostly from plain text, with now and then a tab or line break.
+_field = st.text(alphabet=st.sampled_from("ab é\t\n\r"), max_size=6)
+
+
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda width: st.tuples(
+            st.lists(st.text(alphabet="hx", min_size=1, max_size=3), min_size=width, max_size=width),
+            st.lists(st.lists(_field, min_size=width - 1, max_size=width + 1), max_size=6),
+        )
+    )
+)
+def test_write_rows_streams_the_bytes_of_format_rows(header_rows):
+    header, rows = header_rows
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "t.tsv"
+        try:
+            expected = tsv.format_rows(header, rows)
+        except DataFormatError as exc:
+            with pytest.raises(DataFormatError) as info:
+                tsv.write_rows(path, header, iter(rows))
+            assert str(info.value) == str(exc)
+            assert list(Path(scratch).iterdir()) == []
+        else:
+            tsv.write_rows(path, header, iter(rows))
+            assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_failed_row_stream_keeps_old_file(tmp_path, k):
+    path = tmp_path / "t.tsv"
+    tsv.write_rows(path, HDR, [["old", "row"]])
+    before = path.read_bytes()
+
+    def rows():
+        for i in range(k):
+            yield ["new", str(i)]
+        raise RuntimeError("stream broke")
+
+    with pytest.raises(RuntimeError, match="stream broke"):
+        tsv.write_rows(path, HDR, rows())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t.tsv"]
+
+
+def test_write_rows_holds_one_row_at_a_time(tmp_path):
+    path = tmp_path / "t.tsv"
+    n = 100_000
+    rows = (["x" * 100, str(i)] for i in range(n))
+    tracemalloc.start()
+    try:
+        tsv.write_rows(path, HDR, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 10_000_000
+    assert peak < 1_000_000
