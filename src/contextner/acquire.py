@@ -154,9 +154,11 @@ def acquire(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if max_results < 1:
         raise ValueError(f"max_results must be >= 1, got {max_results}")
-    existing = existing if existing is not None else CorpusManifest([])
+    # Each stored document's text is read here, once, so one that is not
+    # UTF-8 fails the run before anything is fetched.
+    kept = list(existing) if existing is not None else []
     queries = list(queries)
-    known_uris = {doc.uri for doc in existing}
+    known_uris = {doc.uri for doc in kept}
     failures: list[FetchFailure] = []
     targets: list[str] = []
     search_errors = 0
@@ -198,5 +200,5 @@ def acquire(
                 )
             )
 
-    manifest = CorpusManifest(list(existing) + new_docs)
+    manifest = CorpusManifest(kept + new_docs)
     return AcquireResult(manifest=manifest, failures=tuple(failures))

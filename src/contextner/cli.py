@@ -1,8 +1,8 @@
 """Command-line pipeline: acquire, weigh, recognize, evaluate, growth.
 
 Exit codes: 0 success, 1 stdout closed before the output was written,
-2 usage or input error, 3 empty result, 4 malformed stored data
-(manifest, model, TSV).
+2 usage or input error (a pipe named by --output closing early among
+them), 3 empty result, 4 malformed stored data (manifest, model, TSV).
 
 Each command imports the modules it runs inside its handler, so a
 command's start-up loads only what that command uses.
@@ -105,21 +105,21 @@ def cmd_weigh(args: argparse.Namespace) -> int:
     examples = load_examples(args.examples)
     label = single_class(examples)
     if args.model_dir:
-        from .recognize import check_model_update
+        from .recognize import check_model_update, update_model
 
-        check_model_update(args.model_dir, label)
+        index = check_model_update(args.model_dir, label)
     corpus = load_corpus(args.corpus_dir)
     table = build_weight_table(
         corpus, examples, args.context_len, args.side, args.min_count
     )
-    _emit(format_weight_table(table), args.output)
+    text = format_weight_table(table)
+    _emit(text, args.output)
     if args.model_dir:
-        from .recognize import update_model
-
         update_model(
             args.model_dir,
             label,
-            table,
+            text,
+            index,
             threshold=args.threshold,
             margin=args.margin,
         )
@@ -319,7 +319,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         if sys.stdout is not None:
             sys.stdout.flush()
         return code
-    except BrokenPipeError:
+    except BrokenPipeError as exc:
+        if exc.filename is not None:  # a pipe named by --output
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
         # Whatever read stdout has gone, as in `contextner ... | head -1`.
         # Point stdout at the null device, so that the flush at exit
         # cannot raise again (see "Note on SIGPIPE" in the signal docs).

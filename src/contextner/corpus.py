@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import re
 from pathlib import Path, PurePosixPath
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 from urllib.parse import urlsplit
 
 from . import tsv
@@ -78,8 +78,9 @@ def _raw_text_element(name: str) -> str:
     return rf"{name}{_ATTRIBUTES}(?:(?<=/)>|>[^<]*(?:<(?!{close})[^<]*)*(?:<{close})?)"
 
 
+_COMMENT_END = r"--\s*>"
 _MARKUP = "<(?:" + "|".join([
-    r"!--[\s\S]*?--\s*>",  # comment
+    rf"!--[\s\S]*?{_COMMENT_END}",  # comment
     _raw_text_element("script"),
     _raw_text_element("style"),
     # A script or style end tag.
@@ -99,13 +100,40 @@ def _markup_text(raw: str) -> str:
 
     `_MARKUP` splits `raw` into text runs; each run's character
     references are decoded on their own. `html` is imported and the
-    pattern compiled (and cached by `re`) on the first markup document,
+    patterns compiled (and cached by `re`) on the first markup document,
     so the commands that only read stored corpora do neither.
+
+    Every piece of markup ends in a `>`, and a comment in `--`, spaces
+    and `>`, so a `<` after the last `>`, and a `<!--` that no comment
+    end follows, is text. The split would learn that for each such `<`
+    by reading on to the end of the text, which takes time quadratic in
+    their number; so they are first replaced by a character the text
+    does not hold, which nothing in `_MARKUP` reads apart from `<`, and
+    put back in the text runs.
     """
     from html import unescape
 
+    text_from = raw.rfind(">") + 1
+    comments_from = text_from  # where the `<!--` that are text begin
+    comment_end = re.compile(_COMMENT_END)
+    last_open = raw.rfind("<!--", 0, text_from)
+    if last_open >= 0 and not comment_end.search(raw, last_open + 4):
+        last_end = None
+        for last_end in comment_end.finditer(raw):
+            pass
+        comments_from = max(last_end.start() - 3, 0) if last_end else 0
+    mark = None
+    if raw.find("<", text_from) >= 0 or raw.find("<!--", comments_from, text_from) >= 0:
+        held = set(raw)
+        mark = next(c for c in map(chr, range(0xE000, 0x110000)) if c not in held)
+        raw = "".join([
+            raw[:comments_from],
+            raw[comments_from:text_from].replace("<!--", mark + "!--"),
+            raw[text_from:].replace("<", mark),
+        ])
     parts = re.split(_MARKUP, raw)
-    parts[::2] = [unescape(text) if "&" in text else text for text in parts[::2]]
+    texts = parts[::2] if mark is None else [t.replace(mark, "<") for t in parts[::2]]
+    parts[::2] = [unescape(text) if "&" in text else text for text in texts]
     parts[1::2] = ["" if space is None else " " for space in parts[1::2]]
     return "".join(parts)
 
@@ -141,19 +169,42 @@ class Document(NamedTuple):
     clean: str
 
 
+class StoredDocument(NamedTuple):
+    """One manifest row: a document's identity and the file that holds
+    its cleaned text, which `read` reads."""
+
+    id: str
+    source: str
+    uri: str
+    kind: str
+    path: str
+
+    def read(self) -> Document:
+        """The document, with its text read from `path` now."""
+        return Document(self.id, self.source, self.uri, self.kind, tsv.read_text(self.path))
+
+
 class CorpusManifest(Record):
-    """An id-ordered document collection gathered for one entity class."""
+    """An id-ordered document collection gathered for one entity class.
+
+    `documents` holds Documents, or the StoredDocuments of a manifest
+    file (see load_corpus). Iterating yields every one as a Document, in
+    id order; a stored one's text is read only when iteration reaches
+    it, and the iterator keeps none of it, so iterating twice reads
+    every file twice.
+    """
 
     __slots__ = ("documents",)
 
-    def __init__(self, documents: Iterable[Document] = ()) -> None:
+    def __init__(self, documents: Iterable[Document | StoredDocument] = ()) -> None:
         self._assign(documents=sorted(documents, key=lambda d: d.id))
 
     def __len__(self) -> int:
         return len(self.documents)
 
-    def __iter__(self):
-        return iter(self.documents)
+    def __iter__(self) -> Iterator[Document]:
+        for doc in self.documents:
+            yield doc.read() if isinstance(doc, StoredDocument) else doc
 
 
 def _manifest_row_check() -> Callable[[str, str, str, str, str], None]:
@@ -185,10 +236,12 @@ def save_corpus(manifest: CorpusManifest, directory: str | Path) -> None:
 
     Every row is checked as load_corpus checks it, and a fault raises
     DataFormatError naming the manifest line, before any file is written.
+    Each stored document's text is read once, just before it is written.
     """
     directory = Path(directory)
     rows = [
-        [doc.id, doc.source, doc.uri, doc.kind, f"docs/{doc.id}.txt"] for doc in manifest
+        [doc.id, doc.source, doc.uri, doc.kind, f"docs/{doc.id}.txt"]
+        for doc in manifest.documents
     ]
     check = _manifest_row_check()
     for lineno, row in enumerate(rows, start=2):
@@ -206,9 +259,15 @@ def save_corpus(manifest: CorpusManifest, directory: str | Path) -> None:
 def load_corpus(directory: str | Path) -> CorpusManifest:
     """Load a corpus directory written by save_corpus.
 
-    Raises InputError when the manifest file cannot be read,
-    DataFormatError on a repeated id or uri, a bad kind, a missing
-    document file, or a document that is not UTF-8.
+    Every manifest row is checked now, but no document's text is read:
+    the manifest holds StoredDocuments, whose text is read, and checked
+    to be UTF-8, when iteration reaches it.
+
+    Raises InputError when the manifest file cannot be read, and
+    DataFormatError on a repeated id or uri, a bad kind, or a document
+    file that is missing or not a regular file. Iterating raises
+    DataFormatError on a document that is not UTF-8, and InputError on
+    one that can no longer be read.
     """
     directory = Path(directory)
     root = str(directory)
@@ -220,7 +279,6 @@ def load_corpus(directory: str | Path) -> CorpusManifest:
         # Only a regular file: reading a FIFO would block.
         if not os.path.isfile(doc_path):
             raise ValueError(f"missing document file {rel!r}")
-        text = tsv.read_text(doc_path)
-        return Document(id=doc_id, source=source, uri=uri, kind=kind, clean=text)
+        return StoredDocument(id=doc_id, source=source, uri=uri, kind=kind, path=doc_path)
 
     return CorpusManifest(tsv.read_rows(directory / MANIFEST_NAME, _MANIFEST_HEADER, parse))

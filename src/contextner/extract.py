@@ -7,8 +7,9 @@ run in parallel as long as results are concatenated in document-id order.
 from __future__ import annotations
 
 import re
-from itertools import chain, compress, count, islice, repeat
-from operator import not_, sub
+from bisect import bisect_right
+from itertools import compress, count, islice
+from operator import not_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, TypeVar
 
 from .record import Record
@@ -27,24 +28,25 @@ _WORD_RE = re.compile(r"[^\W_](?:\.(?![^\W_])|[^\W_]*(?:['’.\-][^\W_]+)*)")
 
 
 class WordSequence(Record):
-    """A document's words and the sentence each one belongs to.
+    """A document's words and where its sentences start.
 
-    `sent[i]` numbers the sentence of word i from 0, so a sentence ends
-    between words j and j+1 exactly when sent[j] != sent[j+1]. Instance
-    matching, context extraction and candidate detection read only this.
+    `starts` holds, in increasing order, the index of the first word of
+    each sentence after the first, so a sentence ends between words j
+    and j+1 exactly when j+1 is in `starts`. Instance matching, context
+    extraction and candidate detection read only this.
     """
 
-    __slots__ = ("words", "sent")
+    __slots__ = ("words", "starts")
 
-    def __init__(self, words: tuple[str, ...], sent: tuple[int, ...]) -> None:
-        self._assign(words=words, sent=sent)
+    def __init__(self, words: tuple[str, ...], starts: tuple[int, ...]) -> None:
+        self._assign(words=words, starts=starts)
 
     def __len__(self) -> int:
         return len(self.words)
 
 
 def tokenize(text: str) -> WordSequence:
-    """Split cleaned text into words and sentence ids.
+    """Split cleaned text into words and sentence starts.
 
     Words are maximal runs of letters and digits joined by single
     apostrophes, periods or hyphens, and a word of one letter keeps a
@@ -100,9 +102,7 @@ def tokenize(text: str) -> WordSequence:
             words += found
             lo = i + 1
         words += pieces[lo:]
-    bounds = [0, *starts, len(words)]
-    sent = chain.from_iterable(map(repeat, count(), map(sub, bounds[1:], bounds)))
-    return WordSequence(tuple(words), tuple(sent))
+    return WordSequence(tuple(words), tuple(starts))
 
 
 class InstanceOccurrence(NamedTuple):
@@ -192,7 +192,12 @@ def context_window(
         first, last = anchor, anchor + length
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if first < 0 or last >= len(seq) or seq.sent[first] != seq.sent[last]:
+    if first < 0 or last >= len(seq):
+        return None
+    # The first sentence start after `first` must lie past `last`.
+    starts = seq.starts
+    i = bisect_right(starts, first)
+    if i < len(starts) and starts[i] <= last:
         return None
     return (first, anchor) if side == LEFT else (anchor + 1, last + 1)
 

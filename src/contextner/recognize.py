@@ -10,7 +10,7 @@ margin or the span stays `unknown`.
 from __future__ import annotations
 
 import re
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -21,7 +21,7 @@ from .errors import DataFormatError
 from .extract import LEFT, RIGHT, ContextKey, WordSequence, context_hits, tokenize
 from .record import Record
 from .seeds import UNKNOWN
-from .weighting import WeightTable, format_weight_table, read_weight_mapping
+from .weighting import read_weight_mapping
 
 MODEL_FILE = "model.tsv"
 MODEL_HEADER = ["class", "table_file", "threshold", "margin"]
@@ -115,15 +115,18 @@ def detect_candidates(
     hits: dict[tuple[str, int], list[tuple[str, float]]] = {}
     spans: set[tuple[int, int]] = set()
     words = tok.words
-    sent = tok.sent
+    starts = set(tok.starts)
     n = len(words)
     for side, anchor, votes in context_hits(tok, model._votes):
         hits.setdefault((side, anchor), []).extend(votes)
-        step = 1 if side == LEFT else -1
+        # A span grows right from a left context's anchor and left from a
+        # right context's; a sentence starts between edge and the next
+        # word when the later of the two, edge + ahead, is a start.
+        step, ahead = (1, 1) if side == LEFT else (-1, 0)
         edge = anchor
         for _ in range(model.max_entity_tokens - 1):
             nxt = edge + step
-            if not 0 <= nxt < n or sent[nxt] != sent[edge] or words[nxt][:1].islower():
+            if not 0 <= nxt < n or edge + ahead in starts or words[nxt][:1].islower():
                 break
             edge = nxt
         spans.add((min(anchor, edge), max(anchor, edge)))
@@ -167,9 +170,10 @@ def recognize_corpus(
     documents: Iterable[Document], model: RecognitionModel
 ) -> Iterator[Annotation]:
     """Each document's annotations in document order, yielded as each
-    document is decided, so only one document's spans are held at a time."""
-    for doc in documents:
-        yield from recognize_document(doc, model)
+    document is decided. Nothing here keeps a document once its
+    annotations are made, nor its annotations once they are consumed,
+    so only one document's text and spans are held at a time."""
+    return chain.from_iterable(map(recognize_document, documents, repeat(model)))
 
 
 def _table_file_name(label: str) -> str:
@@ -181,7 +185,12 @@ def _table_file_name(label: str) -> str:
     return f"table_{label}.tsv"
 
 
-def _read_index(index_path: Path) -> tuple[dict[str, str], tuple[float, float]]:
+# A model index: class -> table file, in line order, plus the threshold
+# and margin its lines share.
+_Index = tuple[dict[str, str], tuple[float, float]]
+
+
+def _read_index(index_path: Path) -> _Index:
     """A model index as class -> table file, in line order, plus the
     threshold and margin its lines share ((0, 0) when it has none). Every
     check on an index is here, so weigh and recognize reject the same files."""
@@ -210,38 +219,38 @@ def _read_index(index_path: Path) -> tuple[dict[str, str], tuple[float, float]]:
     return entries, next(iter(shared), (0.0, 0.0))
 
 
-def _stored_index(directory: Path) -> tuple[dict[str, str], tuple[float, float]]:
-    """_read_index of the directory's model.tsv, or an empty index."""
-    index_path = directory / MODEL_FILE
-    return _read_index(index_path) if index_path.is_file() else ({}, (0.0, 0.0))
-
-
-def check_model_update(directory: str | Path, label: str) -> None:
-    """Raise DataFormatError where update_model would reject this class
-    label or the directory's stored index, before any table is built."""
+def check_model_update(directory: str | Path, label: str) -> _Index:
+    """The directory's stored index, for update_model ((no classes, 0, 0)
+    when it has no model.tsv). Raises DataFormatError where update_model
+    would reject this class label or that index, so a caller can check
+    before it builds the table."""
     _table_file_name(label)
-    _stored_index(Path(directory))
+    index_path = Path(directory) / MODEL_FILE
+    return _read_index(index_path) if index_path.is_file() else ({}, (0.0, 0.0))
 
 
 def update_model(
     directory: str | Path,
     label: str,
-    table: WeightTable,
+    table: str,
+    index: _Index,
     threshold: Optional[float] = None,
     margin: Optional[float] = None,
 ) -> None:
     """Add or replace one class's table in a model directory.
 
+    `table` is the weight table's text, as format_weight_table writes it,
+    and `index` the directory's index as check_model_update returned it.
     Other classes' entries are preserved. Threshold and margin are
     model-wide: explicit values overwrite the stored ones, otherwise
     the stored (or zero) values stay on every row.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    entries, stored = _stored_index(directory)
+    entries, stored = index
     file_name = _table_file_name(label)
-    tsv.write_text(directory / file_name, format_weight_table(table))
-    entries[label] = file_name
+    tsv.write_text(directory / file_name, table)
+    entries = {**entries, label: file_name}
     theta = stored[0] if threshold is None else threshold
     delta = stored[1] if margin is None else margin
     rows = [

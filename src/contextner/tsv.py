@@ -60,13 +60,17 @@ def _replace(path: str | Path, write: Callable[[TextIO], None]) -> None:
     interrupted run leaves the old file or none, never a half-written
     one. A device or a pipe, such as /dev/null, is written directly:
     there is no file to replace. An OSError names `path` as given, never
-    the temporary file.
+    the temporary file, and one from writing to a device or a pipe, such
+    as a BrokenPipeError once a pipe's reader has gone, names it too.
     """
     given = path
     path = Path(path)
     if path.exists() and not path.is_file():
-        with open(path, "w", encoding="utf-8", newline="\n") as out:
-            write(out)
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as out:
+                write(out)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(given)) from exc
         return
     path = path.resolve() if path.is_symlink() else path
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")

@@ -17,7 +17,7 @@ prefixes of a corpus, to show how the context set saturates.
 from __future__ import annotations
 
 import math
-from itertools import islice
+from itertools import islice, starmap
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -136,16 +136,22 @@ class WeightedContext(NamedTuple):
         return self.stats.context
 
 
+_Scanned = tuple[str, WordSequence, dict[int, tuple[str, Optional[ContextKey]]]]
+
+
 def _example_contexts(
     corpus: CorpusManifest, examples: list[LearningExample], context_len: int, side: str
-) -> Iterator[tuple[Document, WordSequence, dict[int, tuple[str, Optional[ContextKey]]]]]:
+) -> Iterator[_Scanned]:
     """The per-document scan that weigh and growth read.
 
-    Checks the examples and settings before reading any document, then
-    yields each document in corpus order with its words and every
-    example occurrence keyed by its context anchor (an instance's first
-    word for left contexts, its last for right) as (surface, context or
-    None where extract_context rejects the window).
+    Checks the examples and settings at once, then yields, as each
+    document in corpus order is reached, its source and words, and
+    every example occurrence keyed by its context anchor (an instance's
+    first word for left contexts, its last for right) as (surface,
+    context or None where extract_context rejects the window). The scan
+    keeps nothing of a document once it has yielded it, so a caller
+    that keeps nothing either holds one document's text and words at a
+    time.
     """
     single_class(examples)  # rejects examples of more than one class
     if context_len < 1:
@@ -153,16 +159,19 @@ def _example_contexts(
     if side not in (LEFT, RIGHT):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     index = instance_index(examples)
-    for doc in corpus:
-        tok = tokenize(doc.clean)
+
+    def scan(doc: Document) -> _Scanned:
+        seq = tokenize(doc.clean)
         found = {
             (occ.first if side == LEFT else occ.last): (
                 occ.example.surface,
-                extract_context(occ, tok, context_len, side),
+                extract_context(occ, seq, context_len, side),
             )
-            for occ in find_instances(tok, index)
+            for occ in find_instances(seq, index)
         }
-        yield doc, tok, found
+        return doc.source, seq, found
+
+    return map(scan, corpus)
 
 
 def collect_context_stats(
@@ -177,32 +186,46 @@ def collect_context_stats(
     second pass counts every context_hits hit of those contexts, split
     into example-adjacent and other-adjacent occurrences, and collects
     the document / source / example coverage. Between the passes only
-    each document's words, sentence ids and the example surface at each
-    instance's context anchor are kept. total_with_examples sums the
-    second pass's example-adjacent counts: it hits each example
-    occurrence that has a context once, at its own anchor.
+    each document's source, its words (one string per distinct word
+    across the corpus, so a kept word costs a pointer), its sentence
+    starts, and the example surface at each instance's context anchor
+    are kept. The second pass visits documents in order, so a context's
+    hits in one document arrive together and its documents are counted
+    without a set. total_with_examples sums the second pass's
+    example-adjacent counts: it hits each example occurrence that has a
+    context once, at its own anchor.
     """
     examples = list(examples)
     contexts: set[ContextKey] = set()
-    analyzed: list[tuple[str, str, WordSequence, dict[int, str]]] = []
     vocabulary: dict[str, str] = {}
-    for doc, tok, found in _example_contexts(corpus, examples, context_len, side):
+
+    def keep(
+        source: str, seq: WordSequence, found: dict
+    ) -> tuple[str, WordSequence, dict[int, str]]:
         contexts.update(key for _surface, key in found.values() if key is not None)
         # One string object per distinct word, so each kept word costs a pointer.
-        seq = WordSequence(tuple(map(vocabulary.setdefault, tok.words, tok.words)), tok.sent)
+        words = tuple(map(vocabulary.setdefault, seq.words, seq.words))
         surfaces = {anchor: surface for anchor, (surface, _key) in found.items()}
-        analyzed.append((doc.id, doc.source, seq, surfaces))
+        return source, WordSequence(words, seq.starts), surfaces
+
+    # starmap holds no document after keep returns, so the next one is
+    # read and split while only the kept form of the last one is alive.
+    scan = _example_contexts(corpus, examples, context_len, side)
+    analyzed = list(starmap(keep, scan))
 
     with_examples: dict[ContextKey, int] = {}
     with_others: dict[ContextKey, int] = {}
     seen_examples: dict[ContextKey, set[str]] = {}
-    docs_seen: dict[ContextKey, set[str]] = {}
+    last_doc: dict[ContextKey, int] = {}  # the number of the last document it was hit in
+    n_docs: dict[ContextKey, int] = {}
     sources_seen: dict[ContextKey, set[str]] = {}
     groups = group_contexts(contexts)
-    for doc_id, source, seq, surfaces in analyzed:
+    for number, (source, seq, surfaces) in enumerate(analyzed):
         for _side, anchor, key in context_hits(seq, groups):
-            docs_seen.setdefault(key, set()).add(doc_id)
-            sources_seen.setdefault(key, set()).add(source)
+            if last_doc.get(key) != number:
+                last_doc[key] = number
+                n_docs[key] = n_docs.get(key, 0) + 1
+                sources_seen.setdefault(key, set()).add(source)
             surface = surfaces.get(anchor)
             if surface is None:
                 with_others[key] = with_others.get(key, 0) + 1
@@ -216,7 +239,7 @@ def collect_context_stats(
             n_with_examples=with_examples.get(key, 0),
             n_with_others=with_others.get(key, 0),
             n_examples_seen=len(seen_examples.get(key, ())),
-            n_docs=len(docs_seen.get(key, ())),
+            n_docs=n_docs.get(key, 0),
             n_sources=len(sources_seen.get(key, ())),
         )
         for key in sorted(contexts)
@@ -268,7 +291,7 @@ def growth_curve(
     contexts: set[ContextKey] = set()
     done = 0
     for step in steps:
-        for _doc, _tok, found in islice(scan, step - done):
+        for _source, _seq, found in islice(scan, step - done):
             occurrences += len(found)
             contexts.update(key for _surface, key in found.values() if key is not None)
         done = step

@@ -4,8 +4,9 @@ Everything here recounts from scratch with plain loops over token lists,
 and shares nothing with the package. That includes the tokenizer:
 `oracle_tokenize` is a frozen copy of the package's original per-token
 gap scan, kept as the reference its faster replacement must match. The
-markup stripper's reference, `oracle_markup_text`, is the package's
-original `html.parser` stripper.
+markup stripper's references are the package's original `html.parser`
+stripper, `oracle_markup_text`, and its first regular-expression
+stripper, `oracle_split_markup_text`.
 """
 
 from __future__ import annotations
@@ -105,6 +106,43 @@ def oracle_markup_text(raw: str) -> str:
     parser.feed(raw)
     parser.close()
     return "".join(chunks)
+
+
+# The package's first regular-expression stripper, unchanged: one
+# `re.split` over this pattern, which reads a `<` that opens no complete
+# construct as text only after scanning on to the end of the text.
+_QUOTED = r"""[\s=]*(?:"[^"]*"|'[^']*')"""
+_ATTRIBUTES = rf"(?:[\t\n\r\f /][^>=]*(?:=(?:{_QUOTED}|(?!{_QUOTED}))[^>=]*)*)?"
+
+
+def _raw_text_element(name: str) -> str:
+    name = f"(?ai:{name})"
+    close = rf"/\s*{name}\s*>"
+    return rf"{name}{_ATTRIBUTES}(?:(?<=/)>|>[^<]*(?:<(?!{close})[^<]*)*(?:<{close})?)"
+
+
+_SPLIT_MARKUP = re.compile("<(?:" + "|".join([
+    r"!--[\s\S]*?--\s*>",
+    _raw_text_element("script"),
+    _raw_text_element("style"),
+    r"/(?:\s*(?ai:script|style)\s*|(?ai:script|style)[\t\n\r\f /][^>]*)>",
+    rf"()(?:[a-zA-Z][^\t\n\r\f />]*{_ATTRIBUTES}"
+    r"|/(?:[a-zA-Z][^>]*|\s+[a-zA-Z][-.a-zA-Z0-9:_]*\s*))>",
+    r"/[^>]*>",
+    r"(?:!(?!--)|\?)[^>]*>",
+]) + ")")
+
+
+def oracle_split_markup_text(raw: str) -> str:
+    """The text content of markup as one `re.split` reads it: one space
+    per tag other than script and style, references decoded in each run
+    of text on its own. Quadratic on many unclosed constructs."""
+    from html import unescape
+
+    parts = _SPLIT_MARKUP.split(raw)
+    parts[::2] = [unescape(text) if "&" in text else text for text in parts[::2]]
+    parts[1::2] = ["" if space is None else " " for space in parts[1::2]]
+    return "".join(parts)
 
 
 # -- instance matching ---------------------------------------------------------

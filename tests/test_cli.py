@@ -421,6 +421,65 @@ def test_document_that_is_not_utf8_exits_4(
     )
 
 
+@pytest.mark.parametrize("command", ["weigh", "recognize"])
+def test_last_document_not_utf8_replaces_no_output(
+    tmp_path, capsys, capital_examples, trained_model_dir, command
+):
+    # Documents are read as they are reached, so this one fails the run
+    # after the others were read, and still before any output is replaced.
+    corpus_dir = saved_corpus(tmp_path, "corpus", "Hotels in Paris.", "Hotels in Lima.")
+    output = tmp_path / "out.tsv"
+    if command == "weigh":
+        args = ["weigh", capital_examples, corpus_dir, "--model-dir", trained_model_dir]
+    else:
+        args = ["recognize", trained_model_dir, corpus_dir]
+    args += ["--output", str(output)]
+    assert cli.main(args) == 0
+    kept = [output, *Path(trained_model_dir).iterdir()]
+    before = {path: path.read_bytes() for path in kept}
+    doc_path = tmp_path / "corpus" / "docs" / "d01.txt"
+    doc_path.write_bytes(b"Hotels in Li\xffma.")
+    capsys.readouterr()
+    assert cli.main(args) == 4
+    assert capsys.readouterr().err == (
+        f"error: {doc_path}: not valid UTF-8 (invalid start byte at byte 12)\n"
+    )
+    assert {path: path.read_bytes() for path in kept} == before
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("command", ["weigh", "recognize"])
+def test_output_pipe_closed_early_exits_2_naming_it(tmp_path, trained_model_dir, command):
+    # A reader that takes 100 bytes of an output far longer than a pipe
+    # holds and goes, as `head -c 100 FIFO` would: the error is the
+    # output's, not stdout's.
+    if command == "weigh":
+        text = " ".join(f"Hotels w{i} Madrid now." for i in range(20_000))
+        first = write_examples(tmp_path / "examples.tsv", ("Madrid", "capital"))
+    else:
+        text = "Hotels in Madrid now. " * 20_000
+        first = trained_model_dir
+    corpus_dir = saved_corpus(tmp_path, "corpus", text)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "contextner", command, first, corpus_dir, "--output", str(fifo)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+        text=True,
+    )
+    try:
+        reader = [sys.executable, "-c", "import sys; open(sys.argv[1], 'rb').read(100)"]
+        subprocess.run([*reader, str(fifo)], check=True, timeout=60)
+        out, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+        child.communicate()
+    assert (child.returncode, out) == (2, "")
+    assert err == f"error: [Errno 32] Broken pipe: {str(fifo)!r}\n"
+
+
 @pytest.mark.parametrize(
     "old,new,message",
     [

@@ -1,10 +1,12 @@
 import os
+import time
+import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from conftest import make_doc
-from oracle import oracle_markup_text
+from conftest import make_corpus, make_doc
+from oracle import oracle_markup_text, oracle_split_markup_text
 from contextner.corpus import (
     CorpusManifest,
     clean_text,
@@ -114,6 +116,32 @@ MARKUP_PIECES = [
 def test_clean_text_markup_matches_oracle(text):
     text += "</p>"
     assert clean_text(text, "markup") == " ".join(oracle_markup_text(text).split())
+
+
+# Pieces of constructs that may never close, so that many a `<` is text
+# and many a `>` or `--` comes after it, and private-use characters, which
+# the text may hold.
+UNCLOSED_PIECES = [
+    "<", "<a ", "<b", "</", "</ a", "<!", "<!--", "<!-- ", "<!---->", "<!x", "<?",
+    "<p>", "/>", "<script>", "<script ", "</script>", "<style>", "</STYLE >", ">", "-->", "--",
+    "-- >", "-", "=", '"', "'", '="', "&amp", "&lt;", "x", " ", "\n", "\ue000", "\ue001",
+]
+
+
+@given(st.lists(st.sampled_from(UNCLOSED_PIECES), max_size=40).map("".join))
+@example("<!----> <!-- >")  # the last comment ends 4 characters after it opens
+def test_markup_matches_oracle_on_unclosed_constructs(text):
+    assert clean_text(text, "markup") == " ".join(oracle_split_markup_text(text).split())
+
+
+@pytest.mark.parametrize("piece", ["<a ", "<!--"])
+def test_unclosed_constructs_clean_in_linear_time(piece):
+    # Each `<` once scanned on to the end of the text: 30 KB of these
+    # took seconds, and four times as long for twice as many.
+    raw = piece * (30_000 // len(piece))
+    start = time.perf_counter()
+    assert clean_text(raw, "markup") == " ".join(raw.split())
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize(
@@ -269,10 +297,31 @@ def test_load_rejects_unknown_kind(tmp_path):
         load_corpus(tmp_path)
 
 
+def test_load_holds_no_document_text(tmp_path):
+    texts = [f"Hotels in Paris {i}. " * 1000 for i in range(50)]  # about 20 KB each
+    save_corpus(make_corpus(*texts), tmp_path)
+    tracemalloc.start()
+    try:
+        corpus = load_corpus(tmp_path)
+        held, _peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        for doc, text in zip(corpus, texts):
+            assert doc.clean == text
+            del doc
+        _held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(corpus) == 50
+    assert held < sum(map(len, texts)) / 10
+    # Iterating reads one document at a time and keeps none of them.
+    assert peak < 5 * len(texts[0])
+
+
 def test_load_names_a_document_that_is_not_utf8(tmp_path):
     save_corpus(CorpusManifest([make_doc("d1", "text")]), tmp_path)
     (tmp_path / "docs" / "d1.txt").write_bytes(b"ab\xff")
+    corpus = load_corpus(tmp_path)  # the text is read, and checked, when reached
     with pytest.raises(DataFormatError) as info:
-        load_corpus(tmp_path)
+        list(corpus)
     doc_path = tmp_path / "docs" / "d1.txt"
     assert str(info.value) == f"{doc_path}: not valid UTF-8 (invalid start byte at byte 2)"

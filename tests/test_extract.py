@@ -28,7 +28,7 @@ def words_of(text):
 
 def breaks_of(tok):
     """Indices i such that a sentence ends between word i and word i+1."""
-    return frozenset(i for i in range(len(tok) - 1) if tok.sent[i] != tok.sent[i + 1])
+    return frozenset(s - 1 for s in tok.starts)
 
 
 def test_tokenize_basic():
@@ -68,10 +68,10 @@ def test_exclamation_and_question_break():
 
 
 def test_break_at_end_of_document():
-    assert tokenize("It ended.").sent == (0, 0)
-    assert tokenize("It ended.  ").sent == (0, 0)
-    assert tokenize("no terminator").sent == (0, 0)
-    assert tokenize("It ended. Then").sent == (0, 0, 1)
+    assert tokenize("It ended.").starts == ()
+    assert tokenize("It ended.  ").starts == ()
+    assert tokenize("no terminator").starts == ()
+    assert tokenize("It ended. Then").starts == (2,)
 
 
 def test_abbreviation_period_does_not_break():
@@ -94,12 +94,11 @@ def assert_matches_oracle(text):
     tok = tokenize(text)
     words, _spans, breaks = oracle_tokenize(text)
     assert tok.words == tuple(words)
-    # A break after the final word is implicit in sentence ids.
+    # A break after the final word is implicit in sentence starts.
     assert breaks_of(tok) == breaks - {len(words) - 1}
-    # One sentence id per word, counting up from 0 in steps of one.
-    assert len(tok.sent) == len(tok)
-    assert tok.sent[:1] in ((), (0,))
-    assert all(b - a in (0, 1) for a, b in zip(tok.sent, tok.sent[1:]))
+    # Starts increase strictly and name words after the first.
+    assert list(tok.starts) == sorted(set(tok.starts))
+    assert all(0 < s < len(tok) for s in tok.starts)
 
 
 @given(st.text())
@@ -133,11 +132,11 @@ def test_tokenize_matches_frozen_tokenizer_on_wide_pieces(text):
 def test_tokenize_keeps_an_initial_and_breaks_after_a_sentence():
     tok = tokenize("George W. Bush spoke. Then he left.")
     assert tok.words == ("George", "W.", "Bush", "spoke", "Then", "he", "left")
-    assert tok.sent == (0, 0, 0, 0, 1, 1, 1)
+    assert tok.starts == (4,)
 
 
 def test_terminator_before_the_first_word_ends_no_sentence():
-    assert tokenize("! Go. Now").sent == (0, 1)
+    assert tokenize("! Go. Now").starts == (1,)
 
 
 @given(biased_text)
@@ -219,7 +218,7 @@ learning_examples = st.lists(
     [LearningExample("A  B", "x"), LearningExample("A B", "y"), LearningExample("A B", "x")],
 )
 def test_find_instances_matches_frozen_matcher(words, examples):
-    seq = WordSequence(tuple(words), (0,) * len(words))
+    seq = WordSequence(tuple(words), ())
     found = find_instances(seq, instance_index(examples))
     assert [(o.first, o.last, o.example) for o in found] == oracle_find_instances(
         words, examples

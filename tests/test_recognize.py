@@ -12,13 +12,14 @@ from contextner.seeds import LearningExample
 from contextner.recognize import (
     UNKNOWN,
     RecognitionModel,
+    check_model_update,
     classify,
     detect_candidates,
     load_model,
     recognize_document,
     update_model,
 )
-from contextner.weighting import build_weight_table
+from contextner.weighting import build_weight_table, format_weight_table
 from oracle import oracle_recognize, random_recognition_case
 
 
@@ -345,6 +346,12 @@ def test_recognition_matches_brute_force_oracle():
 
 # -- model persistence -------------------------------------------------------
 
+def store_table(directory, label, table, **decision):
+    """Store a table in a model directory as `weigh --model-dir` does."""
+    index = check_model_update(directory, label)
+    update_model(directory, label, format_weight_table(table), index, **decision)
+
+
 @pytest.fixture
 def trained_table():
     corpus = make_corpus("Hotels in Paris. Map of Berlin and Map of pages.")
@@ -352,7 +359,7 @@ def trained_table():
 
 
 def test_save_load_round_trip(tmp_path, trained_table):
-    update_model(tmp_path, "capital", trained_table, threshold=0.2, margin=0.1)
+    store_table(tmp_path, "capital", trained_table, threshold=0.2, margin=0.1)
     model = load_model(tmp_path)
     assert model.threshold == 0.2
     assert model.margin == 0.1
@@ -360,7 +367,7 @@ def test_save_load_round_trip(tmp_path, trained_table):
 
 
 def test_load_model_flag_overrides(tmp_path, trained_table):
-    update_model(tmp_path, "capital", trained_table, threshold=0.2, margin=0.1)
+    store_table(tmp_path, "capital", trained_table, threshold=0.2, margin=0.1)
     model = load_model(tmp_path, threshold=0.7)
     assert (model.threshold, model.margin) == (0.7, 0.1)
 
@@ -369,7 +376,7 @@ def test_load_model_flag_overrides(tmp_path, trained_table):
     "bad", [{"threshold": -1.0}, {"max_entity_tokens": 0}], ids=["threshold", "span"]
 )
 def test_load_model_bad_argument_is_a_value_error(tmp_path, trained_table, bad):
-    update_model(tmp_path, "capital", trained_table)
+    store_table(tmp_path, "capital", trained_table)
     with pytest.raises(ValueError):
         load_model(tmp_path, **bad)
 
@@ -380,7 +387,7 @@ def test_load_model_missing_dir(tmp_path):
 
 
 def test_load_model_reports_bad_line(tmp_path, trained_table):
-    update_model(tmp_path, "capital", trained_table)
+    store_table(tmp_path, "capital", trained_table)
     index = tmp_path / "model.tsv"
     body = index.read_text(encoding="utf-8").replace("\t0\t0", "\tzero\t0")
     index.write_text(body, encoding="utf-8")
@@ -389,15 +396,15 @@ def test_load_model_reports_bad_line(tmp_path, trained_table):
 
 
 def test_load_model_rejects_missing_table_file(tmp_path, trained_table):
-    update_model(tmp_path, "capital", trained_table)
+    store_table(tmp_path, "capital", trained_table)
     (tmp_path / "table_capital.tsv").unlink()
     with pytest.raises(DataFormatError, match="table_capital.tsv"):
         load_model(tmp_path)
 
 
 def test_load_model_missing_table_names_its_index_line(tmp_path, trained_table):
-    update_model(tmp_path, "capital", trained_table)
-    update_model(tmp_path, "city", trained_table)
+    store_table(tmp_path, "capital", trained_table)
+    store_table(tmp_path, "city", trained_table)
     (tmp_path / "table_city.tsv").unlink()
     with pytest.raises(DataFormatError, match=r"model\.tsv:3: table file not found"):
         load_model(tmp_path)
@@ -409,7 +416,7 @@ def test_load_model_missing_table_names_its_index_line(tmp_path, trained_table):
 )
 def test_load_model_rejects_a_table_path_in_the_index(tmp_path, trained_table, name):
     model = tmp_path / "model"
-    update_model(model, "capital", trained_table)
+    store_table(model, "capital", trained_table)
     table = (model / "table_capital.tsv").read_bytes()
     (model / "sub").mkdir()
     # Each name that can be a file is one, so only the check on the name rejects it.
@@ -432,7 +439,7 @@ def test_load_model_rejects_a_table_path_in_the_index(tmp_path, trained_table, n
     ids=["bad weight", "duplicate context"],
 )
 def test_load_model_reports_bad_table_row(tmp_path, trained_table, old, new, where):
-    update_model(tmp_path, "capital", trained_table)
+    store_table(tmp_path, "capital", trained_table)
     table = tmp_path / "table_capital.tsv"
     table.write_text(table.read_text(encoding="utf-8").replace(old, new, 1), encoding="utf-8")
     with pytest.raises(DataFormatError, match=where):
@@ -440,7 +447,7 @@ def test_load_model_reports_bad_table_row(tmp_path, trained_table, old, new, whe
 
 
 def test_update_model_merges_classes(tmp_path, trained_table):
-    update_model(tmp_path, "capital", trained_table)
+    store_table(tmp_path, "capital", trained_table)
     other = build_weight_table(
         make_corpus("elected president Chirac. Meet president Bush."),
         [
@@ -448,7 +455,7 @@ def test_update_model_merges_classes(tmp_path, trained_table):
             LearningExample("Bush", "president"),
         ],
     )
-    update_model(tmp_path, "president", other, threshold=0.3)
+    store_table(tmp_path, "president", other, threshold=0.3)
     model = load_model(tmp_path)
     assert set(model.tables) == {"capital", "president"}
     assert model.threshold == 0.3
