@@ -65,7 +65,7 @@ def _path_stem(path: str, original: str) -> str:
 # next `<` before it tries any alternative; the alternatives are tried in
 # order. In a tag, a value in quotes after `=` may hold `>`; a quote that
 # never closes is plain text.
-_QUOTED = r"""[\s=]*(?:"[^"]*"|'[^']*')"""
+_QUOTED = r"""\s*(?:"[^"]*"|'[^']*')"""
 _ATTRIBUTES = rf"(?:[\t\n\r\f /][^>=]*(?:=(?:{_QUOTED}|(?!{_QUOTED}))[^>=]*)*)?"
 
 

@@ -146,8 +146,6 @@ def recognize_document(doc: Document, model: RecognitionModel) -> list[Annotatio
     detect_candidates finds them) gets one vote per matching context, so
     a context shared across tables pulls each class up by its own weight.
     """
-    if not model.tables:
-        return []
     tok = tokenize(doc.clean)
     out: list[Annotation] = []
     for (first, last), votes in detect_candidates(tok, model).items():

@@ -246,7 +246,8 @@ def collect_context_stats(
     ]
     totals = GlobalStats(
         total_with_examples=sum(with_examples.values()),
-        n_examples=len({ex.surface for ex in examples}),
+        # Examples that split into the same words are one, as in instance_index.
+        n_examples=len({tuple(ex.surface.split()) for ex in examples}),
     )
     return stats, totals
 

@@ -266,7 +266,7 @@ def oracle_stats(
                 keys.add(key)
                 total_nc += 1
 
-    n_examples = len(set(surfaces))
+    n_examples = len({tuple(s.split()) for s in surfaces})
     rows: dict[tuple[str, ...], OracleRow] = {}
     for key in keys:
         nc = 0

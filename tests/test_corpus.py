@@ -124,7 +124,7 @@ def test_clean_text_markup_matches_oracle(text):
 UNCLOSED_PIECES = [
     "<", "<a ", "<b", "</", "</ a", "<!", "<!--", "<!-- ", "<!---->", "<!x", "<?",
     "<p>", "/>", "<script>", "<script ", "</script>", "<style>", "</STYLE >", ">", "-->", "--",
-    "-- >", "-", "=", '"', "'", '="', "&amp", "&lt;", "x", " ", "\n", "\ue000", "\ue001",
+    "-- >", "-", "=", " =", '"', "'", '="', "&amp", "&lt;", "x", " ", "\n", "\ue000", "\ue001",
 ]
 
 
@@ -134,13 +134,21 @@ def test_markup_matches_oracle_on_unclosed_constructs(text):
     assert clean_text(text, "markup") == " ".join(oracle_split_markup_text(text).split())
 
 
-@pytest.mark.parametrize("piece", ["<a ", "<!--"])
-def test_unclosed_constructs_clean_in_linear_time(piece):
-    # Each `<` once scanned on to the end of the text: 30 KB of these
-    # took seconds, and four times as long for twice as many.
-    raw = piece * (30_000 // len(piece))
+@pytest.mark.parametrize(
+    "raw, text",
+    [
+        ("<a " * 10_000, "<a " * 9_999 + "<a"),
+        ("<!--" * 7_500, "<!--" * 7_500),
+        ("<a x" + " =" * 15_000 + ">", ""),
+    ],
+    ids=["<a ", "<!--", " ="],
+)
+def test_unclosed_constructs_clean_in_linear_time(raw, text):
+    # Each `<` once scanned on to the end of the text, and in a tag each
+    # `=` of a run once re-read the rest of the run: 30 KB of these took
+    # seconds, and four times as long for twice as many.
     start = time.perf_counter()
-    assert clean_text(raw, "markup") == " ".join(raw.split())
+    assert clean_text(raw, "markup") == text
     assert time.perf_counter() - start < 1.0
 
 

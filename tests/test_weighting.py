@@ -21,7 +21,7 @@ from contextner.weighting import (
     term_frequency,
     tf_idf,
 )
-from oracle import oracle_stats, random_corpus
+from oracle import OracleDoc, oracle_stats, random_corpus
 
 
 # -- the five ranking factors ------------------------------------------------
@@ -105,6 +105,18 @@ def test_single_context_single_example():
     assert (row.cf, row.lef, row.df) == (1.0, 1.0, 1.0)
     assert row.icf == 1.0  # one example occurrence, zero others, floored
     assert row.weight == 1.0
+
+
+def test_examples_that_split_into_the_same_words_count_once():
+    # "New  York" splits into the words of "New York": one example, so
+    # the context beside every match was seen next to all examples.
+    text = "Hotels in New York"
+    surfaces = ["New York", "New  York"]
+    table = build_weight_table(make_corpus(text), capitals(*surfaces))
+    assert table.totals.n_examples == 1
+    assert [(r.context.phrase(), r.lef) for r in table] == [("Hotels in", 1.0)]
+    rows, _total = oracle_stats([OracleDoc("d00", "d00", text)], surfaces)
+    assert rows[("Hotels", "in")].lef == 1.0
 
 
 def test_rows_sorted_by_weight_then_count_then_words():
