@@ -105,7 +105,7 @@ def cmd_weigh(args: argparse.Namespace) -> int:
     examples = load_examples(args.examples)
     label = single_class(examples)
     if args.model_dir:
-        from .recognize import check_model_update, update_model
+        from .model import check_model_update, update_model
 
         index = check_model_update(args.model_dir, label)
     corpus = load_corpus(args.corpus_dir)

@@ -1,4 +1,4 @@
-"""Document corpus storage: source identity, markup stripping, manifest IO.
+"""Document corpus storage: source identity and manifest IO.
 
 A corpus directory holds `manifest.tsv` (columns: id, source, uri, kind,
 file) plus one cleaned-text UTF-8 file per document, conventionally under
@@ -9,13 +9,12 @@ Documents are immutable after load and safe to share across threads.
 from __future__ import annotations
 
 import os
-import re
 from pathlib import Path, PurePosixPath
 from typing import Callable, Iterable, Iterator, NamedTuple
 from urllib.parse import urlsplit
 
 from . import tsv
-from .errors import DataFormatError, InputError
+from .errors import DataFormatError
 from .record import Record
 
 PLAIN = "plain"
@@ -58,105 +57,6 @@ def _path_stem(path: str, original: str) -> str:
     while p.suffix in _TEXT_SUFFIXES:
         p = p.with_suffix("")
     return str(p)
-
-
-# Markup, as one regular expression for `_markup_text`. Every construct
-# opens with `<`, which stays outside the alternation so a scan finds the
-# next `<` before it tries any alternative; the alternatives are tried in
-# order. In a tag, a value in quotes after `=` may hold `>`; a quote that
-# never closes is plain text.
-_QUOTED = r"""\s*(?:"[^"]*"|'[^']*')"""
-_ATTRIBUTES = rf"(?:[\t\n\r\f /][^>=]*(?:=(?:{_QUOTED}|(?!{_QUOTED}))[^>=]*)*)?"
-
-
-def _raw_text_element(name: str) -> str:
-    """A `name` start tag and, unless it ends in `/>`, what follows it up
-    to the first `</name>` (any case, spaces allowed around the name) or
-    to the end of the text."""
-    name = f"(?ai:{name})"
-    close = rf"/\s*{name}\s*>"
-    return rf"{name}{_ATTRIBUTES}(?:(?<=/)>|>[^<]*(?:<(?!{close})[^<]*)*(?:<{close})?)"
-
-
-_COMMENT_END = r"--\s*>"
-_MARKUP = "<(?:" + "|".join([
-    rf"!--[\s\S]*?{_COMMENT_END}",  # comment
-    _raw_text_element("script"),
-    _raw_text_element("style"),
-    # A script or style end tag.
-    r"/(?:\s*(?ai:script|style)\s*|(?ai:script|style)[\t\n\r\f /][^>]*)>",
-    # Start and end tags: the only group, which matches (empty) exactly
-    # for the markup that leaves a space.
-    rf"()(?:[a-zA-Z][^\t\n\r\f />]*{_ATTRIBUTES}"
-    r"|/(?:[a-zA-Z][^>]*|\s+[a-zA-Z][-.a-zA-Z0-9:_]*\s*))>",
-    r"/[^>]*>",  # any other end tag: `</>`, `</ 1>`, `</ a b>`
-    r"(?:!(?!--)|\?)[^>]*>",  # declaration, processing instruction
-]) + ")"
-
-
-def _markup_text(raw: str) -> str:
-    """The text content of markup, with one space for each tag other than
-    script and style, and nothing for the rest of the markup.
-
-    `_MARKUP` splits `raw` into text runs; each run's character
-    references are decoded on their own. `html` is imported and the
-    patterns compiled (and cached by `re`) on the first markup document,
-    so the commands that only read stored corpora do neither.
-
-    Every piece of markup ends in a `>`, and a comment in `--`, spaces
-    and `>`, so a `<` after the last `>`, and a `<!--` that no comment
-    end follows, is text. The split would learn that for each such `<`
-    by reading on to the end of the text, which takes time quadratic in
-    their number; so they are first replaced by a character the text
-    does not hold, which nothing in `_MARKUP` reads apart from `<`, and
-    put back in the text runs.
-    """
-    from html import unescape
-
-    text_from = raw.rfind(">") + 1
-    comments_from = text_from  # where the `<!--` that are text begin
-    comment_end = re.compile(_COMMENT_END)
-    last_open = raw.rfind("<!--", 0, text_from)
-    if last_open >= 0 and not comment_end.search(raw, last_open + 4):
-        last_end = None
-        for last_end in comment_end.finditer(raw):
-            pass
-        comments_from = max(last_end.start() - 3, 0) if last_end else 0
-    mark = None
-    if raw.find("<", text_from) >= 0 or raw.find("<!--", comments_from, text_from) >= 0:
-        held = set(raw)
-        mark = next(c for c in map(chr, range(0xE000, 0x110000)) if c not in held)
-        raw = "".join([
-            raw[:comments_from],
-            raw[comments_from:text_from].replace("<!--", mark + "!--"),
-            raw[text_from:].replace("<", mark),
-        ])
-    parts = re.split(_MARKUP, raw)
-    texts = parts[::2] if mark is None else [t.replace(mark, "<") for t in parts[::2]]
-    parts[::2] = [unescape(text) if "&" in text else text for text in texts]
-    parts[1::2] = ["" if space is None else " " for space in parts[1::2]]
-    return "".join(parts)
-
-
-def clean_text(raw: str | bytes, kind: str) -> str:
-    """Produce the analyzable text of a document.
-
-    kind="plain": newline normalization only.
-    kind="markup": markup removed as `_markup_text` reads it (README,
-    step 1), character references decoded, whitespace runs collapsed to
-    single spaces. Never raises on text.
-    Deterministic in both cases.
-    """
-    if isinstance(raw, bytes):
-        try:
-            raw = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise tsv.not_utf8(exc)
-    if kind == PLAIN:
-        return raw.replace("\r\n", "\n").replace("\r", "\n")
-    if kind == MARKUP:
-        return " ".join(_markup_text(raw).split())
-    raise InputError(f"unknown document kind {kind!r}, expected 'plain' or 'markup'")
 
 
 class Document(NamedTuple):

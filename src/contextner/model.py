@@ -1,0 +1,138 @@
+"""Model directories: one weight table per class, listed by `model.tsv`.
+
+The index `model.tsv` names each class's table file and the decision
+threshold and margin the classes share. `weigh --model-dir` adds or
+replaces one class's table; `recognize` reads every table back as a
+context->weight mapping. Neither needs weighting or voting to do so.
+"""
+
+from __future__ import annotations
+
+import math
+import re
+from pathlib import Path
+from typing import Optional
+
+from . import tsv
+from .errors import DataFormatError
+from .extract import LEFT, ContextKey
+from .seeds import UNKNOWN
+
+MODEL_FILE = "model.tsv"
+MODEL_HEADER = ["class", "table_file", "threshold", "margin"]
+WEIGHT_HEADER = ["context", "cf", "df", "lef", "icf", "w"]
+
+_LABEL_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
+
+
+def read_weight_mapping(path: str | Path, side: str = LEFT) -> dict[ContextKey, float]:
+    """Load context -> weight from a saved table, dropping non-positive rows.
+
+    Two rows whose phrases split into the same words are rejected.
+    """
+    mapping: dict[ContextKey, float] = {}
+
+    def parse(phrase, _cf, _df, _lef, _icf, w):
+        words = tuple(phrase.split())
+        if not words:
+            raise ValueError("empty context phrase")
+        try:
+            weight = float(w)
+        except ValueError:
+            raise ValueError(f"bad weight {w!r}") from None
+        key = ContextKey(words, side)
+        if key in mapping:
+            raise ValueError(f"duplicate context {phrase!r}")
+        mapping[key] = weight
+
+    tsv.read_rows(path, WEIGHT_HEADER, parse)
+    return {key: w for key, w in mapping.items() if w > 0 and math.isfinite(w)}
+
+
+def _table_file_name(label: str) -> str:
+    # The rule _read_index applies to a stored label, so weigh never
+    # writes a model that recognize would refuse.
+    if not label or label == UNKNOWN:
+        raise DataFormatError(f"invalid class label {label!r}")
+    if not _LABEL_RE.match(label):
+        raise DataFormatError(
+            f"class label {label!r} is not usable as a file name"
+            " (letters, digits, '_', '-', '.' only)"
+        )
+    return f"table_{label}.tsv"
+
+
+# A model index: class -> table file, in line order, plus the threshold
+# and margin its lines share.
+_Index = tuple[dict[str, str], tuple[float, float]]
+
+
+def _read_index(index_path: Path) -> _Index:
+    """A model index as class -> table file, in line order, plus the
+    threshold and margin its lines share ((0, 0) when it has none). Every
+    check on an index is here, so weigh and recognize reject the same files."""
+    entries: dict[str, str] = {}
+    shared: set[tuple[float, float]] = set()
+
+    def parse(label, table_file, theta, delta):
+        if not label or label == UNKNOWN:
+            raise ValueError(f"invalid class label {label!r}")
+        if label in entries:
+            raise ValueError(f"duplicate class {label!r}")
+        if table_file in (".", "..") or "/" in table_file or "\\" in table_file:
+            raise ValueError(f"table file {table_file!r} is not a bare file name")
+        table_path = index_path.parent / table_file
+        if not table_path.is_file():
+            raise ValueError(f"table file not found: {table_path}")
+        theta, delta = float(theta), float(delta)
+        if not (theta >= 0 and delta >= 0):
+            raise ValueError("threshold and margin must be non-negative")
+        shared.add((theta, delta))
+        if len(shared) > 1:
+            raise ValueError("threshold/margin disagree across classes")
+        entries[label] = table_file
+
+    tsv.read_rows(index_path, MODEL_HEADER, parse)
+    return entries, next(iter(shared), (0.0, 0.0))
+
+
+def check_model_update(directory: str | Path, label: str) -> _Index:
+    """The directory's stored index, for update_model ((no classes, 0, 0)
+    when it has no model.tsv). Raises where update_model would reject
+    this class label or that index, so a caller can check before it
+    builds the table: DataFormatError on a bad label or index, and
+    InputError on a model.tsv that cannot be read, such as a directory."""
+    _table_file_name(label)
+    index_path = Path(directory) / MODEL_FILE
+    return _read_index(index_path) if index_path.exists() else ({}, (0.0, 0.0))
+
+
+def update_model(
+    directory: str | Path,
+    label: str,
+    table: str,
+    index: _Index,
+    threshold: Optional[float] = None,
+    margin: Optional[float] = None,
+) -> None:
+    """Add or replace one class's table in a model directory.
+
+    `table` is the weight table's text, as format_weight_table writes it,
+    and `index` the directory's index as check_model_update returned it.
+    Other classes' entries are preserved. Threshold and margin are
+    model-wide: explicit values overwrite the stored ones, otherwise
+    the stored (or zero) values stay on every row.
+    """
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    entries, stored = index
+    file_name = _table_file_name(label)
+    tsv.write_text(directory / file_name, table)
+    entries = {**entries, label: file_name}
+    theta = stored[0] if threshold is None else threshold
+    delta = stored[1] if margin is None else margin
+    rows = [
+        [name, entries[name], f"{theta:.7g}", f"{delta:.7g}"]
+        for name in sorted(entries)
+    ]
+    tsv.write_rows(directory / MODEL_FILE, MODEL_HEADER, rows)

@@ -9,24 +9,17 @@ margin or the span stays `unknown`.
 
 from __future__ import annotations
 
-import re
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional
 
-from . import tsv
 from .annotations import Annotation
 from .corpus import Document
 from .errors import DataFormatError
 from .extract import LEFT, RIGHT, ContextKey, WordSequence, context_hits, tokenize
+from .model import MODEL_FILE, _read_index, read_weight_mapping
 from .record import Record
 from .seeds import UNKNOWN
-from .weighting import read_weight_mapping
-
-MODEL_FILE = "model.tsv"
-MODEL_HEADER = ["class", "table_file", "threshold", "margin"]
-
-_LABEL_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
 
 
 # (side, length) -> context words -> ((class, weight), ...) in table order.
@@ -172,90 +165,6 @@ def recognize_corpus(
     annotations are made, nor its annotations once they are consumed,
     so only one document's text and spans are held at a time."""
     return chain.from_iterable(map(recognize_document, documents, repeat(model)))
-
-
-def _table_file_name(label: str) -> str:
-    if not _LABEL_RE.match(label):
-        raise DataFormatError(
-            f"class label {label!r} is not usable as a file name"
-            " (letters, digits, '_', '-', '.' only)"
-        )
-    return f"table_{label}.tsv"
-
-
-# A model index: class -> table file, in line order, plus the threshold
-# and margin its lines share.
-_Index = tuple[dict[str, str], tuple[float, float]]
-
-
-def _read_index(index_path: Path) -> _Index:
-    """A model index as class -> table file, in line order, plus the
-    threshold and margin its lines share ((0, 0) when it has none). Every
-    check on an index is here, so weigh and recognize reject the same files."""
-    entries: dict[str, str] = {}
-    shared: set[tuple[float, float]] = set()
-
-    def parse(label, table_file, theta, delta):
-        if not label or label == UNKNOWN:
-            raise ValueError(f"invalid class label {label!r}")
-        if label in entries:
-            raise ValueError(f"duplicate class {label!r}")
-        if table_file in (".", "..") or "/" in table_file or "\\" in table_file:
-            raise ValueError(f"table file {table_file!r} is not a bare file name")
-        table_path = index_path.parent / table_file
-        if not table_path.is_file():
-            raise ValueError(f"table file not found: {table_path}")
-        theta, delta = float(theta), float(delta)
-        if not (theta >= 0 and delta >= 0):
-            raise ValueError("threshold and margin must be non-negative")
-        shared.add((theta, delta))
-        if len(shared) > 1:
-            raise ValueError("threshold/margin disagree across classes")
-        entries[label] = table_file
-
-    tsv.read_rows(index_path, MODEL_HEADER, parse)
-    return entries, next(iter(shared), (0.0, 0.0))
-
-
-def check_model_update(directory: str | Path, label: str) -> _Index:
-    """The directory's stored index, for update_model ((no classes, 0, 0)
-    when it has no model.tsv). Raises DataFormatError where update_model
-    would reject this class label or that index, so a caller can check
-    before it builds the table."""
-    _table_file_name(label)
-    index_path = Path(directory) / MODEL_FILE
-    return _read_index(index_path) if index_path.is_file() else ({}, (0.0, 0.0))
-
-
-def update_model(
-    directory: str | Path,
-    label: str,
-    table: str,
-    index: _Index,
-    threshold: Optional[float] = None,
-    margin: Optional[float] = None,
-) -> None:
-    """Add or replace one class's table in a model directory.
-
-    `table` is the weight table's text, as format_weight_table writes it,
-    and `index` the directory's index as check_model_update returned it.
-    Other classes' entries are preserved. Threshold and margin are
-    model-wide: explicit values overwrite the stored ones, otherwise
-    the stored (or zero) values stay on every row.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    entries, stored = index
-    file_name = _table_file_name(label)
-    tsv.write_text(directory / file_name, table)
-    entries = {**entries, label: file_name}
-    theta = stored[0] if threshold is None else threshold
-    delta = stored[1] if margin is None else margin
-    rows = [
-        [name, entries[name], f"{theta:.7g}", f"{delta:.7g}"]
-        for name in sorted(entries)
-    ]
-    tsv.write_rows(directory / MODEL_FILE, MODEL_HEADER, rows)
 
 
 def load_model(

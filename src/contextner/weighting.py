@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from itertools import islice, starmap
-from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import tsv
@@ -36,10 +35,10 @@ from .extract import (
     instance_index,
     tokenize,
 )
+from .model import WEIGHT_HEADER
 from .record import Record
 from .seeds import LearningExample, single_class
 
-WEIGHT_HEADER = ["context", "cf", "df", "lef", "icf", "w"]
 GROWTH_HEADER = ["docs", "occurrences", "contexts"]
 
 
@@ -385,26 +384,3 @@ def format_weight_table(table: WeightTable) -> str:
     ]
     return tsv.format_rows(WEIGHT_HEADER, rows)
 
-
-def read_weight_mapping(path: str | Path, side: str = LEFT) -> dict[ContextKey, float]:
-    """Load context -> weight from a saved table, dropping non-positive rows.
-
-    Two rows whose phrases split into the same words are rejected.
-    """
-    mapping: dict[ContextKey, float] = {}
-
-    def parse(phrase, _cf, _df, _lef, _icf, w):
-        words = tuple(phrase.split())
-        if not words:
-            raise ValueError("empty context phrase")
-        try:
-            weight = float(w)
-        except ValueError:
-            raise ValueError(f"bad weight {w!r}") from None
-        key = ContextKey(words, side)
-        if key in mapping:
-            raise ValueError(f"duplicate context {phrase!r}")
-        mapping[key] = weight
-
-    tsv.read_rows(path, WEIGHT_HEADER, parse)
-    return {key: w for key, w in mapping.items() if w > 0 and math.isfinite(w)}

@@ -10,12 +10,11 @@ import contextner
 PUBLIC = {
     "acquire": [
         "AcquireResult", "AcquisitionError", "ClientError", "FixtureClient",
-        "SearchClient", "acquire", "build_queries",
+        "SearchClient", "acquire", "build_queries", "clean_text",
     ],
     "annotations": ["Annotation", "GoldAnnotation", "load_gold"],
     "corpus": [
-        "CorpusManifest", "Document", "clean_text", "load_corpus",
-        "normalize_source", "save_corpus",
+        "CorpusManifest", "Document", "load_corpus", "normalize_source", "save_corpus",
     ],
     "errors": ["DataFormatError", "EmptyResultError", "InputError", "PipelineError"],
     "evaluate": ["EvalReport", "evaluate"],

@@ -234,6 +234,48 @@ def test_weigh_checks_model_index_before_writing_a_table(
     assert not table.exists()
 
 
+def snapshot(directory):
+    """Every path under `directory`, with each file's bytes."""
+    return {
+        path: path.read_bytes() if path.is_file() else None
+        for path in sorted(Path(directory).rglob("*"))
+    }
+
+
+def test_weigh_rejects_the_unknown_class_before_writing(
+    tmp_path, capsys, trained_model_dir
+):
+    # The label of undecided spans, which recognize refuses as a class.
+    corpus_dir = saved_corpus(tmp_path, "corpus", "Hotels in Quito.")
+    examples = write_examples(tmp_path / "unknown.tsv", ("Quito", "unknown"))
+    before = snapshot(trained_model_dir)
+    output = tmp_path / "t.tsv"
+    args = ["weigh", examples, corpus_dir, "--model-dir", trained_model_dir]
+    assert cli.main(args + ["--output", str(output)]) == 4
+    assert capsys.readouterr() == ("", "error: invalid class label 'unknown'\n")
+    assert snapshot(trained_model_dir) == before
+    assert not output.exists()
+    assert cli.main(["recognize", trained_model_dir, corpus_dir]) == 0
+
+
+def test_weigh_reads_a_model_index_that_is_not_a_file_before_writing(
+    tmp_path, capsys, capital_examples
+):
+    corpus_dir = saved_corpus(tmp_path, "corpus", "Hotels in Paris. Hotels in tents.")
+    model_dir = tmp_path / "model"
+    (model_dir / "model.tsv").mkdir(parents=True)
+    before = snapshot(model_dir)
+    expected = f"error: {model_dir / 'model.tsv'}: Is a directory\n"
+    assert cli.main(["recognize", str(model_dir), corpus_dir]) == 2
+    assert capsys.readouterr().err == expected
+    output = tmp_path / "t.tsv"
+    args = ["weigh", capital_examples, corpus_dir, "--model-dir", str(model_dir)]
+    assert cli.main(args + ["--output", str(output)]) == 2
+    assert capsys.readouterr() == ("", expected)
+    assert snapshot(model_dir) == before
+    assert not output.exists()
+
+
 @pytest.mark.parametrize("command", ["weigh", "recognize"])
 def test_nan_threshold_exits_2(tmp_path, capsys, trained_model_dir, command):
     corpus_dir = saved_corpus(tmp_path, "corpus", "Hotels in Paris.")

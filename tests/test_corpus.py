@@ -7,13 +7,8 @@ from hypothesis import example, given, strategies as st
 
 from conftest import make_corpus, make_doc
 from oracle import oracle_markup_text, oracle_split_markup_text
-from contextner.corpus import (
-    CorpusManifest,
-    clean_text,
-    load_corpus,
-    normalize_source,
-    save_corpus,
-)
+from contextner.acquire import clean_text
+from contextner.corpus import CorpusManifest, load_corpus, normalize_source, save_corpus
 from contextner.errors import DataFormatError, InputError
 
 

@@ -8,16 +8,15 @@ from contextner import tsv
 from contextner.annotations import load_annotations, write_annotations
 from contextner.errors import DataFormatError, InputError
 from contextner.extract import ContextKey, tokenize
+from contextner.model import check_model_update, update_model
 from contextner.seeds import LearningExample
 from contextner.recognize import (
     UNKNOWN,
     RecognitionModel,
-    check_model_update,
     classify,
     detect_candidates,
     load_model,
     recognize_document,
-    update_model,
 )
 from contextner.weighting import build_weight_table, format_weight_table
 from oracle import oracle_recognize, random_recognition_case

@@ -20,6 +20,7 @@ PIPELINE_MODULES = {
     "contextner.acquire",
     "contextner.annotations",
     "contextner.evaluate",
+    "contextner.model",
     "contextner.recognize",
     "contextner.weighting",
     "contextner.extract",
@@ -40,6 +41,29 @@ COMMANDS = {
     "growth": [
         "growth", "examples.tsv", "corpus", "--steps", "1,2", "--output", "growth.tsv",
     ],
+}
+
+# The contextner modules each command loads besides SHARED_MODULES, which
+# every command loads. Recognize reads the model directory through `model`,
+# not `weighting`; weigh writes it through `model`, not `recognize`; and
+# only acquire loads `acquire`, which holds the markup cleaner.
+SHARED_MODULES = {
+    "contextner", "contextner.cli", "contextner.errors", "contextner.record",
+    "contextner.seeds", "contextner.tsv",
+}
+TRAINING_MODULES = {
+    "contextner.corpus", "contextner.extract", "contextner.model", "contextner.weighting",
+}
+COMMAND_MODULES = {
+    "acquire": {"contextner.acquire", "contextner.corpus"},
+    "weigh": TRAINING_MODULES,
+    "weigh-table-only": TRAINING_MODULES,
+    "recognize": {
+        "contextner.annotations", "contextner.corpus", "contextner.extract",
+        "contextner.model", "contextner.recognize",
+    },
+    "evaluate": {"contextner.annotations", "contextner.evaluate"},
+    "growth": TRAINING_MODULES,
 }
 
 
@@ -108,6 +132,12 @@ def test_import_cli_loads_no_pipeline_module(tmp_path):
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))
+def test_command_loads_only_its_modules(command_loads, command):
+    loaded = {m for m in command_loads[command] if m.partition(".")[0] == "contextner"}
+    assert loaded == SHARED_MODULES | COMMAND_MODULES[command]
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
 def test_command_does_not_load_dataclasses(command_loads, command):
     assert "dataclasses" not in command_loads[command]
 
@@ -121,21 +151,6 @@ def test_command_does_not_load_html_parser(command_loads, command):
 @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "acquire"])
 def test_only_acquire_loads_acquisition_modules(command_loads, command):
     assert not command_loads[command] & ACQUISITION_MODULES
-
-
-def test_growth_does_not_load_recognize(command_loads):
-    # Growth runs weigh's extraction, which lives in `weighting`, and
-    # neither recognition nor scoring.
-    assert "contextner.weighting" in command_loads["growth"]
-    assert not command_loads["growth"] & {"contextner.recognize", "contextner.evaluate"}
-
-
-def test_weigh_without_a_model_dir_does_not_load_recognize(command_loads):
-    # Only the --model-dir branches check and update a model.
-    assert "contextner.recognize" in command_loads["weigh"]
-    loaded = command_loads["weigh-table-only"]
-    assert "contextner.weighting" in loaded
-    assert not loaded & {"contextner.recognize", "contextner.annotations"}
 
 
 def test_evaluate_loads_only_the_span_files_and_scoring(command_loads):
