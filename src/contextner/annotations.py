@@ -7,12 +7,11 @@ both readers reject the same bad spans.
 
 from __future__ import annotations
 
-import sys
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from . import tsv
-from .seeds import UNKNOWN
+from .seeds import check_class_label
 
 ANNOTATIONS_HEADER = [
     "doc",
@@ -69,10 +68,7 @@ def write_annotations(output: str | Path | None, annotations: Iterable[Annotatio
         ]
         for a in annotations
     )
-    if output:
-        tsv.write_rows(output, ANNOTATIONS_HEADER, rows)
-    else:
-        tsv.write_lines(sys.stdout, ANNOTATIONS_HEADER, rows)
+    tsv.write_rows(output, ANNOTATIONS_HEADER, rows)
 
 
 def _annotation_row(*fields: str) -> Annotation:
@@ -95,9 +91,7 @@ def load_annotations(path: str | Path) -> list[Annotation]:
 
 def _gold_row(doc: str, first: str, last: str, label: str) -> GoldAnnotation:
     start, end = _span(first, last)
-    if not label or label == UNKNOWN:
-        raise ValueError(f"bad gold class {label!r}")
-    return GoldAnnotation(doc=doc, first=start, last=end, class_label=label)
+    return GoldAnnotation(doc=doc, first=start, last=end, class_label=check_class_label(label))
 
 
 def load_gold(path: str | Path) -> list[GoldAnnotation]:

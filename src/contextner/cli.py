@@ -27,14 +27,20 @@ EXIT_DATA = 4
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # not a number: out of range, and reported as such
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
 
 
 def _nonneg_float(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0  # not a number: out of range, and reported as such
     if not value >= 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
     return value
@@ -45,13 +51,6 @@ def _step_list(text: str) -> list[int]:
         return [int(part) for part in text.split(",")]
     except ValueError:  # also an empty part, as in "1,,2"
         raise argparse.ArgumentTypeError(f"bad step list {text!r}, expected e.g. 80,110")
-
-
-def _emit(text: str, output: Optional[str]) -> None:
-    if output:
-        tsv.write_text(output, text)
-    else:
-        sys.stdout.write(text)
 
 
 def _add_extraction_flags(parser: argparse.ArgumentParser) -> None:
@@ -99,26 +98,25 @@ def cmd_acquire(args: argparse.Namespace) -> int:
 
 def cmd_weigh(args: argparse.Namespace) -> int:
     from .corpus import load_corpus
+    from .model import WEIGHT_HEADER, check_model_update, update_model, weight_rows
     from .seeds import load_examples, single_class
-    from .weighting import build_weight_table, format_weight_table
+    from .weighting import build_weight_table
 
     examples = load_examples(args.examples)
     label = single_class(examples)
     if args.model_dir:
-        from .model import check_model_update, update_model
-
         index = check_model_update(args.model_dir, label)
     corpus = load_corpus(args.corpus_dir)
     table = build_weight_table(
         corpus, examples, args.context_len, args.side, args.min_count
     )
-    text = format_weight_table(table)
-    _emit(text, args.output)
+    rows = weight_rows(table)
+    tsv.write_rows(args.output, WEIGHT_HEADER, rows)
     if args.model_dir:
         update_model(
             args.model_dir,
             label,
-            text,
+            rows,
             index,
             threshold=args.threshold,
             margin=args.margin,
@@ -163,12 +161,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_growth(args: argparse.Namespace) -> int:
     from .corpus import load_corpus
     from .seeds import load_examples
-    from .weighting import format_growth, growth_curve
+    from .weighting import GROWTH_HEADER, growth_curve, growth_rows
 
     examples = load_examples(args.examples)
     corpus = load_corpus(args.corpus_dir)
     points = growth_curve(corpus, examples, args.steps, args.context_len, args.side)
-    _emit(format_growth(points), args.output)
+    tsv.write_rows(args.output, GROWTH_HEADER, growth_rows(points))
     return EXIT_OK
 
 

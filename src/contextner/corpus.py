@@ -149,11 +149,11 @@ def save_corpus(manifest: CorpusManifest, directory: str | Path) -> None:
             check(*row)
         except ValueError as exc:
             raise DataFormatError(f"{directory / MANIFEST_NAME}:{lineno}: {exc}") from exc
-    text = tsv.format_rows(_MANIFEST_HEADER, rows)
+    tsv.check_rows(_MANIFEST_HEADER, rows)
     (directory / "docs").mkdir(parents=True, exist_ok=True)
     for doc, (*_, rel) in zip(manifest, rows):
         tsv.write_text(directory / rel, doc.clean)
-    tsv.write_text(directory / MANIFEST_NAME, text)
+    tsv.write_rows(directory / MANIFEST_NAME, _MANIFEST_HEADER, rows)
 
 
 def load_corpus(directory: str | Path) -> CorpusManifest:

@@ -1,7 +1,6 @@
 """Tokenization, instance matching, and adjacent-context extraction.
 
-All operations here are pure over immutable inputs; per-document work can
-run in parallel as long as results are concatenated in document-id order.
+All operations here are pure over immutable inputs.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Model directories: one weight table per class, listed by `model.tsv`.
 
 The index `model.tsv` names each class's table file and the decision
-threshold and margin the classes share. `weigh --model-dir` adds or
-replaces one class's table; `recognize` reads every table back as a
-context->weight mapping. Neither needs weighting or voting to do so.
+threshold and margin the classes share. The weight-table format (header,
+rows, reader) is here. `weigh --model-dir` adds or replaces one class's
+table; `recognize` reads every table back as a context->weight mapping.
 """
 
 from __future__ import annotations
@@ -11,18 +11,36 @@ from __future__ import annotations
 import math
 import re
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import tsv
 from .errors import DataFormatError
 from .extract import LEFT, ContextKey
-from .seeds import UNKNOWN
+from .seeds import check_class_label
+
+if TYPE_CHECKING:
+    from .weighting import WeightTable
 
 MODEL_FILE = "model.tsv"
 MODEL_HEADER = ["class", "table_file", "threshold", "margin"]
 WEIGHT_HEADER = ["context", "cf", "df", "lef", "icf", "w"]
 
 _LABEL_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
+
+
+def weight_rows(table: WeightTable) -> list[list[str]]:
+    """A weight table's rows as its file holds them, under WEIGHT_HEADER."""
+    return [
+        [
+            row.context.phrase(),
+            f"{row.cf:.7g}",
+            f"{row.df:.7g}",
+            f"{row.lef:.7g}",
+            f"{row.icf:.7g}",
+            f"{row.weight:.7g}",
+        ]
+        for row in table.rows
+    ]
 
 
 def read_weight_mapping(path: str | Path, side: str = LEFT) -> dict[ContextKey, float]:
@@ -50,10 +68,10 @@ def read_weight_mapping(path: str | Path, side: str = LEFT) -> dict[ContextKey, 
 
 
 def _table_file_name(label: str) -> str:
-    # The rule _read_index applies to a stored label, so weigh never
-    # writes a model that recognize would refuse.
-    if not label or label == UNKNOWN:
-        raise DataFormatError(f"invalid class label {label!r}")
+    try:
+        check_class_label(label)
+    except ValueError as exc:
+        raise DataFormatError(str(exc)) from None
     if not _LABEL_RE.match(label):
         raise DataFormatError(
             f"class label {label!r} is not usable as a file name"
@@ -75,8 +93,7 @@ def _read_index(index_path: Path) -> _Index:
     shared: set[tuple[float, float]] = set()
 
     def parse(label, table_file, theta, delta):
-        if not label or label == UNKNOWN:
-            raise ValueError(f"invalid class label {label!r}")
+        check_class_label(label)
         if label in entries:
             raise ValueError(f"duplicate class {label!r}")
         if table_file in (".", "..") or "/" in table_file or "\\" in table_file:
@@ -110,15 +127,15 @@ def check_model_update(directory: str | Path, label: str) -> _Index:
 def update_model(
     directory: str | Path,
     label: str,
-    table: str,
+    table: list[list[str]],
     index: _Index,
     threshold: Optional[float] = None,
     margin: Optional[float] = None,
 ) -> None:
     """Add or replace one class's table in a model directory.
 
-    `table` is the weight table's text, as format_weight_table writes it,
-    and `index` the directory's index as check_model_update returned it.
+    `table` is the weight table's rows, as weight_rows gives them, and
+    `index` the directory's index as check_model_update returned it.
     Other classes' entries are preserved. Threshold and margin are
     model-wide: explicit values overwrite the stored ones, otherwise
     the stored (or zero) values stay on every row.
@@ -127,7 +144,7 @@ def update_model(
     directory.mkdir(parents=True, exist_ok=True)
     entries, stored = index
     file_name = _table_file_name(label)
-    tsv.write_text(directory / file_name, table)
+    tsv.write_rows(directory / file_name, WEIGHT_HEADER, table)
     entries = {**entries, label: file_name}
     theta = stored[0] if threshold is None else threshold
     delta = stored[1] if margin is None else margin

@@ -19,7 +19,7 @@ from .errors import DataFormatError
 from .extract import LEFT, RIGHT, ContextKey, WordSequence, context_hits, tokenize
 from .model import MODEL_FILE, _read_index, read_weight_mapping
 from .record import Record
-from .seeds import UNKNOWN
+from .seeds import UNKNOWN, check_class_label
 
 
 # (side, length) -> context words -> ((class, weight), ...) in table order.
@@ -52,8 +52,7 @@ class RecognitionModel(Record):
             raise ValueError(f"max_entity_tokens must be >= 1, got {max_entity_tokens}")
         votes: _ContextVotes = {}
         for label, table in tables.items():
-            if not label or label == UNKNOWN:
-                raise ValueError(f"invalid class label {label!r}")
+            check_class_label(label)
             for key, weight in table.items():
                 if weight <= 0:
                     raise ValueError(
@@ -98,12 +97,13 @@ def detect_candidates(
     """Candidate entity spans, as (first, last) token index pairs in
     order, each with its summed vote per class.
 
-    Wherever a table's context words occur as a context (context_hits),
-    the span grows from the anchor away from the context, up to
-    max_entity_tokens, stopping at a sentence break or before a token
-    that starts lowercase. A span's votes are those of every context at
-    its edges: the left contexts of its first word, then the right
-    contexts of its last, each group's votes in table order.
+    Wherever a table's context words occur as a context (context_hits) of
+    an anchor word that does not start lowercase, the span grows from the
+    anchor away from the context, up to max_entity_tokens, stopping at a
+    sentence break or before a token that starts lowercase. A span's votes
+    are those of every context at its edges: the left contexts of its
+    first word, then the right contexts of its last, each group's votes in
+    table order.
     """
     hits: dict[tuple[str, int], list[tuple[str, float]]] = {}
     spans: set[tuple[int, int]] = set()
@@ -111,6 +111,8 @@ def detect_candidates(
     starts = set(tok.starts)
     n = len(words)
     for side, anchor, votes in context_hits(tok, model._votes):
+        if words[anchor][:1].islower():
+            continue
         hits.setdefault((side, anchor), []).extend(votes)
         # A span grows right from a left context's anchor and left from a
         # right context's; a sentence starts between edge and the next

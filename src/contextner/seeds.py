@@ -14,6 +14,13 @@ EXAMPLES_HEADER = ["surface", "class"]
 UNKNOWN = "unknown"
 
 
+def check_class_label(label: str) -> str:
+    """`label` if it can name a class (neither empty nor UNKNOWN), else ValueError."""
+    if not label or label == UNKNOWN:
+        raise ValueError(f"invalid class label {label!r}")
+    return label
+
+
 class LearningExample(Record):
     """A concrete surface form (e.g. "Paris") of an entity class.
 

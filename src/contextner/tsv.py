@@ -8,6 +8,7 @@ header row, tab-separated columns, "\n" line endings, and no escaping
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO, TypeVar
 
@@ -39,16 +40,10 @@ def _lines(header: list[str], rows: Iterable[list[str]]) -> Iterator[str]:
         yield line + "\n"
 
 
-def format_rows(header: list[str], rows: Iterable[list[str]]) -> str:
-    """Render header + rows as TSV text, validating every field."""
-    return "".join(_lines(header, rows))
-
-
-def write_lines(out: TextIO, header: list[str], rows: Iterable[list[str]]) -> None:
-    """Write header + rows to an open text stream, each row as it
-    arrives, checked as format_rows checks it. The stream gets the text
-    of format_rows(header, rows), up to the first bad row."""
-    out.writelines(_lines(header, rows))
+def check_rows(header: list[str], rows: Iterable[list[str]]) -> None:
+    """Raise where write_rows would reject one of `rows`, writing nothing."""
+    for _line in _lines(header, rows):
+        pass
 
 
 def _replace(path: str | Path, write: Callable[[TextIO], None]) -> None:
@@ -86,17 +81,22 @@ def _replace(path: str | Path, write: Callable[[TextIO], None]) -> None:
 
 
 def write_text(path: str | Path, text: str) -> None:
-    """Write UTF-8 text with "\n" line endings, replacing `path` whole
-    (see _replace)."""
+    """Write a document's text, UTF-8 with "\n" line endings, replacing
+    `path` whole (see _replace)."""
     _replace(path, lambda out: out.write(text))
 
 
-def write_rows(path: str | Path, header: list[str], rows: Iterable[list[str]]) -> None:
-    """Write header + rows as TSV, replacing `path` whole (see _replace).
-    Each row is checked and written as it arrives, so `rows` may be a
-    stream that is never held in memory; a bad row or an error from
-    `rows` leaves the old file in place."""
-    _replace(path, lambda out: write_lines(out, header, rows))
+def write_rows(path: str | Path | None, header: list[str], rows: Iterable[list[str]]) -> None:
+    """The one TSV writer: header + rows to standard output when `path` is
+    None or empty, else replacing `path` whole (see _replace). Each row is
+    checked and written as it arrives, so `rows` may be a stream never held
+    in memory; a bad row or an error from `rows` leaves the old file in
+    place, while standard output keeps the rows before it."""
+    lines = _lines(header, rows)
+    if path:
+        _replace(path, lambda out: out.writelines(lines))
+    else:
+        sys.stdout.writelines(lines)
 
 
 def not_utf8(exc: UnicodeDecodeError, source: str | Path | None = None) -> DataFormatError:

@@ -20,7 +20,6 @@ import math
 from itertools import islice, starmap
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from . import tsv
 from .corpus import CorpusManifest, Document
 from .errors import EmptyResultError, InputError
 from .extract import (
@@ -35,7 +34,6 @@ from .extract import (
     instance_index,
     tokenize,
 )
-from .model import WEIGHT_HEADER
 from .record import Record
 from .seeds import LearningExample, single_class
 
@@ -305,12 +303,12 @@ def growth_curve(
     return points
 
 
-def format_growth(points: Iterable[GrowthPoint]) -> str:
-    rows = [
+def growth_rows(points: Iterable[GrowthPoint]) -> list[list[str]]:
+    """A growth curve's rows as its file holds them, under GROWTH_HEADER."""
+    return [
         [str(p.doc_count), str(p.example_occurrences), str(p.context_count)]
         for p in points
     ]
-    return tsv.format_rows(GROWTH_HEADER, rows)
 
 
 class WeightTable(Record):
@@ -368,19 +366,3 @@ def build_weight_table(
     rows = [weigh_context(s, totals) for s in kept]
     rows.sort(key=lambda r: (-r.weight, -r.stats.n_with_examples, r.context.words))
     return WeightTable(rows=tuple(rows), totals=totals)
-
-
-def format_weight_table(table: WeightTable) -> str:
-    rows = [
-        [
-            row.context.phrase(),
-            f"{row.cf:.7g}",
-            f"{row.df:.7g}",
-            f"{row.lef:.7g}",
-            f"{row.icf:.7g}",
-            f"{row.weight:.7g}",
-        ]
-        for row in table.rows
-    ]
-    return tsv.format_rows(WEIGHT_HEADER, rows)
-

@@ -407,14 +407,17 @@ def _candidate_span(
 ) -> tuple[int, int] | None:
     """The span next to a context found at token p, or None.
 
-    None when the context has no next token or a sentence break falls
-    between any of its words and that token. The span grows away from
-    the context, one token at a time, up to `limit` tokens, stopping
-    before a lowercase token or across a sentence break.
+    None when the context has no next token, that token starts
+    lowercase, or a sentence break falls between any of its words and
+    that token. The span grows away from the context, one token at a
+    time, up to `limit` tokens, stopping before a lowercase token or
+    across a sentence break.
     """
     if side == LEFT:
         first = p + length
         if first >= len(words) or not _window_ok(breaks, p, first):
+            return None
+        if words[first][:1].islower():
             return None
         last = first
         while last - first + 1 < limit:
@@ -425,6 +428,8 @@ def _candidate_span(
         return first, last
     last = p - 1
     if last < 0 or not _window_ok(breaks, last, p + length - 1):
+        return None
+    if words[last][:1].islower():
         return None
     first = last
     while last - first + 1 < limit:

@@ -276,18 +276,30 @@ def test_weigh_reads_a_model_index_that_is_not_a_file_before_writing(
     assert not output.exists()
 
 
-@pytest.mark.parametrize("command", ["weigh", "recognize"])
-def test_nan_threshold_exits_2(tmp_path, capsys, trained_model_dir, command):
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        ("weigh", "--threshold", "nan", "must be non-negative, got 'nan'"),
+        ("recognize", "--threshold", "nan", "must be non-negative, got 'nan'"),
+        ("weigh", "--context-len", "abc", "must be a positive integer, got 'abc'"),
+        ("recognize", "--threshold", "x", "must be non-negative, got 'x'"),
+    ],
+    ids=["weigh", "recognize", "weigh-not-a-number", "recognize-not-a-number"],
+)
+def test_nan_threshold_exits_2(
+    tmp_path, capsys, trained_model_dir, command, flag, value, message
+):
+    # A number flag that is NaN, or no number at all, fails its range check.
     corpus_dir = saved_corpus(tmp_path, "corpus", "Hotels in Paris.")
     index = tmp_path / "model" / "model.tsv"
     before = index.read_bytes()
     examples = write_examples(tmp_path / "paris.tsv", ("Paris", "capital"))
     first = examples if command == "weigh" else trained_model_dir
-    args = [command, first, corpus_dir, "--threshold", "nan"]
+    args = [command, first, corpus_dir, flag, value]
     if command == "weigh":
         args += ["--model-dir", trained_model_dir]
     assert cli.main(args) == 2
-    assert "must be non-negative, got 'nan'" in capsys.readouterr().err
+    assert f"error: argument {flag}: {message}\n" in capsys.readouterr().err
     assert index.read_bytes() == before
 
 
@@ -336,7 +348,6 @@ def test_recognize_annotates_corpus(tmp_path, capsys, trained_model_dir):
     assert captured.out.splitlines() == [
         "doc\tstart_token\tend_token\tsurface\tclass\tscore\trunner_up",
         "d00\t3\t3\tLisbon\tcapital\t1\t0",
-        "d00\t7\t7\tcafes\tcapital\t1\t0",
     ]
 
 
@@ -384,16 +395,33 @@ def test_recognize_writes_output_file(tmp_path, capsys, trained_model_dir):
     assert "Quito\tcapital" in out.read_text(encoding="utf-8")
 
 
-def test_recognize_prints_what_it_writes(tmp_path, capsys, trained_model_dir):
+@pytest.mark.parametrize("command", ["weigh", "growth", "recognize"])
+def test_recognize_prints_what_it_writes(
+    tmp_path, capsys, capital_examples, trained_model_dir, command
+):
+    # Every TSV goes through one writer, so a command prints to stdout
+    # exactly the bytes it writes to --output.
     test_dir = saved_corpus(
-        tmp_path, "test", "Hotels in Quito.", "Visit Hotels in Lisbon. Hotels in cafes."
+        tmp_path, "test", "Hotels in Quito.", "Visit Hotels in Paris. Hotels in cafes."
     )
-    out = tmp_path / "ann.tsv"
-    assert cli.main(["recognize", trained_model_dir, test_dir, "--output", str(out)]) == 0
-    assert cli.main(["recognize", trained_model_dir, test_dir]) == 0
+    args, lines = {
+        "weigh": (["weigh", capital_examples, test_dir], 2),
+        "growth": (["growth", capital_examples, test_dir, "--steps", "1,2"], 3),
+        "recognize": (["recognize", trained_model_dir, test_dir], 3),
+    }[command]
+    out, model_dir = tmp_path / "out.tsv", tmp_path / "written"
+    written = args + ["--output", str(out)]
+    if command == "weigh":
+        written += ["--model-dir", str(model_dir)]
+    assert cli.main(written) == 0
+    capsys.readouterr()
+    assert cli.main(args) == 0
     printed = capsys.readouterr().out
-    assert printed.count("\tcapital\t") == 3
+    assert len(printed.splitlines()) == lines
     assert printed.encode("utf-8") == out.read_bytes()
+    if command == "weigh":
+        # weigh writes the same rows to the model as to --output.
+        assert (model_dir / "table_capital.tsv").read_bytes() == out.read_bytes()
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
@@ -566,8 +594,9 @@ def test_recognize_missing_model_exits_2(tmp_path, capsys):
 # -- evaluate ----------------------------------------------------------------
 
 def test_evaluate_end_to_end(tmp_path, capsys, trained_model_dir):
+    # `cafes` starts lowercase, so it is no candidate; `Rooms` is a false positive.
     test_dir = saved_corpus(
-        tmp_path, "test", "Visit Hotels in Lisbon now. Hotels in cafes."
+        tmp_path, "test", "Visit Hotels in Lisbon now. Hotels in cafes. Hotels in Rooms."
     )
     ann_path = tmp_path / "ann.tsv"
     cli.main(["recognize", trained_model_dir, test_dir, "--output", str(ann_path)])

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -373,3 +374,44 @@ def test_context_hits_match_brute_force_scan():
             assert list(context_hits(seq, groups)) == expected
             total += len(expected)
     assert total > 500
+
+
+# Each scan below reads its input once: a few hundred KB take well under
+# a tenth of a second, so a second leaves room for a slow machine, not
+# for a scan that re-reads what it has read.
+
+@pytest.mark.parametrize(
+    "piece, words",
+    [("a-", 1), ("a.", 1), ("'a", 1), ("A. ", 200_000), ("x.Y", 1)],
+    ids=["a-", "a.", "'a", "A.", "x.Y"],
+)
+def test_tokenize_runs_in_linear_time(piece, words):
+    # 400-600 KB of pieces that one whitespace split does not read alone.
+    text = piece * 200_000
+    start = time.perf_counter()
+    assert len(tokenize(text).words) == words
+    assert time.perf_counter() - start < 1.0
+
+
+def test_find_instances_runs_in_linear_time():
+    # 200 KB where every word starts a surface and the longest one fails
+    # only at its last word.
+    seq = tokenize("New " * 50_000)
+    index = instance_index(
+        [LearningExample("New " * 7 + "York", "city"), LearningExample("New", "city")]
+    )
+    start = time.perf_counter()
+    assert len(find_instances(seq, index)) == 50_000
+    assert time.perf_counter() - start < 1.0
+
+
+def test_context_hits_run_in_linear_time():
+    # 270 KB of two-word sentences: every word is next to some context,
+    # but only `In` before `Rome` does not cross a sentence break.
+    seq = tokenize("In Rome. " * 30_000)
+    groups = group_contexts(
+        [ContextKey(("In", "Rome"), LEFT), ContextKey(("In",), LEFT), ContextKey(("In",), RIGHT)]
+    )
+    start = time.perf_counter()
+    assert len(list(context_hits(seq, groups))) == 30_000
+    assert time.perf_counter() - start < 1.0

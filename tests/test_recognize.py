@@ -8,7 +8,7 @@ from contextner import tsv
 from contextner.annotations import load_annotations, write_annotations
 from contextner.errors import DataFormatError, InputError
 from contextner.extract import ContextKey, tokenize
-from contextner.model import check_model_update, update_model
+from contextner.model import check_model_update, update_model, weight_rows
 from contextner.seeds import LearningExample
 from contextner.recognize import (
     UNKNOWN,
@@ -18,7 +18,7 @@ from contextner.recognize import (
     load_model,
     recognize_document,
 )
-from contextner.weighting import build_weight_table, format_weight_table
+from contextner.weighting import build_weight_table
 from oracle import oracle_recognize, random_recognition_case
 
 
@@ -348,7 +348,7 @@ def test_recognition_matches_brute_force_oracle():
 def store_table(directory, label, table, **decision):
     """Store a table in a model directory as `weigh --model-dir` does."""
     index = check_model_update(directory, label)
-    update_model(directory, label, format_weight_table(table), index, **decision)
+    update_model(directory, label, weight_rows(table), index, **decision)
 
 
 @pytest.fixture

@@ -45,8 +45,9 @@ COMMANDS = {
 
 # The contextner modules each command loads besides SHARED_MODULES, which
 # every command loads. Recognize reads the model directory through `model`,
-# not `weighting`; weigh writes it through `model`, not `recognize`; and
-# only acquire loads `acquire`, which holds the markup cleaner.
+# not `weighting`; weigh writes its table through `model`, not `recognize`;
+# growth writes no table, so it does not load `model`; and only acquire
+# loads `acquire`, which holds the markup cleaner.
 SHARED_MODULES = {
     "contextner", "contextner.cli", "contextner.errors", "contextner.record",
     "contextner.seeds", "contextner.tsv",
@@ -63,7 +64,7 @@ COMMAND_MODULES = {
         "contextner.model", "contextner.recognize",
     },
     "evaluate": {"contextner.annotations", "contextner.evaluate"},
-    "growth": TRAINING_MODULES,
+    "growth": TRAINING_MODULES - {"contextner.model"},
 }
 
 

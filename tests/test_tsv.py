@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import stat
 import tempfile
@@ -23,23 +25,28 @@ def test_round_trip(tmp_path):
     assert tsv.read_rows(path, HDR, fields) == [["1", "2"], ["x", "y"]]
 
 
-def test_format_ends_with_newline():
-    assert tsv.format_rows(HDR, []) == "a\tb\n"
-    assert tsv.format_rows(HDR, [["1", "2"]]).endswith("2\n")
+def test_format_ends_with_newline(tmp_path):
+    path = tmp_path / "t.tsv"
+    tsv.write_rows(path, HDR, [])
+    assert path.read_bytes() == b"a\tb\n"
+    tsv.write_rows(path, HDR, [["1", "2"]])
+    assert path.read_bytes().endswith(b"2\n")
 
 
-def test_rejects_tab_and_newline_in_fields():
+def test_rejects_tab_and_newline_in_fields(tmp_path):
+    path = tmp_path / "t.tsv"
     with pytest.raises(DataFormatError):
-        tsv.format_rows(HDR, [["x\ty", "z"]])
+        tsv.write_rows(path, HDR, [["x\ty", "z"]])
     with pytest.raises(DataFormatError):
-        tsv.format_rows(HDR, [["x", "y\nz"]])
+        tsv.write_rows(path, HDR, [["x", "y\nz"]])
     with pytest.raises(DataFormatError, match="tab or newline"):
-        tsv.format_rows(HDR, [["x\ry", "z"]])
+        tsv.write_rows(path, HDR, [["x\ry", "z"]])
+    assert not path.exists()
 
 
-def test_rejects_wrong_arity():
+def test_rejects_wrong_arity(tmp_path):
     with pytest.raises(DataFormatError):
-        tsv.format_rows(HDR, [["only one"]])
+        tsv.write_rows(tmp_path / "t.tsv", HDR, [["only one"]])
 
 
 def test_read_checks_header(tmp_path):
@@ -122,6 +129,20 @@ def test_write_text_replaces_a_linked_file_not_the_link(tmp_path):
 _field = st.text(alphabet=st.sampled_from("ab é\t\n\r"), max_size=6)
 
 
+def expected_tsv(header, rows):
+    """The text write_rows writes for header + rows, up to the first bad
+    row, and the message of the error that row raises (None if none)."""
+    lines = ["\t".join(header) + "\n"]
+    for row in rows:
+        if len(row) != len(header):
+            return "".join(lines), f"row has {len(row)} fields, header has {len(header)}: {row!r}"
+        for field in row:
+            if any(ch in field for ch in "\t\n\r"):
+                return "".join(lines), f"field contains tab or newline: {field!r}"
+        lines.append("\t".join(row) + "\n")
+    return "".join(lines), None
+
+
 @given(
     st.integers(min_value=1, max_value=3).flatmap(
         lambda width: st.tuples(
@@ -130,20 +151,29 @@ _field = st.text(alphabet=st.sampled_from("ab é\t\n\r"), max_size=6)
         )
     )
 )
-def test_write_rows_streams_the_bytes_of_format_rows(header_rows):
+def test_write_rows_gives_a_file_and_stdout_the_same_bytes(header_rows):
     header, rows = header_rows
+    text, error = expected_tsv(header, rows)
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "t.tsv"
-        try:
-            expected = tsv.format_rows(header, rows)
-        except DataFormatError as exc:
-            with pytest.raises(DataFormatError) as info:
-                tsv.write_rows(path, header, iter(rows))
-            assert str(info.value) == str(exc)
-            assert list(Path(scratch).iterdir()) == []
-        else:
-            tsv.write_rows(path, header, iter(rows))
-            assert path.read_bytes() == expected.encode("utf-8")
+        for output in (str(path), None, ""):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                if error is None:
+                    tsv.write_rows(output, header, iter(rows))
+                else:
+                    with pytest.raises(DataFormatError) as info:
+                        tsv.write_rows(output, header, iter(rows))
+                    assert str(info.value) == error
+            if not output:
+                # Standard output keeps the rows before a bad one.
+                assert stdout.getvalue() == text
+            else:
+                assert stdout.getvalue() == ""
+                if error is None:
+                    assert path.read_bytes() == text.encode("utf-8")
+                else:
+                    assert list(Path(scratch).iterdir()) == []
 
 
 @pytest.mark.parametrize("k", [0, 1, 3])

@@ -7,13 +7,13 @@ from conftest import capitals, make_corpus, make_doc
 from contextner.corpus import CorpusManifest
 from contextner.errors import EmptyResultError
 from contextner.extract import LEFT, RIGHT
+from contextner.model import WEIGHT_HEADER, weight_rows
 from contextner.weighting import (
     build_weight_table,
     collect_context_stats,
     context_frequency,
     context_weight,
     document_frequency,
-    format_weight_table,
     growth_curve,
     inverse_context_frequency,
     inverse_document_frequency,
@@ -271,10 +271,8 @@ def _agrees_with_oracle(docs, surfaces, length, side):
 
 def test_format_weight_table_layout():
     table = build_weight_table(make_corpus("Hotels in Paris"), capitals("Paris"))
-    text = format_weight_table(table)
-    lines = text.splitlines()
-    assert lines[0] == "context\tcf\tdf\tlef\ticf\tw"
-    assert lines[1] == "Hotels in\t1\t1\t1\t1\t1"
+    assert WEIGHT_HEADER == ["context", "cf", "df", "lef", "icf", "w"]
+    assert weight_rows(table) == [["Hotels in", "1", "1", "1", "1", "1"]]
 
 
 @pytest.mark.parametrize(
