@@ -27,7 +27,8 @@ GOLD_HEADER = ["doc", "start_token", "end_token", "class"]
 
 class Annotation(NamedTuple):
     """One recognized (or rejected) span of a document. Its surface is
-    the span's words joined by single spaces."""
+    the span's words joined by single spaces. Its fields are the
+    annotations file's columns, in order."""
 
     doc: str
     first: int
@@ -56,19 +57,7 @@ def write_annotations(output: str | Path | None, annotations: Iterable[Annotatio
     """Write the annotations file to `output`, or to stdout when it is
     None or empty, a row as each annotation arrives, so a stream of
     annotations is never held whole."""
-    rows = (
-        [
-            a.doc,
-            str(a.first),
-            str(a.last),
-            a.surface,
-            a.class_label,
-            f"{a.score:.7g}",
-            f"{a.runner_up:.7g}",
-        ]
-        for a in annotations
-    )
-    tsv.write_rows(output, ANNOTATIONS_HEADER, rows)
+    tsv.write_rows(output, ANNOTATIONS_HEADER, annotations)
 
 
 def _annotation_row(*fields: str) -> Annotation:

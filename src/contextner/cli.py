@@ -161,12 +161,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_growth(args: argparse.Namespace) -> int:
     from .corpus import load_corpus
     from .seeds import load_examples
-    from .weighting import GROWTH_HEADER, growth_curve, growth_rows
+    from .weighting import GROWTH_HEADER, growth_curve
 
     examples = load_examples(args.examples)
     corpus = load_corpus(args.corpus_dir)
     points = growth_curve(corpus, examples, args.steps, args.context_len, args.side)
-    tsv.write_rows(args.output, GROWTH_HEADER, growth_rows(points))
+    tsv.write_rows(args.output, GROWTH_HEADER, points)
     return EXIT_OK
 
 

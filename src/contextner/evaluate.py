@@ -13,6 +13,9 @@ REPORT_HEADER = ["tp", "fp", "fn", "precision", "recall"]
 
 
 class EvalReport(NamedTuple):
+    """Exact-span counts and ratios; its fields are the report file's
+    columns, in order, and a ratio that is undefined is None."""
+
     tp: int
     fp: int
     fn: int
@@ -59,11 +62,4 @@ def format_report(report: EvalReport) -> str:
 
 
 def write_report(report: EvalReport, path: str | Path) -> None:
-    row = [
-        str(report.tp),
-        str(report.fp),
-        str(report.fn),
-        _ratio(report.precision, "NA"),
-        _ratio(report.recall, "NA"),
-    ]
-    tsv.write_rows(path, REPORT_HEADER, [row])
+    tsv.write_rows(path, REPORT_HEADER, [report])

@@ -57,12 +57,10 @@ def tokenize(text: str) -> WordSequence:
     Neither rule looks across more than one run of whitespace, so one
     str.split cuts the text into pieces that are read alone. A piece
     that is alphanumeric is one word as it stands, and a word with one
-    mark after it is cut without a regex; only the other pieces are
-    searched, with one findall of _WORD_RE. Each piece is overwritten by
-    its word in the split list, and only pieces of zero or several words
-    are spliced. The initial rule is written twice, in the word-and-mark
-    branch and in _WORD_RE with the letter check after it; the two must
-    agree.
+    mark after it, unless it is one character and a period, is cut
+    without a regex; only the other pieces are searched, with one
+    findall of _WORD_RE. Each piece is overwritten by its word in the
+    split list, and only pieces of zero or several words are spliced.
     """
     words = text.split()
     starts: list[int] = []  # the first word of each sentence after the first
@@ -72,9 +70,8 @@ def tokenize(text: str) -> WordSequence:
     for i in compress(count(), map(not_, map(str.isalnum, words))):
         piece = words[i]
         head = piece[:-1]
-        if head.isalnum():  # a word and one mark
-            if len(head) == 1 and piece[-1] == "." and head.isalpha():
-                continue  # an initial, which keeps its period
+        # A word and one mark; a character and a period ("W.") is the regex's.
+        if head.isalnum() and (len(head) > 1 or piece[-1] != "."):
             words[i] = head
         else:
             found = [  # a period taken by a character that is no letter goes back

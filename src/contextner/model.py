@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import suppress
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
@@ -28,17 +29,10 @@ WEIGHT_HEADER = ["context", "cf", "df", "lef", "icf", "w"]
 _LABEL_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
 
 
-def weight_rows(table: WeightTable) -> list[list[str]]:
-    """A weight table's rows as its file holds them, under WEIGHT_HEADER."""
+def weight_rows(table: WeightTable) -> list[tuple]:
+    """A weight table's rows in the columns of WEIGHT_HEADER."""
     return [
-        [
-            row.context.phrase(),
-            f"{row.cf:.7g}",
-            f"{row.df:.7g}",
-            f"{row.lef:.7g}",
-            f"{row.icf:.7g}",
-            f"{row.weight:.7g}",
-        ]
+        (row.context.phrase(), row.cf, row.df, row.lef, row.icf, row.weight)
         for row in table.rows
     ]
 
@@ -127,7 +121,7 @@ def check_model_update(directory: str | Path, label: str) -> _Index:
 def update_model(
     directory: str | Path,
     label: str,
-    table: list[list[str]],
+    table: list[tuple],
     index: _Index,
     threshold: Optional[float] = None,
     margin: Optional[float] = None,
@@ -139,17 +133,25 @@ def update_model(
     Other classes' entries are preserved. Threshold and margin are
     model-wide: explicit values overwrite the stored ones, otherwise
     the stored (or zero) values stay on every row.
+
+    Replacing model.tsv is the one commit: the table is written first,
+    as table_<class>.tsv or, if the index names that, table_<class>+.tsv
+    ('+' is no label character), and the replaced table is deleted last.
+    So a failed update leaves the old model whole.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries, stored = index
     file_name = _table_file_name(label)
+    replaced = entries.get(label)
+    if replaced == file_name:
+        file_name = f"table_{label}+.tsv"
     tsv.write_rows(directory / file_name, WEIGHT_HEADER, table)
     entries = {**entries, label: file_name}
     theta = stored[0] if threshold is None else threshold
     delta = stored[1] if margin is None else margin
-    rows = [
-        [name, entries[name], f"{theta:.7g}", f"{delta:.7g}"]
-        for name in sorted(entries)
-    ]
+    rows = ((name, entries[name], theta, delta) for name in sorted(entries))
     tsv.write_rows(directory / MODEL_FILE, MODEL_HEADER, rows)
+    if replaced is not None and replaced not in entries.values():
+        with suppress(OSError):  # a leftover no index row names is overwritten later
+            (directory / replaced).unlink()

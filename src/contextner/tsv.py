@@ -2,7 +2,8 @@
 
 All on-disk tables in this package share one dialect: UTF-8, a required
 header row, tab-separated columns, "\n" line endings, and no escaping
-(fields must not contain tabs or newlines).
+(text fields must not contain tabs or newlines). The writer prints an
+int in decimal, a float with %.7g, and None, a missing value, as NA.
 """
 
 from __future__ import annotations
@@ -10,19 +11,29 @@ from __future__ import annotations
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TextIO, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
 from .errors import DataFormatError, InputError
 
 _FORBIDDEN = ("\t", "\n", "\r")
 
 T = TypeVar("T")
+Field = str | int | float | None  # a field as write_rows takes it
 
 
-def _lines(header: list[str], rows: Iterable[list[str]]) -> Iterator[str]:
+def _text(field: Field) -> str:
+    """A field as the dialect writes it (see the module docstring)."""
+    if isinstance(field, str):
+        return field
+    if isinstance(field, float):
+        return f"{field:.7g}"
+    return "NA" if field is None else f"{field:d}"
+
+
+def _lines(header: list[str], rows: Iterable[Sequence[Field]]) -> Iterator[str]:
     """Header + rows as TSV lines, each ending in "\n", checking each row
-    as it is reached: a wrong field count, or a field holding a tab or a
-    line break, raises DataFormatError."""
+    as it is reached: a wrong field count, or a text field holding a tab
+    or a line break, raises DataFormatError."""
     yield "\t".join(header) + "\n"
     tabs = len(header) - 1
     for row in rows:
@@ -30,17 +41,17 @@ def _lines(header: list[str], rows: Iterable[list[str]]) -> Iterator[str]:
             raise DataFormatError(
                 f"row has {len(row)} fields, header has {len(header)}: {row!r}"
             )
-        line = "\t".join(row)
+        line = "\t".join(map(_text, row))
         # With the field count right, a line with exactly `tabs` tabs and
-        # no line break has no forbidden character in any field.
+        # no line break has no forbidden character in any (text) field.
         if line.count("\t") != tabs or "\n" in line or "\r" in line:
             for field in row:
-                if any(ch in field for ch in _FORBIDDEN):
+                if isinstance(field, str) and any(ch in field for ch in _FORBIDDEN):
                     raise DataFormatError(f"field contains tab or newline: {field!r}")
         yield line + "\n"
 
 
-def check_rows(header: list[str], rows: Iterable[list[str]]) -> None:
+def check_rows(header: list[str], rows: Iterable[Sequence[Field]]) -> None:
     """Raise where write_rows would reject one of `rows`, writing nothing."""
     for _line in _lines(header, rows):
         pass
@@ -86,7 +97,7 @@ def write_text(path: str | Path, text: str) -> None:
     _replace(path, lambda out: out.write(text))
 
 
-def write_rows(path: str | Path | None, header: list[str], rows: Iterable[list[str]]) -> None:
+def write_rows(path: str | Path | None, header: list[str], rows: Iterable[Sequence[Field]]) -> None:
     """The one TSV writer: header + rows to standard output when `path` is
     None or empty, else replacing `path` whole (see _replace). Each row is
     checked and written as it arrives, so `rows` may be a stream never held

@@ -250,6 +250,9 @@ def collect_context_stats(
 
 
 class GrowthPoint(NamedTuple):
+    """One prefix of a growth curve; its fields are the growth file's
+    columns, in order."""
+
     doc_count: int
     example_occurrences: int
     context_count: int
@@ -301,14 +304,6 @@ def growth_curve(
             )
         )
     return points
-
-
-def growth_rows(points: Iterable[GrowthPoint]) -> list[list[str]]:
-    """A growth curve's rows as its file holds them, under GROWTH_HEADER."""
-    return [
-        [str(p.doc_count), str(p.example_occurrences), str(p.context_count)]
-        for p in points
-    ]
 
 
 class WeightTable(Record):

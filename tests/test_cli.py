@@ -1,3 +1,4 @@
+import errno
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import make_corpus
-from contextner import cli
+from contextner import cli, tsv
 from contextner.corpus import load_corpus, save_corpus
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -200,6 +201,49 @@ def test_weigh_writes_model_dir(tmp_path, capsys, capital_examples):
     assert "capital\ttable_capital.tsv\t0.5\t0" in body
 
 
+def index_files(model_dir):
+    """The table files model.tsv names."""
+    rows = (model_dir / "model.tsv").read_text(encoding="utf-8").splitlines()[1:]
+    return {row.split("\t")[1] for row in rows}
+
+
+def test_a_failed_model_update_leaves_the_old_model_whole(tmp_path, capsys, monkeypatch):
+    # model.tsv is the one commit: a table is written under a name the
+    # index does not use, and the one it replaced is deleted after.
+    corpus_dir = saved_corpus(tmp_path, "corpus", "Hotels in Paris. Hotels in Rome. Map of Oslo.")
+    model_dir = tmp_path / "model"
+    for examples in (("Paris", "capital"), ("Oslo", "city")):
+        path = write_examples(tmp_path / f"{examples[1]}.tsv", examples)
+        assert cli.main(["weigh", path, corpus_dir, "--model-dir", str(model_dir)]) == 0
+    before = snapshot(model_dir)
+    write_rows = tsv.write_rows
+
+    def fail_at_index(path, header, rows):
+        if path and Path(path).name == "model.tsv":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        write_rows(path, header, rows)
+
+    again = write_examples(tmp_path / "again.tsv", ("Paris", "capital"), ("Rome", "capital"))
+    args = ["weigh", again, corpus_dir, "--model-dir", str(model_dir), "--threshold", "0.5"]
+    monkeypatch.setattr(tsv, "write_rows", fail_at_index)
+    assert cli.main(args) == 2
+    after = snapshot(model_dir)
+    assert {path: after[path] for path in before} == before
+    added = {path.name for path in set(after) - set(before)}
+    assert len(added) == 1 and not added & index_files(model_dir)
+
+    monkeypatch.undo()
+    for table in ("table_capital+.tsv", "table_capital.tsv"):
+        capsys.readouterr()
+        assert cli.main(args) == 0
+        names = index_files(model_dir)
+        assert names == {table, "table_city.tsv"}
+        assert {path.name for path in model_dir.iterdir()} == {"model.tsv", *names}
+        assert "capital\t" + table + "\t0.5\t0\n" in (model_dir / "model.tsv").read_text(
+            encoding="utf-8"
+        )
+
+
 def test_weigh_rejects_duplicate_class_in_model_index(tmp_path, capsys, capital_examples):
     corpus_dir = saved_corpus(tmp_path, "corpus", "Hotels in Paris. Hotels in tents.")
     model_dir = tmp_path / "model"
@@ -242,17 +286,31 @@ def snapshot(directory):
     }
 
 
-def test_weigh_rejects_the_unknown_class_before_writing(
-    tmp_path, capsys, trained_model_dir
+@pytest.mark.parametrize(
+    "label, message",
+    [
+        # The label of undecided spans, which recognize refuses as a class.
+        ("unknown", "invalid class label 'unknown'"),
+        # Labels outside [A-Za-z0-9_.-] name no table file; '+' marks the
+        # second name of a class's table.
+        *(
+            (label, f"class label {label!r} is not usable as a file name"
+             " (letters, digits, '_', '-', '.' only)")
+            for label in ("cap ital", "a+b")
+        ),
+    ],
+    ids=["unknown", "space", "plus"],
+)
+def test_weigh_rejects_a_bad_class_label_before_writing(
+    tmp_path, capsys, trained_model_dir, label, message
 ):
-    # The label of undecided spans, which recognize refuses as a class.
     corpus_dir = saved_corpus(tmp_path, "corpus", "Hotels in Quito.")
-    examples = write_examples(tmp_path / "unknown.tsv", ("Quito", "unknown"))
+    examples = write_examples(tmp_path / "bad.tsv", ("Quito", label))
     before = snapshot(trained_model_dir)
     output = tmp_path / "t.tsv"
     args = ["weigh", examples, corpus_dir, "--model-dir", trained_model_dir]
     assert cli.main(args + ["--output", str(output)]) == 4
-    assert capsys.readouterr() == ("", "error: invalid class label 'unknown'\n")
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     assert snapshot(trained_model_dir) == before
     assert not output.exists()
     assert cli.main(["recognize", trained_model_dir, corpus_dir]) == 0

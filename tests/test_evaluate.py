@@ -18,7 +18,7 @@ from contextner.extract import (
     tokenize,
 )
 from contextner.seeds import UNKNOWN, LearningExample
-from contextner.weighting import GROWTH_HEADER, growth_curve, growth_rows
+from contextner.weighting import GROWTH_HEADER, growth_curve
 from oracle import oracle_growth, random_corpus
 
 
@@ -265,7 +265,7 @@ def test_growth_file_output(tmp_path):
     corpus = make_corpus(*TEMPLATE)
     points = growth_curve(corpus, capitals("Paris", "Berlin"), [1, 5])
     path = tmp_path / "growth.tsv"
-    tsv.write_rows(path, GROWTH_HEADER, growth_rows(points))
+    tsv.write_rows(path, GROWTH_HEADER, points)
     assert path.read_text(encoding="utf-8") == (
         "docs\toccurrences\tcontexts\n1\t1\t1\n5\t4\t3\n"
     )

@@ -125,8 +125,25 @@ def test_write_text_replaces_a_linked_file_not_the_link(tmp_path):
     assert target.read_text(encoding="utf-8") == "new\n"
 
 
-# Fields drawn mostly from plain text, with now and then a tab or line break.
-_field = st.text(alphabet=st.sampled_from("ab é\t\n\r"), max_size=6)
+# Fields drawn from text (mostly plain, now and then with a tab or line
+# break), ints, floats (non-finite ones included) and None.
+_field = st.one_of(
+    st.text(alphabet=st.sampled_from("ab é\t\n\r"), max_size=6),
+    st.integers(),
+    st.floats(),
+    st.none(),
+)
+
+
+def as_written(field):
+    """A field as the dialect writes it."""
+    if field is None:
+        return "NA"
+    if isinstance(field, float):
+        return "%.7g" % field
+    if isinstance(field, int):
+        return "%d" % field
+    return field
 
 
 def expected_tsv(header, rows):
@@ -137,10 +154,21 @@ def expected_tsv(header, rows):
         if len(row) != len(header):
             return "".join(lines), f"row has {len(row)} fields, header has {len(header)}: {row!r}"
         for field in row:
-            if any(ch in field for ch in "\t\n\r"):
+            if isinstance(field, str) and any(ch in field for ch in "\t\n\r"):
                 return "".join(lines), f"field contains tab or newline: {field!r}"
-        lines.append("\t".join(row) + "\n")
+        lines.append("\t".join(map(as_written, row)) + "\n")
     return "".join(lines), None
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [(12345678, "12345678"), (12345678.0, "1.234568e+07"), (0.5, "0.5"), (1.0, "1"),
+     (float("nan"), "nan"), (float("-inf"), "-inf"), (None, "NA"), ("x", "x")],
+)
+def test_write_rows_formats_values(tmp_path, value, text):
+    path = tmp_path / "t.tsv"
+    tsv.write_rows(path, ["v"], [(value,)])
+    assert path.read_text(encoding="utf-8") == f"v\n{text}\n"
 
 
 @given(

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import capitals, make_corpus, make_doc
+from contextner import tsv
 from contextner.corpus import CorpusManifest
 from contextner.errors import EmptyResultError
 from contextner.extract import LEFT, RIGHT
@@ -269,10 +270,18 @@ def _agrees_with_oracle(docs, surfaces, length, side):
     return True
 
 
-def test_format_weight_table_layout():
-    table = build_weight_table(make_corpus("Hotels in Paris"), capitals("Paris"))
-    assert WEIGHT_HEADER == ["context", "cf", "df", "lef", "icf", "w"]
-    assert weight_rows(table) == [["Hotels in", "1", "1", "1", "1", "1"]]
+def test_format_weight_table_layout(tmp_path):
+    corpus = make_corpus(
+        "Hotels in Paris", "Hotels in Rome. Hotels in Oslo", "Map of Paris. Hotels in Berlin"
+    )
+    table = build_weight_table(corpus, capitals("Paris", "Berlin"))
+    path = tmp_path / "table.tsv"
+    tsv.write_rows(path, WEIGHT_HEADER, weight_rows(table))
+    assert path.read_bytes() == (
+        b"context\tcf\tdf\tlef\ticf\tw\n"
+        b"Hotels in\t0.6666667\t1\t1\t1\t0.6666667\n"
+        b"Map of\t0.3333333\t1\t0.5\t1\t0.1666667\n"
+    )
 
 
 @pytest.mark.parametrize(
