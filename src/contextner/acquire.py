@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import re
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
 from html import unescape
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
@@ -47,7 +46,9 @@ class SearchClient(ABC):
     Implementations must raise ClientError (or OSError) on failure.
     `search` takes the query text and returns the result URIs, best
     first; `acquire` decides how many of them to keep. `fetch` returns
-    the raw payload plus its kind ("plain" or "markup").
+    the raw payload plus its kind ("plain" or "markup"); `acquire` calls
+    it once per new URI, in order, on the calling thread, so a client
+    need not be thread-safe.
     """
 
     @abstractmethod
@@ -237,20 +238,19 @@ def acquire(
     client: SearchClient,
     queries: Iterable[str],
     existing: Optional[CorpusManifest] = None,
-    workers: int = 1,
     max_results: int = 10,
 ) -> AcquireResult:
     """Grow a corpus with every new document the queries surface.
 
     The first `max_results` URIs of each search result are kept and
-    deduplicated against the existing manifest and one another. Fetches
-    run on up to `workers` threads, but documents land in query order,
-    then result order, no matter which fetch finishes first. A failed
-    fetch is recorded and skipped; an error from every single search
-    raises AcquisitionError.
+    deduplicated against the existing manifest and one another. Every
+    search runs first; then `client.fetch` is called once per new URI, in
+    query order, then result order, on the calling thread, and each page
+    is cleaned as its fetch returns, so a client need not be thread-safe.
+    A failed fetch is recorded and skipped; an error from every single
+    search raises AcquisitionError, and any other error from a client
+    ends the run before the next fetch.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if max_results < 1:
         raise ValueError(f"max_results must be >= 1, got {max_results}")
     # Each stored document's text is read here, once, so one that is not
@@ -276,28 +276,26 @@ def acquire(
         raise AcquisitionError(f"all {len(queries)} search queries failed")
 
     new_docs: list[Document] = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [(uri, pool.submit(client.fetch, uri)) for uri in targets]
-        for uri, future in futures:
-            try:
-                raw, kind = future.result()
-            except (ClientError, OSError) as exc:
-                failures.append(FetchFailure(uri=uri, stage="fetch", error=str(exc)))
-                continue
-            try:
-                clean = clean_text(raw, kind)
-            except (DataFormatError, InputError) as exc:
-                failures.append(FetchFailure(uri=uri, stage="clean", error=str(exc)))
-                continue
-            new_docs.append(
-                Document(
-                    id=_doc_id(uri),
-                    source=normalize_source(uri),
-                    uri=uri,
-                    kind=kind,
-                    clean=clean,
-                )
+    for uri in targets:
+        try:
+            raw, kind = client.fetch(uri)
+        except (ClientError, OSError) as exc:
+            failures.append(FetchFailure(uri=uri, stage="fetch", error=str(exc)))
+            continue
+        try:
+            clean = clean_text(raw, kind)
+        except (DataFormatError, InputError) as exc:
+            failures.append(FetchFailure(uri=uri, stage="clean", error=str(exc)))
+            continue
+        new_docs.append(
+            Document(
+                id=_doc_id(uri),
+                source=normalize_source(uri),
+                uri=uri,
+                kind=kind,
+                clean=clean,
             )
+        )
 
     manifest = CorpusManifest(kept + new_docs)
     return AcquireResult(manifest=manifest, failures=tuple(failures))

@@ -83,9 +83,7 @@ def cmd_acquire(args: argparse.Namespace) -> int:
     else:
         existing = CorpusManifest([])
     client = FixtureClient(args.fixtures)
-    result = acquire(
-        client, queries, existing, workers=args.workers, max_results=args.max_results
-    )
+    result = acquire(client, queries, existing, max_results=args.max_results)
     for failure in result.failures:
         print(failure.message(), file=sys.stderr)
     save_corpus(result.manifest, corpus_dir)
@@ -204,13 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="WORDS",
         help="extra words appended to every query (default none)",
     )
-    p.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="concurrent fetches (default 1)",
-    )
+    # Accepted and ignored: acquire fetches in order on one thread.
+    p.add_argument("--workers", type=_positive_int, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_acquire)
 
     p = sub.add_parser("weigh", help="score contexts for one class's examples")

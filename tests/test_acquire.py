@@ -209,16 +209,6 @@ def test_acquire_deduplicates_across_queries(tmp_path):
     assert len(result.manifest) == 1
 
 
-def test_acquire_worker_count_does_not_change_result(fixture_dir):
-    queries = queries_for("Paris", "Tunis")
-    serial = acquire(FixtureClient(fixture_dir), queries, workers=1)
-    threaded = acquire(FixtureClient(fixture_dir), queries, workers=4)
-    assert [d.id for d in threaded.manifest] == [d.id for d in serial.manifest]
-    assert [d.clean for d in threaded.manifest] == [d.clean for d in serial.manifest]
-    with pytest.raises(ValueError):
-        acquire(FixtureClient(fixture_dir), queries, workers=0)
-
-
 def test_acquire_narrower_queries_keep_existing(fixture_dir):
     """Document count never decreases across an acquire call."""
     client = FixtureClient(fixture_dir)
@@ -250,3 +240,25 @@ def test_acquire_keeps_first_max_results_in_result_order():
     assert sorted(d.uri for d in result.manifest) == sorted(links[:2])
     with pytest.raises(ValueError, match="max_results"):
         acquire(client, ["Paris"], max_results=0)
+
+
+class BrokenClient(ListClient):
+    """Raises an error that is not a ClientError on one URI's fetch."""
+
+    def __init__(self, results, broken):
+        super().__init__(results)
+        self.broken = broken
+
+    def fetch(self, uri):
+        payload = super().fetch(uri)
+        if uri == self.broken:
+            raise RuntimeError(f"client bug on {uri}")
+        return payload
+
+
+def test_acquire_stops_at_a_client_bug_before_the_next_fetch():
+    links = ["http://a.example/", "http://b.example/", "http://c.example/"]
+    client = BrokenClient({"Paris": links}, broken=links[1])
+    with pytest.raises(RuntimeError, match="client bug"):
+        acquire(client, ["Paris"])
+    assert client.fetched == links[:2]

@@ -130,6 +130,33 @@ def test_acquire_reads_pages_with_marked_sections(tmp_path, capsys, capital_exam
     ]
 
 
+def test_acquire_accepts_and_ignores_workers(
+    tmp_path, capsys, capital_examples, fixture_dir
+):
+    def run(name, *flags):
+        corpus_dir = tmp_path / name
+        argv = ["acquire", capital_examples, str(corpus_dir), "--fixtures", fixture_dir]
+        assert cli.main(argv + list(flags)) == 0
+        files = {
+            path.relative_to(corpus_dir): path.read_bytes()
+            for path in sorted(corpus_dir.rglob("*"))
+            if path.is_file()
+        }
+        return files, capsys.readouterr()
+
+    plain, plain_output = run("plain")
+    assert plain
+    assert run("workers", "--workers", "3") == (plain, plain_output)
+    args = ["acquire", capital_examples, str(tmp_path / "zero"), "--fixtures", fixture_dir]
+    assert cli.main(args + ["--workers", "0"]) == 2
+    assert "error: argument --workers: must be a positive integer, got '0'\n" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "zero").exists()
+    assert cli.main(["acquire", "--help"]) == 0
+    assert "--workers" not in capsys.readouterr().out
+
+
 def test_acquire_missing_examples_file(tmp_path, capsys, fixture_dir):
     code = cli.main(
         [

@@ -26,9 +26,7 @@ PIPELINE_MODULES = {
     "contextner.extract",
     "contextner.corpus",
 }
-ACQUISITION_MODULES = {
-    "contextner.acquire", "logging", "hashlib", "concurrent.futures", "html",
-}
+ACQUISITION_MODULES = {"contextner.acquire", "hashlib", "html"}
 
 COMMANDS = {
     "acquire": ["acquire", "examples.tsv", "corpus", "--fixtures", "fixtures"],
@@ -147,6 +145,12 @@ def test_command_does_not_load_dataclasses(command_loads, command):
 def test_command_does_not_load_html_parser(command_loads, command):
     # Markup is stripped by one regular expression, not by html.parser.
     assert not command_loads[command] & {"html.parser", "_markupbase"}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_command_does_not_load_thread_pools_or_logging(command_loads, command):
+    # Acquire fetches in order on the calling thread.
+    assert not command_loads[command] & {"concurrent.futures", "logging"}
 
 
 @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "acquire"])
