@@ -10,7 +10,6 @@ a corpus.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from abc import ABC, abstractmethod
 from html import unescape
@@ -27,6 +26,11 @@ from .corpus import (
 )
 from .errors import DataFormatError, InputError, PipelineError
 from .seeds import LearningExample
+
+try:  # the interpreter's own SHA-1; hashlib would load OpenSSL for it
+    from _sha1 import sha1
+except ImportError:
+    from hashlib import sha1
 
 QUERIES_HEADER = ["query", "uri", "file"]
 _MARKUP_SUFFIXES = {".html", ".htm", ".xml"}
@@ -231,7 +235,7 @@ class AcquireResult(NamedTuple):
 
 
 def _doc_id(uri: str) -> str:
-    return hashlib.sha1(uri.encode("utf-8")).hexdigest()[:12]
+    return sha1(uri.encode("utf-8")).hexdigest()[:12]
 
 
 def acquire(

@@ -9,6 +9,7 @@ margin or the span stays `unknown`.
 
 from __future__ import annotations
 
+import math
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional
@@ -16,7 +17,7 @@ from typing import Iterable, Iterator, Mapping, Optional
 from .annotations import Annotation
 from .corpus import Document
 from .errors import DataFormatError
-from .extract import LEFT, RIGHT, ContextKey, WordSequence, context_hits, tokenize
+from .extract import LEFT, ContextKey, WordSequence, context_hits, tokenize
 from .model import MODEL_FILE, _read_index, read_weight_mapping
 from .record import Record
 from .seeds import UNKNOWN, check_class_label
@@ -29,15 +30,16 @@ _ContextVotes = dict[tuple[str, int], dict[tuple[str, ...], tuple[tuple[str, flo
 class RecognitionModel(Record):
     """Per-class context weights plus the decision parameters.
 
-    On construction the tables are compiled into one index, grouped by
-    (side, length) in sorted order, whose entries list every class's
-    weight for those context words in `tables` order. Detection and
-    voting read only that index, so each costs time proportional to a
-    document's tokens, not to the model's size. The tables must not be
-    changed after construction.
+    On construction the tables are compiled into one index per side,
+    grouped by (side, length) in sorted order, whose entries list every
+    class's weight for those context words in `tables` order. Detection
+    and voting read only those indexes, so each costs time proportional
+    to a document's tokens, not to the model's size. Every weight must
+    be positive and finite. The tables must not be changed after
+    construction.
     """
 
-    __slots__ = ("tables", "threshold", "margin", "max_entity_tokens", "_votes")
+    __slots__ = ("tables", "threshold", "margin", "max_entity_tokens", "_left", "_right")
 
     def __init__(
         self,
@@ -58,6 +60,10 @@ class RecognitionModel(Record):
                     raise ValueError(
                         f"non-positive weight {weight} for {key.phrase()!r} in {label}"
                     )
+                if not weight < math.inf:
+                    raise ValueError(
+                        f"non-finite weight {weight} for {key.phrase()!r} in {label}"
+                    )
                 group = votes.setdefault((key.side, key.length), {})
                 group[key.words] = group.get(key.words, ()) + ((label, weight),)
         self._assign(
@@ -65,7 +71,8 @@ class RecognitionModel(Record):
             threshold=threshold,
             margin=margin,
             max_entity_tokens=max_entity_tokens,
-            _votes=dict(sorted(votes.items())),
+            _left={group: votes[group] for group in sorted(votes) if group[0] == LEFT},
+            _right={group: votes[group] for group in sorted(votes) if group[0] != LEFT},
         )
 
 
@@ -78,15 +85,18 @@ def classify(
     are the top two votes, 0.0 where absent. The label is the best
     class if its vote reaches `threshold` and exceeds the runner-up by
     at least `margin`, otherwise `unknown`; an exact tie for first
-    place is always unknown.
+    place is always unknown. A vote from one class has no runner-up to
+    rank against, so only the threshold decides it.
     """
-    ranked = sorted(votes.items(), key=lambda kv: (-kv[1], kv[0]))
-    if not ranked:
+    if not votes:
         return UNKNOWN, 0.0, 0.0
+    if len(votes) == 1:
+        [(label, best)] = votes.items()
+        return (UNKNOWN if best < threshold else label), best, 0.0
+    ranked = sorted(votes.items(), key=lambda kv: (-kv[1], kv[0]))
     label, best = ranked[0]
-    second = ranked[1][1] if len(ranked) > 1 else 0.0
-    close = len(ranked) > 1 and (second == best or best - second < margin)
-    if close or best < threshold:
+    second = ranked[1][1]
+    if second == best or best - second < margin or best < threshold:
         label = UNKNOWN
     return label, best, second
 
@@ -105,32 +115,51 @@ def detect_candidates(
     first word, then the right contexts of its last, each group's votes in
     table order.
     """
-    hits: dict[tuple[str, int], list[tuple[str, float]]] = {}
-    spans: set[tuple[int, int]] = set()
     words = tok.words
     starts = set(tok.starts)
-    n = len(words)
-    for side, anchor, votes in context_hits(tok, model._votes):
-        if words[anchor][:1].islower():
+    grow = model.max_entity_tokens - 1
+    spans: set[tuple[int, int]] = set()
+    # A left context's anchor is its span's first word, and the span grows
+    # right until the next word opens a sentence or starts lowercase.
+    left: dict[int, dict[str, float]] = {}  # anchor -> summed votes
+    for _side, first, votes in context_hits(tok, model._left):
+        if words[first][:1].islower():
             continue
-        hits.setdefault((side, anchor), []).extend(votes)
-        # A span grows right from a left context's anchor and left from a
-        # right context's; a sentence starts between edge and the next
-        # word when the later of the two, edge + ahead, is a start.
-        step, ahead = (1, 1) if side == LEFT else (-1, 0)
-        edge = anchor
-        for _ in range(model.max_entity_tokens - 1):
-            nxt = edge + step
-            if not 0 <= nxt < n or edge + ahead in starts or words[nxt][:1].islower():
-                break
-            edge = nxt
-        spans.add((min(anchor, edge), max(anchor, edge)))
-    candidates: dict[tuple[int, int], dict[str, float]] = {}
-    for first, last in sorted(spans):
-        totals: dict[str, float] = {}
-        for label, weight in chain(hits.get((LEFT, first), ()), hits.get((RIGHT, last), ())):
+        totals = left.get(first)
+        if totals is None:
+            totals = left[first] = {}
+            last, end = first, min(first + grow, len(words) - 1)
+            while last < end and last + 1 not in starts and not words[last + 1][:1].islower():
+                last += 1
+            spans.add((first, last))
+        for label, weight in votes:
             totals[label] = totals.get(label, 0.0) + weight
-        candidates[first, last] = totals
+    # A right context's anchor is its span's last word, and the span grows
+    # left until its first word opens a sentence or the word before it
+    # starts lowercase.
+    right: dict[int, tuple[tuple[str, float], ...]] = {}  # anchor -> votes in order
+    for _side, last, votes in context_hits(tok, model._right):
+        if words[last][:1].islower():
+            continue
+        if last in right:
+            right[last] += votes
+            continue
+        right[last] = votes
+        first, end = last, max(last - grow, 0)
+        while first > end and first not in starts and not words[first - 1][:1].islower():
+            first -= 1
+        spans.add((first, last))
+    candidates: dict[tuple[int, int], dict[str, float]] = {}
+    for span in sorted(spans):
+        first, last = span
+        if last in right:
+            # Right votes add one by one onto the left sums, in order.
+            totals = dict(left.get(first, ()))
+            for label, weight in right[last]:
+                totals[label] = totals.get(label, 0.0) + weight
+        else:
+            totals = left[first]
+        candidates[span] = totals
     return candidates
 
 
@@ -142,21 +171,15 @@ def recognize_document(doc: Document, model: RecognitionModel) -> list[Annotatio
     a context shared across tables pulls each class up by its own weight.
     """
     tok = tokenize(doc.clean)
-    out: list[Annotation] = []
-    for (first, last), votes in detect_candidates(tok, model).items():
-        label, best, second = classify(votes, model.threshold, model.margin)
-        out.append(
-            Annotation(
-                doc=doc.id,
-                first=first,
-                last=last,
-                surface=" ".join(tok.words[first : last + 1]),
-                class_label=label,
-                score=best,
-                runner_up=second,
-            )
+    words = tok.words
+    threshold, margin = model.threshold, model.margin
+    return [
+        Annotation(
+            doc.id, first, last, " ".join(words[first : last + 1]),
+            *classify(votes, threshold, margin),
         )
-    return out
+        for (first, last), votes in detect_candidates(tok, model).items()
+    ]
 
 
 def recognize_corpus(

@@ -30,25 +30,45 @@ def _text(field: Field) -> str:
     return "NA" if field is None else f"{field:d}"
 
 
+# The `%` conversion that writes a field of exactly this type as _text
+# does. A row holding any other type (None, a bool, a subclass, whose
+# __str__ or __format__ may differ) is written field by field by _text.
+_CONVERSIONS = {str: "%s", int: "%d", float: "%.7g"}
+
+
+def _row_format(types: tuple[type, ...]) -> str | None:
+    """The one `%` format that writes a row of fields of these exact
+    types as a line, or None where _text must write some field."""
+    if not all(t in _CONVERSIONS for t in types):
+        return None
+    return "\t".join(_CONVERSIONS[t] for t in types) + "\n"
+
+
 def _lines(header: list[str], rows: Iterable[Sequence[Field]]) -> Iterator[str]:
     """Header + rows as TSV lines, each ending in "\n", checking each row
     as it is reached: a wrong field count, or a text field holding a tab
     or a line break, raises DataFormatError."""
     yield "\t".join(header) + "\n"
-    tabs = len(header) - 1
+    width, tabs = len(header), len(header) - 1
+    formats: dict[tuple[type, ...], str | None] = {}
     for row in rows:
-        if len(row) != len(header):
-            raise DataFormatError(
-                f"row has {len(row)} fields, header has {len(header)}: {row!r}"
-            )
-        line = "\t".join(map(_text, row))
+        if len(row) != width:
+            raise DataFormatError(f"row has {len(row)} fields, header has {width}: {row!r}")
+        # Built at its size: tuple(map(...)) shrinks a larger tuple, so each
+        # row would leave one more tuple on the interpreter's free list.
+        types = (*map(type, row),)
+        try:
+            fmt = formats[types]
+        except KeyError:
+            fmt = formats[types] = _row_format(types)
+        line = fmt % tuple(row) if fmt else "\t".join(map(_text, row)) + "\n"
         # With the field count right, a line with exactly `tabs` tabs and
-        # no line break has no forbidden character in any (text) field.
-        if line.count("\t") != tabs or "\n" in line or "\r" in line:
+        # one line break has no forbidden character in any (text) field.
+        if line.count("\t") != tabs or line.count("\n") != 1 or "\r" in line:
             for field in row:
                 if isinstance(field, str) and any(ch in field for ch in _FORBIDDEN):
                     raise DataFormatError(f"field contains tab or newline: {field!r}")
-        yield line + "\n"
+        yield line
 
 
 def check_rows(header: list[str], rows: Iterable[Sequence[Field]]) -> None:
@@ -118,16 +138,22 @@ def not_utf8(exc: UnicodeDecodeError, source: str | Path | None = None) -> DataF
 
 
 def read_text(path: str | Path) -> str:
-    """Read a UTF-8 file. One that cannot be read (missing, a directory,
-    unreadable) is an InputError naming it; one that is not UTF-8 is
-    reported by not_utf8."""
+    """Read a UTF-8 file, with "\r\n" and "\r" read as "\n". One that
+    cannot be read (missing, a directory, unreadable) is an InputError
+    naming it; one that is not UTF-8 is reported by not_utf8."""
     try:
-        with open(path, encoding="utf-8") as file:
-            return file.read()
+        with open(path, "rb") as file:
+            text = file.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise not_utf8(exc, path)
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror}") from exc
+    # One replacement at a time, so that at most two copies of the text
+    # are held at once, as text mode holds the bytes and the text.
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        text = text.replace("\r", "\n")
+    return text
 
 
 def read_rows(path: str | Path, header: list[str], parse: Callable[..., T]) -> list[T]:

@@ -440,6 +440,27 @@ def _candidate_span(
     return first, last
 
 
+def oracle_classify(
+    votes: dict[str, float], threshold: float, margin: float
+) -> tuple[str, float, float]:
+    """The decision rule by a full ranking, whatever the number of classes.
+
+    Votes rank highest first, equal votes by label. The best vote wins
+    if it is not tied, beats an existing runner-up by `margin` and
+    reaches `threshold`; otherwise the span is `unknown`. Best and
+    runner-up are 0.0 where absent.
+    """
+    ranked = sorted(votes.items(), key=lambda kv: (-kv[1], kv[0]))
+    decided = "unknown"
+    best = ranked[0][1] if ranked else 0.0
+    runner_up = ranked[1][1] if len(ranked) > 1 else 0.0
+    if ranked:
+        beaten = len(ranked) == 1 or (best != runner_up and best - runner_up >= margin)
+        if beaten and best >= threshold:
+            decided = ranked[0][0]
+    return decided, best, runner_up
+
+
 def oracle_recognize(
     text: str,
     tables: dict[str, OracleTable],
@@ -453,9 +474,8 @@ def oracle_recognize(
     table whose words and next token share a sentence. Each candidate
     then checks every context of every table for adjacency within its
     sentence; a class's vote adds its matching weights in ascending
-    (side, length) order, the documented summation order. The best vote
-    wins if it is not tied, beats an existing runner-up by `margin` and
-    reaches `threshold`; otherwise the span is `unknown`.
+    (side, length) order, the documented summation order, and
+    oracle_classify decides the span.
     """
     words, offsets, breaks = oracle_tokenize(text)
     spans: set[tuple[int, int]] = set()
@@ -494,14 +514,7 @@ def oracle_recognize(
                 for _group, weight in sorted(hits):
                     total += weight
                 votes[label] = total
-        ranked = sorted(votes.items(), key=lambda kv: (-kv[1], kv[0]))
-        decided = "unknown"
-        best = ranked[0][1] if ranked else 0.0
-        runner_up = ranked[1][1] if len(ranked) > 1 else 0.0
-        if ranked:
-            beaten = len(ranked) == 1 or (best != runner_up and best - runner_up >= margin)
-            if beaten and best >= threshold:
-                decided = ranked[0][0]
+        decided, best, runner_up = oracle_classify(votes, threshold, margin)
         out.append(
             OracleAnnotation(
                 first=first,

@@ -1,4 +1,11 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+from hypothesis import given, strategies as st
 
 from contextner import cli
 from contextner.acquire import (
@@ -262,3 +269,48 @@ def test_acquire_stops_at_a_client_bug_before_the_next_fetch():
     with pytest.raises(RuntimeError, match="client bug"):
         acquire(client, ["Paris"])
     assert client.fetched == links[:2]
+
+
+class OnePageClient(SearchClient):
+    """Finds one page, at `uri`, for every query."""
+
+    def __init__(self, uri):
+        self.uri = uri
+
+    def search(self, query):
+        return [self.uri]
+
+    def fetch(self, uri):
+        return b"Hotels in Paris.", "plain"
+
+
+@given(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=20).map(
+        lambda path: f"http://a.example/{path}"
+    )
+)
+def test_document_id_is_the_sha1_prefix_of_its_uri(uri):
+    [doc] = acquire(OnePageClient(uri), ["Paris"]).manifest
+    assert doc.id == hashlib.sha1(uri.encode("utf-8")).hexdigest()[:12]
+
+
+def test_document_ids_fall_back_to_hashlib_without_sha1():
+    # A build without the built-in `_sha1` module hashes through hashlib,
+    # with the same ids.
+    probe = (
+        "import sys; sys.modules['_sha1'] = None\n"
+        "import hashlib\n"
+        "from contextner import acquire\n"
+        "assert acquire.sha1 is hashlib.sha1\n"
+        "print(acquire._doc_id('http://a.example/Café'))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    uri = "http://a.example/Café"
+    assert result.stdout == hashlib.sha1(uri.encode("utf-8")).hexdigest()[:12] + "\n"

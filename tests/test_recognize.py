@@ -19,7 +19,7 @@ from contextner.recognize import (
     recognize_document,
 )
 from contextner.weighting import build_weight_table
-from oracle import oracle_recognize, random_recognition_case
+from oracle import oracle_classify, oracle_recognize, random_recognition_case
 
 
 def left(*words):
@@ -65,12 +65,35 @@ def test_vote_rejects_non_positive_weight():
         model_from({"capital": {left("in"): -1.0}})
 
 
+@pytest.mark.parametrize(
+    "weight, message",
+    [
+        (float("nan"), "non-finite weight nan for 'Map of' in capital"),
+        (float("inf"), "non-finite weight inf for 'Map of' in capital"),
+        (float("-inf"), "non-positive weight -inf for 'Map of' in capital"),
+        (0.0, "non-positive weight 0.0 for 'Map of' in capital"),
+    ],
+)
+def test_model_rejects_weights_that_are_not_positive_and_finite(weight, message):
+    # A NaN weight once labelled "Paris" in "Map of Paris" with score nan.
+    with pytest.raises(ValueError) as info:
+        model_from({"capital": {left("Map", "of"): weight}})
+    assert str(info.value) == message
+
+
 def test_vote_totals_match_summed_weights():
     # Left contexts by length, then the right one: the order votes add up in.
     weights = (0.1, 0.2, 0.40625, 0.3)
     contexts = (left("in"), left("Hotels", "in"), left("Cheap", "Hotels", "in"), right("now"))
     votes = votes_for("Cheap Hotels in Paris now", {"capital": dict(zip(contexts, weights))})
     assert votes == {(3, 3): {"capital": sum(weights)}}
+
+
+def test_right_votes_add_after_the_left_ones_by_length():
+    # (0.1 + 0.2) + 0.6 and (0.1 + 0.6) + 0.2 are different floats.
+    contexts = (left("in"), right("now"), right("now", "said"))
+    votes = votes_for("Hotels in Paris now said", {"capital": dict(zip(contexts, (0.1, 0.2, 0.6)))})
+    assert votes == {(2, 2): {"capital": (0.1 + 0.2) + 0.6}}
 
 
 def test_span_takes_the_votes_at_both_edges():
@@ -135,6 +158,24 @@ def test_classify_scale_invariance(votes, threshold, margin, scale):
         {k: v * scale for k, v in votes.items()}, threshold * scale, margin * scale
     )[0]
     assert plain == scaled
+
+
+# Round votes, thresholds and margins make exact ties and exact boundaries
+# (best - runner-up == margin, best == threshold) common.
+_round = st.sampled_from([0.25, 0.5, 0.75, 1.0])
+
+
+@given(
+    votes=st.dictionaries(
+        st.sampled_from(["a", "b", "c", "d"]),
+        st.one_of(_round, st.floats(0.001, 1.5)),
+        max_size=4,
+    ),
+    threshold=st.one_of(st.just(0.0), _round, st.floats(0.0, 1.5)),
+    margin=st.one_of(st.just(0.0), _round, st.floats(0.0, 1.0)),
+)
+def test_classify_matches_ranking_oracle(votes, threshold, margin):
+    assert classify(votes, threshold, margin) == oracle_classify(votes, threshold, margin)
 
 
 # -- candidate detection -----------------------------------------------------
@@ -300,11 +341,15 @@ def test_recognition_matches_brute_force_oracle():
     surfaces, classes, scores and runner-ups must agree exactly. The
     cases must between them mix sides in one model, use every context
     length 1-3, share context words across classes, and both decide and
-    reject spans.
+    reject spans. Among their spans must be ones with one voting class
+    that the threshold rejects, and ones with several voting classes.
     """
     rng = random.Random(20110)
     checked = 0
-    seen = {"both sides": 0, "shared words": 0, "decided": 0, "unknown": 0}
+    seen = {
+        "both sides": 0, "shared words": 0, "decided": 0, "unknown": 0,
+        "one class, below threshold": 0, "several classes": 0,
+    }
     lengths = set()
     for _ in range(2000):
         if checked >= 200:
@@ -337,6 +382,11 @@ def test_recognition_matches_brute_force_oracle():
         seen["shared words"] += len(keys) > len(set(keys))
         seen["decided"] += any(e.class_label != UNKNOWN for e in expected)
         seen["unknown"] += any(e.class_label == UNKNOWN for e in expected)
+        # Weights are positive, so a runner-up of 0.0 means one voting class.
+        seen["one class, below threshold"] += sum(
+            e.runner_up == 0.0 and e.class_label == UNKNOWN for e in expected
+        )
+        seen["several classes"] += sum(e.runner_up > 0.0 for e in expected)
         lengths.update(len(words) for _, words in keys)
     assert checked >= 200
     assert lengths == {1, 2, 3}

@@ -6,6 +6,7 @@ after the probe starts count; whatever the interpreter loads on its own
 (site hooks, for instance) is left out.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -26,7 +27,7 @@ PIPELINE_MODULES = {
     "contextner.extract",
     "contextner.corpus",
 }
-ACQUISITION_MODULES = {"contextner.acquire", "hashlib", "html"}
+ACQUISITION_MODULES = {"contextner.acquire", "_sha1", "html"}
 
 COMMANDS = {
     "acquire": ["acquire", "examples.tsv", "corpus", "--fixtures", "fixtures"],
@@ -156,6 +157,15 @@ def test_command_does_not_load_thread_pools_or_logging(command_loads, command):
 @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "acquire"])
 def test_only_acquire_loads_acquisition_modules(command_loads, command):
     assert not command_loads[command] & ACQUISITION_MODULES
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_command_does_not_load_openssl(command_loads, command):
+    # Acquire hashes document ids with the interpreter's own SHA-1 module,
+    # and no other command hashes. Only on a build without `_sha1` does
+    # acquire fall back to hashlib, which loads OpenSSL.
+    fallback = command == "acquire" and importlib.util.find_spec("_sha1") is None
+    assert fallback or not command_loads[command] & {"hashlib", "_hashlib"}
 
 
 def test_evaluate_loads_only_the_span_files_and_scoring(command_loads):

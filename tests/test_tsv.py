@@ -4,6 +4,7 @@ import os
 import stat
 import tempfile
 import tracemalloc
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
@@ -125,13 +126,31 @@ def test_write_text_replaces_a_linked_file_not_the_link(tmp_path):
     assert target.read_text(encoding="utf-8") == "new\n"
 
 
+class Tagged(str):
+    """Text whose str() is not its text: a field is written as its text."""
+
+    def __str__(self):
+        return "<tagged>"
+
+
+class Level(IntEnum):
+    LOW = 1
+    HIGH = 12
+
+
 # Fields drawn from text (mostly plain, now and then with a tab or line
-# break), ints, floats (non-finite ones included) and None.
+# break), ints, floats (non-finite ones included) and None, and from
+# values of other types that the writer takes as text or ints: bools,
+# a str subclass and an IntEnum.
+_text_field = st.text(alphabet=st.sampled_from("ab é\t\n\r"), max_size=6)
 _field = st.one_of(
-    st.text(alphabet=st.sampled_from("ab é\t\n\r"), max_size=6),
+    _text_field,
     st.integers(),
     st.floats(),
     st.none(),
+    st.booleans(),
+    _text_field.map(Tagged),
+    st.sampled_from(Level),
 )
 
 
@@ -158,6 +177,33 @@ def expected_tsv(header, rows):
                 return "".join(lines), f"field contains tab or newline: {field!r}"
         lines.append("\t".join(map(as_written, row)) + "\n")
     return "".join(lines), None
+
+
+# Byte pieces that mix the line endings, a BOM, valid UTF-8 and
+# invalid UTF-8 (a stray byte, cut sequences, an encoded surrogate).
+_piece = st.one_of(
+    st.sampled_from(
+        [b"a", b"\xc3\xa9", b"\r", b"\n", b"\r\n", b"\xef\xbb\xbf", b"\xff",
+         b"\xc3", b"\xe2\x82", b"\xed\xa0\x80"]
+    ),
+    st.binary(max_size=3),
+)
+
+
+@given(st.lists(_piece, max_size=12).map(b"".join))
+def test_read_text_reads_what_text_mode_reads(data):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "t.txt"
+        path.write_bytes(data)
+        try:
+            with open(path, encoding="utf-8") as file:
+                expected = file.read()
+        except UnicodeDecodeError as exc:
+            with pytest.raises(DataFormatError) as info:
+                tsv.read_text(path)
+            assert str(info.value) == str(tsv.not_utf8(exc, path))
+        else:
+            assert tsv.read_text(path) == expected
 
 
 @pytest.mark.parametrize(
