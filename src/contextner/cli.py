@@ -108,13 +108,14 @@ def cmd_weigh(args: argparse.Namespace) -> int:
     table = build_weight_table(
         corpus, examples, args.context_len, args.side, args.min_count
     )
-    rows = weight_rows(table)
-    tsv.write_rows(args.output, WEIGHT_HEADER, rows)
+    # Formatted once, for the output and the model alike.
+    text = tsv.table_text(WEIGHT_HEADER, weight_rows(table))
+    tsv.write_text(args.output, text)
     if args.model_dir:
         update_model(
             args.model_dir,
             label,
-            rows,
+            text,
             index,
             threshold=args.threshold,
             margin=args.margin,

@@ -116,12 +116,13 @@ InstanceIndex = dict[str, tuple[tuple[int, tuple[str, ...], LearningExample], ..
 def instance_index(examples: Iterable[LearningExample]) -> InstanceIndex:
     """Index example surfaces by their first word, for find_instances.
 
-    Build it once per run. When two examples split into the same words,
-    the first-listed one is kept.
+    A surface is keyed by the words tokenize gives it, so `U.S.` matches
+    the text's `U.S`. Build it once per run. When two examples give the
+    same words, the first-listed one is kept.
     """
     by_words: dict[tuple[str, ...], LearningExample] = {}
     for ex in examples:
-        by_words.setdefault(tuple(ex.surface.split()), ex)
+        by_words.setdefault(tokenize(ex.surface).words, ex)
     entries: dict[str, list[tuple[int, tuple[str, ...], LearningExample]]] = {}
     for words, ex in by_words.items():
         entries.setdefault(words[0], []).append((len(words), words, ex))
@@ -162,10 +163,6 @@ class ContextKey(NamedTuple):
     words: tuple[str, ...]
     side: str = LEFT
 
-    @property
-    def length(self) -> int:
-        return len(self.words)
-
     def phrase(self) -> str:
         return " ".join(self.words)
 
@@ -188,7 +185,7 @@ def context_window(
         first, last = anchor, anchor + length
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if first < 0 or last >= len(seq):
+    if first < 0 or last >= len(seq.words):
         return None
     # The first sentence start after `first` must lie past `last`.
     starts = seq.starts
@@ -213,18 +210,6 @@ def extract_context(
     return ContextKey(tok.words[window[0] : window[1]], side)
 
 
-# (side, length) -> context words -> the context, groups in sorted order.
-ContextGroups = dict[tuple[str, int], dict[tuple[str, ...], ContextKey]]
-
-
-def group_contexts(contexts: Iterable[ContextKey]) -> ContextGroups:
-    """Index contexts by (side, length), then by their words, for scanning."""
-    groups: ContextGroups = {}
-    for key in contexts:
-        groups.setdefault((key.side, key.length), {})[key.words] = key
-    return dict(sorted(groups.items()))
-
-
 _V = TypeVar("_V")
 
 
@@ -235,10 +220,10 @@ def context_hits(
 
     Weigh counts these hits and recognize votes with them; nothing else
     reads contexts out of a document. `groups` maps (side, length) to
-    words to a value, as group_contexts does. Yields (side, anchor,
-    value), groups in their own order and positions left to right,
-    wherever context_window accepts a group's words as the context of
-    word `anchor`.
+    the words of contexts of that side and length to a value. Yields
+    (side, anchor, value), groups in their own order and positions left
+    to right, wherever context_window accepts a group's words as the
+    context of word `anchor`.
     """
     words = seq.words
     for (side, length), entries in groups.items():

@@ -38,11 +38,12 @@ def weight_rows(table: WeightTable) -> list[tuple]:
 
 
 def read_weight_mapping(path: str | Path, side: str = LEFT) -> dict[ContextKey, float]:
-    """Load context -> weight from a saved table, dropping non-positive rows.
+    """Load context -> weight from a saved table, dropping rows whose
+    weight is not positive and finite.
 
     Two rows whose phrases split into the same words are rejected.
     """
-    mapping: dict[ContextKey, float] = {}
+    weights: dict[tuple[str, ...], float] = {}  # by words: the duplicate check builds no key
 
     def parse(phrase, _cf, _df, _lef, _icf, w):
         words = tuple(phrase.split())
@@ -52,13 +53,12 @@ def read_weight_mapping(path: str | Path, side: str = LEFT) -> dict[ContextKey, 
             weight = float(w)
         except ValueError:
             raise ValueError(f"bad weight {w!r}") from None
-        key = ContextKey(words, side)
-        if key in mapping:
+        if words in weights:
             raise ValueError(f"duplicate context {phrase!r}")
-        mapping[key] = weight
+        weights[words] = weight
 
     tsv.read_rows(path, WEIGHT_HEADER, parse)
-    return {key: w for key, w in mapping.items() if w > 0 and math.isfinite(w)}
+    return {ContextKey(words, side): w for words, w in weights.items() if 0 < w < math.inf}
 
 
 def _table_file_name(label: str) -> str:
@@ -121,15 +121,16 @@ def check_model_update(directory: str | Path, label: str) -> _Index:
 def update_model(
     directory: str | Path,
     label: str,
-    table: list[tuple],
+    table: str,
     index: _Index,
     threshold: Optional[float] = None,
     margin: Optional[float] = None,
 ) -> None:
     """Add or replace one class's table in a model directory.
 
-    `table` is the weight table's rows, as weight_rows gives them, and
-    `index` the directory's index as check_model_update returned it.
+    `table` is the weight table's text, as tsv.table_text gives it for
+    WEIGHT_HEADER and weight_rows, and `index` the directory's index as
+    check_model_update returned it.
     Other classes' entries are preserved. Threshold and margin are
     model-wide: explicit values overwrite the stored ones, otherwise
     the stored (or zero) values stay on every row.
@@ -146,7 +147,7 @@ def update_model(
     replaced = entries.get(label)
     if replaced == file_name:
         file_name = f"table_{label}+.tsv"
-    tsv.write_rows(directory / file_name, WEIGHT_HEADER, table)
+    tsv.write_text(directory / file_name, table)
     entries = {**entries, label: file_name}
     theta = stored[0] if threshold is None else threshold
     delta = stored[1] if margin is None else margin

@@ -56,16 +56,12 @@ class RecognitionModel(Record):
         for label, table in tables.items():
             check_class_label(label)
             for key, weight in table.items():
-                if weight <= 0:
-                    raise ValueError(
-                        f"non-positive weight {weight} for {key.phrase()!r} in {label}"
-                    )
-                if not weight < math.inf:
-                    raise ValueError(
-                        f"non-finite weight {weight} for {key.phrase()!r} in {label}"
-                    )
-                group = votes.setdefault((key.side, key.length), {})
-                group[key.words] = group.get(key.words, ()) + ((label, weight),)
+                if not 0 < weight < math.inf:
+                    kind = "non-positive" if weight <= 0 else "non-finite"
+                    raise ValueError(f"{kind} weight {weight} for {key.phrase()!r} in {label}")
+                words, side = key
+                group = votes.setdefault((side, len(words)), {})
+                group[words] = group.get(words, ()) + ((label, weight),)
         self._assign(
             tables=tables,
             threshold=threshold,

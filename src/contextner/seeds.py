@@ -26,6 +26,8 @@ class LearningExample(Record):
 
     Surface forms may overlap or subsume each other ("Bush" and
     "George W. Bush"); both are kept and matching prefers the longest.
+    A surface matches text by the words tokenize gives it, so it must
+    hold at least one letter or digit.
     """
 
     __slots__ = ("surface", "class_label")
@@ -34,6 +36,10 @@ class LearningExample(Record):
         surface, class_label = surface.strip(), class_label.strip()
         if not surface:
             raise ValueError("learning example surface is empty")
+        # tokenize finds a word in a text exactly where some character is
+        # a letter or a digit, so this surface could match no text.
+        if not any(map(str.isalnum, surface)):
+            raise ValueError(f"learning example surface {surface!r} has no words")
         if not class_label:
             raise ValueError(f"learning example {surface!r} has an empty class label")
         self._assign(surface=surface, class_label=class_label)

@@ -111,10 +111,19 @@ def _replace(path: str | Path, write: Callable[[TextIO], None]) -> None:
         raise
 
 
-def write_text(path: str | Path, text: str) -> None:
-    """Write a document's text, UTF-8 with "\n" line endings, replacing
-    `path` whole (see _replace)."""
-    _replace(path, lambda out: out.write(text))
+def write_text(path: str | Path | None, text: str) -> None:
+    """Write text, UTF-8 with "\n" line endings: to standard output when
+    `path` is None or empty, else replacing `path` whole (see _replace)."""
+    if path:
+        _replace(path, lambda out: out.write(text))
+    else:
+        sys.stdout.write(text)
+
+
+def table_text(header: list[str], rows: Iterable[Sequence[Field]]) -> str:
+    """The text write_rows writes for header + rows, checked as it does:
+    for a table written to more than one place by write_text."""
+    return "".join(_lines(header, rows))
 
 
 def write_rows(path: str | Path | None, header: list[str], rows: Iterable[Sequence[Field]]) -> None:

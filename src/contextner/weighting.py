@@ -1,4 +1,4 @@
-"""Context pertinence weighting, plus a tf-idf baseline for comparison.
+"""Context pertinence weighting.
 
 The composite weight of a context multiplies four factors:
 
@@ -16,7 +16,6 @@ prefixes of a corpus, to show how the context set saturates.
 
 from __future__ import annotations
 
-import math
 from itertools import islice, starmap
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -28,9 +27,8 @@ from .extract import (
     ContextKey,
     WordSequence,
     context_hits,
-    extract_context,
+    context_window,
     find_instances,
-    group_contexts,
     instance_index,
     tokenize,
 )
@@ -85,23 +83,6 @@ def context_weight(cf: float, lef: float, df: float, icf: float) -> float:
     return cf * lef * df * icf
 
 
-def term_frequency(count: int, doc_total: int) -> float:
-    if count < 0 or doc_total <= 0 or count > doc_total:
-        raise ValueError(f"bad term frequency counts: {count}/{doc_total}")
-    return count / doc_total
-
-
-def inverse_document_frequency(n_docs: int, n_containing: int) -> float:
-    """log10 of total documents over documents containing the term."""
-    if n_containing < 1 or n_docs < n_containing:
-        raise ValueError(f"bad idf counts: {n_docs}/{n_containing}")
-    return math.log10(n_docs / n_containing)
-
-
-def tf_idf(tf: float, idf: float) -> float:
-    return tf * idf
-
-
 class ContextStats(NamedTuple):
     """Raw counts for one context over a corpus."""
 
@@ -133,7 +114,9 @@ class WeightedContext(NamedTuple):
         return self.stats.context
 
 
-_Scanned = tuple[str, WordSequence, dict[int, tuple[str, Optional[ContextKey]]]]
+# A document's source, its words, and each example occurrence's
+# anchor -> (surface, its context's words or None).
+_Scanned = tuple[str, WordSequence, dict[int, tuple[str, Optional[tuple[str, ...]]]]]
 
 
 def _example_contexts(
@@ -145,10 +128,11 @@ def _example_contexts(
     document in corpus order is reached, its source and words, and
     every example occurrence keyed by its context anchor (an instance's
     first word for left contexts, its last for right) as (surface,
-    context or None where extract_context rejects the window). The scan
-    keeps nothing of a document once it has yielded it, so a caller
-    that keeps nothing either holds one document's text and words at a
-    time.
+    the context's words, or None where context_window rejects the
+    window). Every context has `side` and `context_len`, so its words
+    name it. The scan keeps nothing of a document once it has yielded
+    it, so a caller that keeps nothing either holds one document's text
+    and words at a time.
     """
     single_class(examples)  # rejects examples of more than one class
     if context_len < 1:
@@ -156,16 +140,19 @@ def _example_contexts(
     if side not in (LEFT, RIGHT):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     index = instance_index(examples)
+    left = side == LEFT
 
     def scan(doc: Document) -> _Scanned:
         seq = tokenize(doc.clean)
-        found = {
-            (occ.first if side == LEFT else occ.last): (
-                occ.example.surface,
-                extract_context(occ, seq, context_len, side),
+        words = seq.words
+        found = {}
+        for example, first, last in find_instances(seq, index):
+            anchor = first if left else last
+            window = context_window(seq, anchor, context_len, side)
+            found[anchor] = (
+                example.surface,
+                None if window is None else words[window[0] : window[1]],
             )
-            for occ in find_instances(seq, index)
-        }
         return doc.source, seq, found
 
     return map(scan, corpus)
@@ -186,23 +173,27 @@ def collect_context_stats(
     each document's source, its words (one string per distinct word
     across the corpus, so a kept word costs a pointer), its sentence
     starts, and the example surface at each instance's context anchor
-    are kept. The second pass visits documents in order, so a context's
-    hits in one document arrive together and its documents are counted
-    without a set. total_with_examples sums the second pass's
-    example-adjacent counts: it hits each example occurrence that has a
-    context once, at its own anchor.
+    are kept. The second pass numbers the contexts in sorted order and
+    keeps each count in a list by that number. It visits documents in
+    order, so a context's hits in one document arrive together and its
+    documents are counted without a set. total_with_examples sums the
+    second pass's example-adjacent counts: it hits each example
+    occurrence that has a context once, at its own anchor.
     """
     examples = list(examples)
-    contexts: set[ContextKey] = set()
+    contexts: set[tuple[str, ...]] = set()
     vocabulary: dict[str, str] = {}
 
     def keep(
         source: str, seq: WordSequence, found: dict
     ) -> tuple[str, WordSequence, dict[int, str]]:
-        contexts.update(key for _surface, key in found.values() if key is not None)
+        surfaces = {}
+        for anchor, (surface, context) in found.items():
+            surfaces[anchor] = surface
+            if context is not None:
+                contexts.add(context)
         # One string object per distinct word, so each kept word costs a pointer.
         words = tuple(map(vocabulary.setdefault, seq.words, seq.words))
-        surfaces = {anchor: surface for anchor, (surface, _key) in found.items()}
         return source, WordSequence(words, seq.starts), surfaces
 
     # starmap holds no document after keep returns, so the next one is
@@ -210,41 +201,45 @@ def collect_context_stats(
     scan = _example_contexts(corpus, examples, context_len, side)
     analyzed = list(starmap(keep, scan))
 
-    with_examples: dict[ContextKey, int] = {}
-    with_others: dict[ContextKey, int] = {}
-    seen_examples: dict[ContextKey, set[str]] = {}
-    last_doc: dict[ContextKey, int] = {}  # the number of the last document it was hit in
-    n_docs: dict[ContextKey, int] = {}
-    sources_seen: dict[ContextKey, set[str]] = {}
-    groups = group_contexts(contexts)
+    ordered = sorted(contexts)
+    n = len(ordered)
+    with_examples = [0] * n
+    with_others = [0] * n
+    last_doc = [-1] * n  # the number of the last document it was hit in
+    n_docs = [0] * n
+    # Every context is hit at the example occurrence it came from, so
+    # each one fills both of its sets.
+    seen_examples = [set() for _ in ordered]
+    sources_seen = [set() for _ in ordered]
+    groups = {(side, context_len): dict(zip(ordered, range(n)))}
     for number, (source, seq, surfaces) in enumerate(analyzed):
-        for _side, anchor, key in context_hits(seq, groups):
-            if last_doc.get(key) != number:
-                last_doc[key] = number
-                n_docs[key] = n_docs.get(key, 0) + 1
-                sources_seen.setdefault(key, set()).add(source)
+        for _side, anchor, i in context_hits(seq, groups):
+            if last_doc[i] != number:
+                last_doc[i] = number
+                n_docs[i] += 1
+                sources_seen[i].add(source)
             surface = surfaces.get(anchor)
             if surface is None:
-                with_others[key] = with_others.get(key, 0) + 1
+                with_others[i] += 1
             else:
-                with_examples[key] = with_examples.get(key, 0) + 1
-                seen_examples.setdefault(key, set()).add(surface)
+                with_examples[i] += 1
+                seen_examples[i].add(surface)
 
     stats = [
         ContextStats(
-            context=key,
-            n_with_examples=with_examples.get(key, 0),
-            n_with_others=with_others.get(key, 0),
-            n_examples_seen=len(seen_examples.get(key, ())),
-            n_docs=n_docs.get(key, 0),
-            n_sources=len(sources_seen.get(key, ())),
+            context=ContextKey(words, side),
+            n_with_examples=with_examples[i],
+            n_with_others=with_others[i],
+            n_examples_seen=len(seen_examples[i]),
+            n_docs=n_docs[i],
+            n_sources=len(sources_seen[i]),
         )
-        for key in sorted(contexts)
+        for i, words in enumerate(ordered)
     ]
     totals = GlobalStats(
-        total_with_examples=sum(with_examples.values()),
-        # Examples that split into the same words are one, as in instance_index.
-        n_examples=len({tuple(ex.surface.split()) for ex in examples}),
+        total_with_examples=sum(with_examples),
+        # Examples that give the same words are one, as in instance_index.
+        n_examples=len({tokenize(ex.surface).words for ex in examples}),
     )
     return stats, totals
 
@@ -289,7 +284,7 @@ def growth_curve(
     scan = _example_contexts(corpus, list(examples), context_len, side)
     points: list[GrowthPoint] = []
     occurrences = 0
-    contexts: set[ContextKey] = set()
+    contexts: set[tuple[str, ...]] = set()
     done = 0
     for step in steps:
         for _source, _seq, found in islice(scan, step - done):

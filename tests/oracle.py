@@ -152,13 +152,13 @@ def oracle_find_instances(words: list[str], examples: list) -> list[tuple[int, i
     """(first, last, example) for every example occurrence in `words`.
 
     A frozen copy of the package's original find_instances, changed only
-    to take the words directly and return tuples: it rebuilds the
-    surface index on every call and probes every position once per
-    surface length.
+    to take the words directly, to return tuples, and to key a surface by
+    the words oracle_tokenize gives it: it rebuilds the surface index on
+    every call and probes every position once per surface length.
     """
     by_words = {}
     for ex in examples:
-        by_words.setdefault(tuple(ex.surface.split()), ex)
+        by_words.setdefault(tuple(oracle_tokenize(ex.surface)[0]), ex)
     lengths = sorted({len(w) for w in by_words}, reverse=True)
     words = tuple(words)
     out = []
@@ -204,8 +204,9 @@ class OracleRow:
 
 
 def naive_instances(words: list[str], surfaces: list[str]) -> list[tuple[int, int, str]]:
-    """Longest-match-first left-to-right scan, consumed spans."""
-    split = sorted({tuple(s.split()) for s in surfaces}, key=len, reverse=True)
+    """Longest-match-first left-to-right scan, consumed spans; a surface
+    matches by the words oracle_tokenize gives it."""
+    split = sorted({tuple(oracle_tokenize(s)[0]) for s in surfaces}, key=len, reverse=True)
     out = []
     i = 0
     while i < len(words):
@@ -266,7 +267,7 @@ def oracle_stats(
                 keys.add(key)
                 total_nc += 1
 
-    n_examples = len({tuple(s.split()) for s in surfaces})
+    n_examples = len({tuple(oracle_tokenize(s)[0]) for s in surfaces})
     rows: dict[tuple[str, ...], OracleRow] = {}
     for key in keys:
         nc = 0

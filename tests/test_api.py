@@ -31,8 +31,7 @@ PUBLIC = {
         "ContextStats", "GlobalStats", "GrowthPoint", "WeightedContext",
         "WeightTable", "build_weight_table", "collect_context_stats", "context_frequency",
         "context_weight", "document_frequency", "growth_curve",
-        "inverse_context_frequency", "inverse_document_frequency",
-        "learning_example_frequency", "term_frequency", "tf_idf",
+        "inverse_context_frequency", "learning_example_frequency",
     ],
 }
 NAMES = [(module, name) for module, names in PUBLIC.items() for name in names]

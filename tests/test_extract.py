@@ -15,7 +15,6 @@ from contextner.extract import (
     context_window,
     extract_context,
     find_instances,
-    group_contexts,
     instance_index,
     tokenize,
 )
@@ -226,6 +225,43 @@ def test_find_instances_matches_frozen_matcher(words, examples):
     )
 
 
+@pytest.mark.parametrize(
+    "surface, text, span",
+    [
+        ("U.S.", "He lives in the U.S. now.", (4, 4)),
+        ("(Paris)", "Hotels in Paris, France.", (2, 2)),
+        ("St. Louis", "Flights to St. Louis today.", (2, 3)),
+        ("Paris,", "Hotels in (Paris) now.", (2, 2)),
+    ],
+)
+def test_punctuated_example_surfaces_are_found_in_text(surface, text, span):
+    [occ] = find_instances(tokenize(text), instance_index(capitals(surface)))
+    assert (occ.first, occ.last) == span
+
+
+# Surfaces of words and marks: letters the filler word never holds, so a
+# surface can match only where it was placed.
+SURFACE_CHARS = "AbZ9é.'’-(),!?&\"/ "
+surfaces = st.text(SURFACE_CHARS, min_size=1, max_size=14).filter(
+    lambda text: any(map(str.isalnum, text))
+)
+
+
+@given(st.lists(surfaces, min_size=1, max_size=4), st.lists(st.integers(0, 4), max_size=12))
+@example(["U.S."], [0])
+@example(["St. Louis", "(St.", "Louis)"], [1, 2, 0])
+def test_surfaces_match_text_by_their_tokenized_words(texts, order):
+    examples = [LearningExample(text, "c") for text in texts]
+    # The first surface between filler words, then surfaces and fillers
+    # in the drawn order (an index past the surfaces is a filler).
+    pieces = ["and", texts[0], "and"] + [texts[i] if i < len(texts) else "and" for i in order]
+    text = " ".join(pieces)
+    found = find_instances(tokenize(text), instance_index(examples))
+    found = [(o.first, o.last, o.example) for o in found]
+    assert found == oracle_find_instances(oracle_tokenize(text)[0], examples)
+    assert found[0] == (1, len(tokenize(texts[0]).words), examples[0])
+
+
 def test_extract_context_left():
     tok = tokenize("Hotels in Paris")
     occ = find_instances(tok, instance_index(capitals("Paris")))[0]
@@ -293,6 +329,15 @@ def test_scan_requires_adjacent_token_in_same_sentence():
 def test_scan_right_side():
     texts = ["Paris is big. Rome is big."]
     assert counts(texts, capitals("Paris"), side=RIGHT) == [("is big", 1, 1, 1, 1)]
+
+
+def group_contexts(contexts):
+    """Contexts as context_hits reads them: by (side, length) in sorted
+    order, then by their words."""
+    groups = {}
+    for key in contexts:
+        groups.setdefault((key.side, len(key.words)), {})[key.words] = key
+    return dict(sorted(groups.items()))
 
 
 def test_scan_grouped_contexts_of_both_sides():

@@ -8,7 +8,7 @@ from contextner import tsv
 from contextner.annotations import load_annotations, write_annotations
 from contextner.errors import DataFormatError, InputError
 from contextner.extract import ContextKey, tokenize
-from contextner.model import check_model_update, update_model, weight_rows
+from contextner.model import WEIGHT_HEADER, check_model_update, update_model, weight_rows
 from contextner.seeds import LearningExample
 from contextner.recognize import (
     UNKNOWN,
@@ -398,7 +398,8 @@ def test_recognition_matches_brute_force_oracle():
 def store_table(directory, label, table, **decision):
     """Store a table in a model directory as `weigh --model-dir` does."""
     index = check_model_update(directory, label)
-    update_model(directory, label, weight_rows(table), index, **decision)
+    text = tsv.table_text(WEIGHT_HEADER, weight_rows(table))
+    update_model(directory, label, text, index, **decision)
 
 
 @pytest.fixture

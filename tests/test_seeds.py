@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import example, given, strategies as st
 
 from contextner.errors import DataFormatError, InputError
+from contextner.extract import tokenize
 from contextner.seeds import LearningExample, load_examples, single_class
 
 
@@ -14,6 +16,29 @@ def test_example_rejects_empty():
         LearningExample("   ", "capital")
     with pytest.raises(ValueError):
         LearningExample("Paris", "")
+
+
+@pytest.mark.parametrize("surface", ["...", "(-)", "_", "« »", "’ ’"])
+def test_example_rejects_a_surface_without_words(surface):
+    with pytest.raises(ValueError, match="has no words"):
+        LearningExample(surface, "capital")
+
+
+@given(st.text())
+@example("_")
+@example("W.")
+@example("²")
+def test_a_surface_has_words_exactly_where_tokenize_finds_some(text):
+    # LearningExample's rule, checked against the tokenizer it stands for.
+    assert any(map(str.isalnum, text)) == bool(tokenize(text).words)
+
+
+def test_load_examples_names_the_line_of_a_surface_without_words(tmp_path):
+    path = tmp_path / "ex.tsv"
+    path.write_text("surface\tclass\nParis\tcapital\n...\tcapital\n", encoding="utf-8")
+    with pytest.raises(DataFormatError) as info:
+        load_examples(path)
+    assert str(info.value) == f"{path}:3: learning example surface '...' has no words"
 
 
 def test_load_examples(tmp_path):

@@ -17,10 +17,7 @@ from contextner.weighting import (
     document_frequency,
     growth_curve,
     inverse_context_frequency,
-    inverse_document_frequency,
     learning_example_frequency,
-    term_frequency,
-    tf_idf,
 )
 from oracle import OracleDoc, oracle_stats, random_corpus
 
@@ -78,24 +75,6 @@ def test_context_weight():
         context_weight(-0.1, 0.5, 0.5, 1.0)
 
 
-def test_tf_idf_baseline():
-    assert term_frequency(3, 10) == 0.3
-    assert term_frequency(0, 10) == 0
-    assert term_frequency(10, 10) == 1
-    with pytest.raises(ValueError):
-        term_frequency(1, 0)
-    assert inverse_document_frequency(100, 100) == 0
-    assert inverse_document_frequency(1000, 1) == 3
-    assert inverse_document_frequency(10, 2) == pytest.approx(0.69897, abs=1e-5)
-    with pytest.raises(ValueError):
-        inverse_document_frequency(10, 0)
-    with pytest.raises(ValueError):
-        inverse_document_frequency(2, 3)
-    assert tf_idf(0.3, 1) == 0.3
-    assert tf_idf(0.5, 2) == 1.0
-    assert tf_idf(0, 7) == 0
-
-
 # -- table construction ------------------------------------------------------
 
 def test_single_context_single_example():
@@ -118,6 +97,22 @@ def test_examples_that_split_into_the_same_words_count_once():
     assert [(r.context.phrase(), r.lef) for r in table] == [("Hotels in", 1.0)]
     rows, _total = oracle_stats([OracleDoc("d00", "d00", text)], surfaces)
     assert rows[("Hotels", "in")].lef == 1.0
+
+
+def test_examples_with_marks_match_the_words_of_the_text():
+    text = "He lives in the U.S. now. He lives in Paris now."
+    table = build_weight_table(make_corpus(text), capitals("U.S.", "Paris"))
+    # The text's word is `U.S`, as the surface `U.S.` is tokenized.
+    assert table.totals.n_examples == 2
+    assert sorted((r.context.phrase(), r.stats.n_with_examples, r.lef) for r in table) == [
+        ("in the", 1, 0.5),
+        ("lives in", 1, 0.5),
+    ]
+    rows, _total = oracle_stats([OracleDoc("d00", "d00", text)], ["U.S.", "Paris"])
+    assert {key: row.lef for key, row in rows.items()} == {
+        ("in", "the"): 0.5,
+        ("lives", "in"): 0.5,
+    }
 
 
 def test_rows_sorted_by_weight_then_count_then_words():
