@@ -330,6 +330,3 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

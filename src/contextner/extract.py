@@ -195,42 +195,27 @@ def context_window(
     return (first, anchor) if side == LEFT else (anchor + 1, last + 1)
 
 
-def extract_context(
-    occurrence: InstanceOccurrence,
-    tok: WordSequence,
-    length: int = 2,
-    side: str = LEFT,
-) -> Optional[ContextKey]:
-    """The `length` tokens adjacent to an instance, or None where
-    context_window rejects the window."""
-    anchor = occurrence.first if side == LEFT else occurrence.last
-    window = context_window(tok, anchor, length, side)
-    if window is None:
-        return None
-    return ContextKey(tok.words[window[0] : window[1]], side)
-
-
 _V = TypeVar("_V")
 
 
 def context_hits(
-    seq: WordSequence, groups: Mapping[tuple[str, int], Mapping[tuple[str, ...], _V]]
-) -> Iterator[tuple[str, int, _V]]:
+    seq: WordSequence, side: str, groups: Mapping[int, Mapping[tuple[str, ...], _V]]
+) -> Iterator[tuple[int, _V]]:
     """Every place where grouped context words occur as a context.
 
     Weigh counts these hits and recognize votes with them; nothing else
-    reads contexts out of a document. `groups` maps (side, length) to
-    the words of contexts of that side and length to a value. Yields
-    (side, anchor, value), groups in their own order and positions left
-    to right, wherever context_window accepts a group's words as the
-    context of word `anchor`.
+    reads contexts out of a document. `groups` maps a length to the
+    words of `side` contexts of that length to a value. Yields (anchor,
+    value), groups in their own order and positions left to right,
+    wherever context_window accepts a group's words as the context of
+    word `anchor`.
     """
     words = seq.words
-    for (side, length), entries in groups.items():
+    for length, entries in groups.items():
         shift = length if side == LEFT else -1
         # keys[p] = words[p : p + length], built and probed in C, so
         # that only the positions of hits come back to Python.
         keys = zip(*(islice(words, k, None) for k in range(length)))
         for p in compress(count(), map(entries.__contains__, keys)):
             if context_window(seq, p + shift, length, side) is not None:
-                yield side, p + shift, entries[words[p : p + length]]
+                yield p + shift, entries[words[p : p + length]]

@@ -17,26 +17,26 @@ from typing import Iterable, Iterator, Mapping, Optional
 from .annotations import Annotation
 from .corpus import Document
 from .errors import DataFormatError
-from .extract import LEFT, ContextKey, WordSequence, context_hits, tokenize
+from .extract import LEFT, RIGHT, ContextKey, WordSequence, context_hits, tokenize
 from .model import MODEL_FILE, _read_index, read_weight_mapping
 from .record import Record
 from .seeds import UNKNOWN, check_class_label
 
 
-# (side, length) -> context words -> ((class, weight), ...) in table order.
-_ContextVotes = dict[tuple[str, int], dict[tuple[str, ...], tuple[tuple[str, float], ...]]]
+# length -> context words -> ((class, weight), ...) in table order.
+_ContextVotes = dict[int, dict[tuple[str, ...], tuple[tuple[str, float], ...]]]
 
 
 class RecognitionModel(Record):
     """Per-class context weights plus the decision parameters.
 
     On construction the tables are compiled into one index per side,
-    grouped by (side, length) in sorted order, whose entries list every
+    grouped by length in increasing order, whose entries list every
     class's weight for those context words in `tables` order. Detection
     and voting read only those indexes, so each costs time proportional
     to a document's tokens, not to the model's size. Every weight must
-    be positive and finite. The tables must not be changed after
-    construction.
+    be positive and finite, and every context's side left or right. The
+    tables must not be changed after construction.
     """
 
     __slots__ = ("tables", "threshold", "margin", "max_entity_tokens", "_left", "_right")
@@ -52,7 +52,7 @@ class RecognitionModel(Record):
             raise ValueError("threshold and margin must be non-negative")
         if max_entity_tokens < 1:
             raise ValueError(f"max_entity_tokens must be >= 1, got {max_entity_tokens}")
-        votes: _ContextVotes = {}
+        votes: dict[str, _ContextVotes] = {LEFT: {}, RIGHT: {}}
         for label, table in tables.items():
             check_class_label(label)
             for key, weight in table.items():
@@ -60,15 +60,20 @@ class RecognitionModel(Record):
                     kind = "non-positive" if weight <= 0 else "non-finite"
                     raise ValueError(f"{kind} weight {weight} for {key.phrase()!r} in {label}")
                 words, side = key
-                group = votes.setdefault((side, len(words)), {})
+                if side not in votes:
+                    raise ValueError(
+                        f"side {side!r} of {key.phrase()!r} in {label}"
+                        " is neither 'left' nor 'right'"
+                    )
+                group = votes[side].setdefault(len(words), {})
                 group[words] = group.get(words, ()) + ((label, weight),)
         self._assign(
             tables=tables,
             threshold=threshold,
             margin=margin,
             max_entity_tokens=max_entity_tokens,
-            _left={group: votes[group] for group in sorted(votes) if group[0] == LEFT},
-            _right={group: votes[group] for group in sorted(votes) if group[0] != LEFT},
+            _left=dict(sorted(votes[LEFT].items())),
+            _right=dict(sorted(votes[RIGHT].items())),
         )
 
 
@@ -115,46 +120,36 @@ def detect_candidates(
     starts = set(tok.starts)
     grow = model.max_entity_tokens - 1
     spans: set[tuple[int, int]] = set()
-    # A left context's anchor is its span's first word, and the span grows
-    # right until the next word opens a sentence or starts lowercase.
-    left: dict[int, dict[str, float]] = {}  # anchor -> summed votes
-    for _side, first, votes in context_hits(tok, model._left):
-        if words[first][:1].islower():
-            continue
-        totals = left.get(first)
-        if totals is None:
-            totals = left[first] = {}
-            last, end = first, min(first + grow, len(words) - 1)
-            while last < end and last + 1 not in starts and not words[last + 1][:1].islower():
-                last += 1
+    left: dict[int, tuple[tuple[str, float], ...]] = {}  # anchor -> votes in hit order
+    right: dict[int, tuple[tuple[str, float], ...]] = {}
+    for side, groups, hits in ((LEFT, model._left, left), (RIGHT, model._right, right)):
+        for anchor, votes in context_hits(tok, side, groups):
+            if words[anchor][:1].islower():
+                continue
+            if anchor in hits:
+                hits[anchor] += votes
+                continue
+            hits[anchor] = votes
+            first = last = anchor
+            if side == LEFT:
+                # The anchor is the span's first word; the span grows right
+                # until the next word opens a sentence or starts lowercase.
+                end = min(anchor + grow, len(words) - 1)
+                while last < end and last + 1 not in starts and not words[last + 1][:1].islower():
+                    last += 1
+            else:
+                # The anchor is the span's last word; the span grows left
+                # until its first word opens a sentence or the word before
+                # it starts lowercase.
+                end = max(anchor - grow, 0)
+                while first > end and first not in starts and not words[first - 1][:1].islower():
+                    first -= 1
             spans.add((first, last))
-        for label, weight in votes:
-            totals[label] = totals.get(label, 0.0) + weight
-    # A right context's anchor is its span's last word, and the span grows
-    # left until its first word opens a sentence or the word before it
-    # starts lowercase.
-    right: dict[int, tuple[tuple[str, float], ...]] = {}  # anchor -> votes in order
-    for _side, last, votes in context_hits(tok, model._right):
-        if words[last][:1].islower():
-            continue
-        if last in right:
-            right[last] += votes
-            continue
-        right[last] = votes
-        first, end = last, max(last - grow, 0)
-        while first > end and first not in starts and not words[first - 1][:1].islower():
-            first -= 1
-        spans.add((first, last))
     candidates: dict[tuple[int, int], dict[str, float]] = {}
     for span in sorted(spans):
-        first, last = span
-        if last in right:
-            # Right votes add one by one onto the left sums, in order.
-            totals = dict(left.get(first, ()))
-            for label, weight in right[last]:
-                totals[label] = totals.get(label, 0.0) + weight
-        else:
-            totals = left[first]
+        totals: dict[str, float] = {}
+        for label, weight in left.get(span[0], ()) + right.get(span[1], ()):
+            totals[label] = totals.get(label, 0.0) + weight
         candidates[span] = totals
     return candidates
 

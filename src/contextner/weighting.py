@@ -17,7 +17,7 @@ prefixes of a corpus, to show how the context set saturates.
 from __future__ import annotations
 
 from itertools import islice, starmap
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple
 
 from .corpus import CorpusManifest, Document
 from .errors import EmptyResultError, InputError
@@ -114,9 +114,9 @@ class WeightedContext(NamedTuple):
         return self.stats.context
 
 
-# A document's source, its words, and each example occurrence's
-# anchor -> (surface, its context's words or None).
-_Scanned = tuple[str, WordSequence, dict[int, tuple[str, Optional[tuple[str, ...]]]]]
+# A document's source, its words, each example occurrence's anchor ->
+# surface, and the words of every context that the window rule accepts.
+_Scanned = tuple[str, WordSequence, dict[int, str], list[tuple[str, ...]]]
 
 
 def _example_contexts(
@@ -125,11 +125,11 @@ def _example_contexts(
     """The per-document scan that weigh and growth read.
 
     Checks the examples and settings at once, then yields, as each
-    document in corpus order is reached, its source and words, and
-    every example occurrence keyed by its context anchor (an instance's
-    first word for left contexts, its last for right) as (surface,
-    the context's words, or None where context_window rejects the
-    window). Every context has `side` and `context_len`, so its words
+    document in corpus order is reached, its source and words, every
+    example occurrence's surface keyed by its context anchor (an
+    instance's first word for left contexts, its last for right), and
+    the words of each occurrence's context where context_window accepts
+    the window. Every context has `side` and `context_len`, so its words
     name it. The scan keeps nothing of a document once it has yielded
     it, so a caller that keeps nothing either holds one document's text
     and words at a time.
@@ -145,15 +145,15 @@ def _example_contexts(
     def scan(doc: Document) -> _Scanned:
         seq = tokenize(doc.clean)
         words = seq.words
-        found = {}
+        surfaces = {}
+        contexts = []
         for example, first, last in find_instances(seq, index):
             anchor = first if left else last
+            surfaces[anchor] = example.surface
             window = context_window(seq, anchor, context_len, side)
-            found[anchor] = (
-                example.surface,
-                None if window is None else words[window[0] : window[1]],
-            )
-        return doc.source, seq, found
+            if window is not None:
+                contexts.append(words[window[0] : window[1]])
+        return doc.source, seq, surfaces, contexts
 
     return map(scan, corpus)
 
@@ -185,13 +185,9 @@ def collect_context_stats(
     vocabulary: dict[str, str] = {}
 
     def keep(
-        source: str, seq: WordSequence, found: dict
+        source: str, seq: WordSequence, surfaces: dict[int, str], found: list[tuple[str, ...]]
     ) -> tuple[str, WordSequence, dict[int, str]]:
-        surfaces = {}
-        for anchor, (surface, context) in found.items():
-            surfaces[anchor] = surface
-            if context is not None:
-                contexts.add(context)
+        contexts.update(found)
         # One string object per distinct word, so each kept word costs a pointer.
         words = tuple(map(vocabulary.setdefault, seq.words, seq.words))
         return source, WordSequence(words, seq.starts), surfaces
@@ -211,9 +207,9 @@ def collect_context_stats(
     # each one fills both of its sets.
     seen_examples = [set() for _ in ordered]
     sources_seen = [set() for _ in ordered]
-    groups = {(side, context_len): dict(zip(ordered, range(n)))}
+    groups = {context_len: dict(zip(ordered, range(n)))}
     for number, (source, seq, surfaces) in enumerate(analyzed):
-        for _side, anchor, i in context_hits(seq, groups):
+        for anchor, i in context_hits(seq, side, groups):
             if last_doc[i] != number:
                 last_doc[i] = number
                 n_docs[i] += 1
@@ -287,9 +283,9 @@ def growth_curve(
     contexts: set[tuple[str, ...]] = set()
     done = 0
     for step in steps:
-        for _source, _seq, found in islice(scan, step - done):
-            occurrences += len(found)
-            contexts.update(key for _surface, key in found.values() if key is not None)
+        for _source, _seq, surfaces, found in islice(scan, step - done):
+            occurrences += len(surfaces)
+            contexts.update(found)
         done = step
         points.append(
             GrowthPoint(

@@ -1,10 +1,17 @@
-"""Each public name imports from the module that defines it, and only there."""
+"""Each public name imports from the module that defines it, and only
+there, and each public function the package defines has a caller in it."""
 
+import ast
 import importlib
+import re
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import contextner
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # Every public name, by the module to import it from.
 PUBLIC = {
@@ -19,8 +26,8 @@ PUBLIC = {
     "errors": ["DataFormatError", "EmptyResultError", "InputError", "PipelineError"],
     "evaluate": ["EvalReport", "evaluate"],
     "extract": [
-        "ContextKey", "InstanceOccurrence", "WordSequence", "extract_context",
-        "find_instances", "instance_index", "tokenize",
+        "ContextKey", "InstanceOccurrence", "WordSequence", "find_instances",
+        "instance_index", "tokenize",
     ],
     "recognize": [
         "UNKNOWN", "RecognitionModel", "classify", "detect_candidates", "load_model",
@@ -49,3 +56,50 @@ def test_public_name_resolves_to_its_definition(module, name):
     # The package binds no public name of its own: `contextner.acquire`
     # and `contextner.evaluate` are the submodules, not the functions.
     assert getattr(contextner, name, None) is not defined
+
+
+def names_in(tree):
+    """Every name a tree refers to: as a name, an attribute, or an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+            if node.asname:
+                yield node.asname
+
+
+def library_use_calls():
+    """The names README's "Library use" example calls."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library use\n+```python\n(.*?)```", readme, re.S).group(1)
+    calls = (node.func for node in ast.walk(ast.parse(block)) if isinstance(node, ast.Call))
+    return {f.id if isinstance(f, ast.Name) else f.attr for f in calls}
+
+
+def test_every_public_function_has_a_caller_in_the_package():
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "src" / "contextner").glob("*.py"))
+    }
+    referenced = Counter(name for tree in trees.values() for name in names_in(tree))
+    defined = []  # (where, the definition)
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{module}.{node.name}", item) for item in node.body]
+            else:
+                defined.append((module, node))
+    exempt = library_use_calls()
+    uncalled = [
+        f"{where}.{node.name}"
+        for where, node in defined
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and node.name not in exempt
+        # Names inside its own body (a recursive call) are no caller.
+        and referenced[node.name] == Counter(names_in(node))[node.name]
+    ]
+    assert uncalled == []

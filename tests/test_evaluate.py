@@ -12,7 +12,7 @@ from contextner.evaluate import EvalReport, evaluate, format_report, write_repor
 from contextner.extract import (
     LEFT,
     RIGHT,
-    extract_context,
+    context_window,
     find_instances,
     instance_index,
     tokenize,
@@ -213,9 +213,9 @@ def test_growth_last_point_matches_direct_extraction():
         tok = tokenize(doc.clean)
         for occ in find_instances(tok, index):
             occurrences += 1
-            key = extract_context(occ, tok, 2, "left")
-            if key is not None:
-                contexts.add(key)
+            window = context_window(tok, occ.first, 2, LEFT)
+            if window is not None:
+                contexts.add(tok.words[window[0] : window[1]])
     assert points[-1].example_occurrences == occurrences
     assert points[-1].context_count == len(contexts)
     assert points[0].example_occurrences <= occurrences

@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import capitals, make_corpus
+from conftest import capitals, make_corpus, make_doc
 from oracle import oracle_find_instances, oracle_tokenize, random_corpus
 from contextner.extract import (
     LEFT,
@@ -13,13 +13,13 @@ from contextner.extract import (
     WordSequence,
     context_hits,
     context_window,
-    extract_context,
     find_instances,
     instance_index,
     tokenize,
 )
+from contextner.corpus import CorpusManifest
 from contextner.seeds import LearningExample
-from contextner.weighting import collect_context_stats
+from contextner.weighting import _example_contexts, collect_context_stats
 
 
 def words_of(text):
@@ -262,45 +262,47 @@ def test_surfaces_match_text_by_their_tokenized_words(texts, order):
     assert found[0] == (1, len(tokenize(texts[0]).words), examples[0])
 
 
+def context_of(tok, examples, length, side):
+    """The words context_window takes on `side` of the first instance of
+    `examples` in `tok`, as weigh's first pass takes them, or None."""
+    occ = find_instances(tok, instance_index(examples))[0]
+    window = context_window(tok, occ.first if side == LEFT else occ.last, length, side)
+    return None if window is None else tok.words[window[0] : window[1]]
+
+
 def test_extract_context_left():
     tok = tokenize("Hotels in Paris")
-    occ = find_instances(tok, instance_index(capitals("Paris")))[0]
-    assert extract_context(occ, tok, 2, "left") == ContextKey(("Hotels", "in"), "left")
+    assert context_of(tok, capitals("Paris"), 2, LEFT) == ("Hotels", "in")
 
 
 def test_extract_context_insufficient_tokens():
     tok = tokenize("Paris is big")
-    occ = find_instances(tok, instance_index(capitals("Paris")))[0]
-    assert extract_context(occ, tok, 2, "left") is None
+    assert context_of(tok, capitals("Paris"), 2, LEFT) is None
 
 
 def test_extract_context_comma_does_not_block():
     tok = tokenize("of the unity of our nation, Chirac said")
-    chirac = instance_index([LearningExample("Chirac", "president")])
-    occ = find_instances(tok, chirac)[0]
-    assert extract_context(occ, tok, 2, "left") == ContextKey(("our", "nation"), "left")
+    chirac = [LearningExample("Chirac", "president")]
+    assert context_of(tok, chirac, 2, LEFT) == ("our", "nation")
 
 
 def test_extract_context_blocked_by_sentence_break():
     tok = tokenize("It ended. Paris is far")
-    occ = find_instances(tok, instance_index(capitals("Paris")))[0]
-    assert extract_context(occ, tok, 2, "left") is None
+    assert context_of(tok, capitals("Paris"), 2, LEFT) is None
 
 
 def test_extract_context_right_side():
     tok = tokenize("Paris is big")
-    occ = find_instances(tok, instance_index(capitals("Paris")))[0]
-    assert extract_context(occ, tok, 2, "right") == ContextKey(("is", "big"), "right")
-    assert extract_context(occ, tok, 3, "right") is None
+    assert context_of(tok, capitals("Paris"), 2, RIGHT) == ("is", "big")
+    assert context_of(tok, capitals("Paris"), 3, RIGHT) is None
 
 
 def test_extract_context_rejects_bad_args():
     tok = tokenize("Hotels in Paris")
-    occ = find_instances(tok, instance_index(capitals("Paris")))[0]
     with pytest.raises(ValueError):
-        extract_context(occ, tok, 0, "left")
+        context_of(tok, capitals("Paris"), 0, LEFT)
     with pytest.raises(ValueError):
-        extract_context(occ, tok, 2, "above")
+        context_of(tok, capitals("Paris"), 2, "above")
 
 
 def counts(texts, examples, side=LEFT):
@@ -331,12 +333,13 @@ def test_scan_right_side():
     assert counts(texts, capitals("Paris"), side=RIGHT) == [("is big", 1, 1, 1, 1)]
 
 
-def group_contexts(contexts):
-    """Contexts as context_hits reads them: by (side, length) in sorted
-    order, then by their words."""
+def group_contexts(contexts, side):
+    """The contexts of `side` as context_hits reads them: by length in
+    increasing order, then by their words."""
     groups = {}
     for key in contexts:
-        groups.setdefault((key.side, len(key.words)), {})[key.words] = key
+        if key.side == side:
+            groups.setdefault(len(key.words), {})[key.words] = key
     return dict(sorted(groups.items()))
 
 
@@ -346,54 +349,54 @@ def test_scan_grouped_contexts_of_both_sides():
         ContextKey(("Hotels", "in"), "left"),
         ContextKey(("in",), "left"),
     ]
-    groups = group_contexts(contexts)
-    assert list(groups) == [("left", 1), ("left", 2), ("right", 2)]
-    assert groups[("left", 2)] == {("Hotels", "in"): contexts[1]}
+    groups = group_contexts(contexts, LEFT)
+    assert list(groups) == [1, 2]
+    assert groups[2] == {("Hotels", "in"): contexts[1]}
     tok = tokenize("Hotels in Paris. Paris is big.")
-    assert list(context_hits(tok, groups)) == [
-        ("left", 2, contexts[2]),
-        ("left", 2, contexts[1]),
-        ("right", 3, contexts[0]),
-    ]
+    assert list(context_hits(tok, LEFT, groups)) == [(2, contexts[2]), (2, contexts[1])]
+    right_groups = group_contexts(contexts, RIGHT)
+    assert right_groups == {2: {("is", "big"): contexts[0]}}
+    assert list(context_hits(tok, RIGHT, right_groups)) == [(3, contexts[0])]
 
 
 def test_extraction_and_scan_apply_one_window_rule():
-    """Training's two directions agree: extract_context keeps context K of
-    an instance exactly when scanning for K finds it at that instance."""
+    """Training's two directions agree: weigh's first pass keeps context K
+    of an instance exactly when scanning for K finds it at that instance."""
     rng = random.Random(5)
     checked = {True: 0, False: 0}
     for _ in range(60):
         docs, surfaces = random_corpus(rng)
-        index = instance_index(LearningExample(surface, "c") for surface in surfaces)
-        for doc in docs:
-            tok = tokenize(doc.text)
-            for occ in find_instances(tok, index):
-                for side in (LEFT, RIGHT):
-                    anchor = occ.first if side == LEFT else occ.last
-                    for length in (1, 2, 3):
+        corpus = CorpusManifest([make_doc(d.doc_id, d.text, source=d.source) for d in docs])
+        examples = [LearningExample(surface, "c") for surface in surfaces]
+        for side in (LEFT, RIGHT):
+            for length in (1, 2, 3):
+                scan = _example_contexts(corpus, examples, length, side)
+                for _source, tok, anchors, kept in scan:
+                    found = []
+                    for anchor in anchors:
                         lo = anchor - length if side == LEFT else anchor + 1
                         if lo < 0 or lo + length > len(tok):
-                            assert extract_context(occ, tok, length, side) is None
                             continue
-                        key = ContextKey(tok.words[lo : lo + length], side)
-                        kept = extract_context(occ, tok, length, side)
-                        assert kept in (key, None)
-                        hits = set(context_hits(tok, group_contexts([key])))
-                        assert (kept == key) == ((side, anchor, key) in hits)
-                        checked[kept == key] += 1
+                        key = tok.words[lo : lo + length]
+                        hits = context_hits(tok, side, {length: {key: None}})
+                        hit = anchor in (a for a, _value in hits)
+                        if hit:
+                            found.append(key)
+                        checked[hit] += 1
+                    assert kept == found
     assert min(checked.values()) >= 100, checked
 
 
-def brute_force_hits(seq, groups):
+def brute_force_hits(seq, side, groups):
     """context_hits by definition: every group, every anchor left to
     right, and context_window's verdict on the words beside it."""
     hits = []
-    for (side, length), entries in groups.items():
+    for length, entries in groups.items():
         for anchor in range(len(seq)):
             window = context_window(seq, anchor, length, side)
             words = None if window is None else seq.words[window[0] : window[1]]
             if words in entries:
-                hits.append((side, anchor, entries[words]))
+                hits.append((anchor, entries[words]))
     return hits
 
 
@@ -413,11 +416,12 @@ def test_context_hits_match_brute_force_scan():
                     p = rng.randrange(len(seq) - length + 1)
                     side = rng.choice((LEFT, RIGHT))
                     contexts.add(ContextKey(seq.words[p : p + length], side))
-        groups = group_contexts(contexts)
-        for seq in seqs:
-            expected = brute_force_hits(seq, groups)
-            assert list(context_hits(seq, groups)) == expected
-            total += len(expected)
+        for side in (LEFT, RIGHT):
+            groups = group_contexts(contexts, side)
+            for seq in seqs:
+                expected = brute_force_hits(seq, side, groups)
+                assert list(context_hits(seq, side, groups)) == expected
+                total += len(expected)
     assert total > 500
 
 
@@ -454,9 +458,10 @@ def test_context_hits_run_in_linear_time():
     # 270 KB of two-word sentences: every word is next to some context,
     # but only `In` before `Rome` does not cross a sentence break.
     seq = tokenize("In Rome. " * 30_000)
-    groups = group_contexts(
-        [ContextKey(("In", "Rome"), LEFT), ContextKey(("In",), LEFT), ContextKey(("In",), RIGHT)]
-    )
+    contexts = [
+        ContextKey(("In", "Rome"), LEFT), ContextKey(("In",), LEFT), ContextKey(("In",), RIGHT)
+    ]
     start = time.perf_counter()
-    assert len(list(context_hits(seq, groups))) == 30_000
+    assert len(list(context_hits(seq, LEFT, group_contexts(contexts, LEFT)))) == 30_000
+    assert len(list(context_hits(seq, RIGHT, group_contexts(contexts, RIGHT)))) == 0
     assert time.perf_counter() - start < 1.0

@@ -81,6 +81,14 @@ def test_model_rejects_weights_that_are_not_positive_and_finite(weight, message)
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("side", ["above", ""])
+def test_model_rejects_a_context_of_no_side(side):
+    # Such a key once built a model that raised only where a document hit it.
+    with pytest.raises(ValueError) as info:
+        model_from({"capital": {left("in"): 0.5, ContextKey(("Map", "of"), side): 0.5}})
+    assert str(info.value) == f"side {side!r} of 'Map of' in capital is neither 'left' nor 'right'"
+
+
 def test_vote_totals_match_summed_weights():
     # Left contexts by length, then the right one: the order votes add up in.
     weights = (0.1, 0.2, 0.40625, 0.3)
