@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from abc import ABC, abstractmethod
-from html import unescape
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
 
@@ -22,6 +21,7 @@ from .corpus import (
     PLAIN,
     CorpusManifest,
     Document,
+    check_inside,
     normalize_source,
 )
 from .errors import DataFormatError, InputError, PipelineError
@@ -67,7 +67,8 @@ class FixtureClient(SearchClient):
 
     The directory's queries.tsv maps query strings to URIs and local
     files (columns: query, uri, file). Results keep file order; a URI
-    listed with two different files is rejected up front.
+    listed with two different files, or with a file outside the
+    directory (see check_inside), is rejected up front.
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -79,6 +80,7 @@ class FixtureClient(SearchClient):
         def parse(query, uri, file_name):
             if not query or not uri or not file_name:
                 raise ValueError("empty field")
+            check_inside(file_name)
             known = self._files.setdefault(uri, file_name)
             if known != file_name and self.directory / known != self.directory / file_name:
                 raise ValueError(f"uri {uri!r} mapped to conflicting files")
@@ -152,7 +154,8 @@ def _markup_text(raw: str) -> str:
     script and style, and nothing for the rest of the markup.
 
     `_MARKUP` splits `raw` into text runs; each run's character
-    references are decoded on their own.
+    references are decoded on their own, by html.unescape, which is
+    imported only when some run holds a `&`.
 
     Every piece of markup ends in a `>`, and a comment in `--`, spaces
     and `>`, so a `<` after the last `>`, and a `<!--` that no comment
@@ -182,7 +185,11 @@ def _markup_text(raw: str) -> str:
         ])
     parts = re.split(_MARKUP, raw)
     texts = parts[::2] if mark is None else [t.replace(mark, "<") for t in parts[::2]]
-    parts[::2] = [unescape(text) if "&" in text else text for text in texts]
+    if any("&" in text for text in texts):
+        from html import unescape
+
+        texts = [unescape(text) if "&" in text else text for text in texts]
+    parts[::2] = texts
     parts[1::2] = ["" if space is None else " " for space in parts[1::2]]
     return "".join(parts)
 

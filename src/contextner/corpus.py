@@ -107,10 +107,18 @@ class CorpusManifest(Record):
             yield doc.read() if isinstance(doc, StoredDocument) else doc
 
 
+def check_inside(file_name: str) -> None:
+    """Raise ValueError unless `file_name`, joined to a directory, names a
+    file inside it: it may be neither absolute nor hold a `..` part."""
+    if file_name.startswith("/") or (".." in file_name and ".." in file_name.split("/")):
+        raise ValueError(f"file {file_name!r} is outside its directory")
+
+
 def _manifest_row_check() -> Callable[[str, str, str, str, str], None]:
     """A check for manifest rows in order: it raises ValueError on an
-    empty field, an unknown kind, an id holding a path separator, or an
-    id or uri an earlier row holds."""
+    empty field, an unknown kind, an id holding a path separator, a file
+    outside the corpus directory (see check_inside), or an id or uri an
+    earlier row holds."""
     seen_ids: set[str] = set()
     seen_uris: set[str] = set()
 
@@ -127,6 +135,7 @@ def _manifest_row_check() -> Callable[[str, str, str, str, str], None]:
         seen_uris.add(uri)
         if kind not in (PLAIN, MARKUP):
             raise ValueError(f"unknown kind {kind!r}")
+        check_inside(rel)
 
     return check
 
@@ -149,11 +158,11 @@ def save_corpus(manifest: CorpusManifest, directory: str | Path) -> None:
             check(*row)
         except ValueError as exc:
             raise DataFormatError(f"{directory / MANIFEST_NAME}:{lineno}: {exc}") from exc
-    tsv.check_rows(_MANIFEST_HEADER, rows)
+    text = tsv.table_text(_MANIFEST_HEADER, rows)
     (directory / "docs").mkdir(parents=True, exist_ok=True)
     for doc, (*_, rel) in zip(manifest, rows):
         tsv.write_text(directory / rel, doc.clean)
-    tsv.write_rows(directory / MANIFEST_NAME, _MANIFEST_HEADER, rows)
+    tsv.write_text(directory / MANIFEST_NAME, text)
 
 
 def load_corpus(directory: str | Path) -> CorpusManifest:
@@ -165,9 +174,9 @@ def load_corpus(directory: str | Path) -> CorpusManifest:
 
     Raises InputError when the manifest file cannot be read, and
     DataFormatError on a repeated id or uri, a bad kind, or a document
-    file that is missing or not a regular file. Iterating raises
-    DataFormatError on a document that is not UTF-8, and InputError on
-    one that can no longer be read.
+    file that is outside the directory, missing or not a regular file.
+    Iterating raises DataFormatError on a document that is not UTF-8,
+    and InputError on one that can no longer be read.
     """
     directory = Path(directory)
     root = str(directory)

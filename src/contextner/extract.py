@@ -121,11 +121,11 @@ def instance_index(examples: Iterable[LearningExample]) -> InstanceIndex:
     same words, the first-listed one is kept.
     """
     by_words: dict[tuple[str, ...], LearningExample] = {}
-    for ex in examples:
-        by_words.setdefault(tokenize(ex.surface).words, ex)
+    for example in examples:
+        by_words.setdefault(tokenize(example.surface).words, example)
     entries: dict[str, list[tuple[int, tuple[str, ...], LearningExample]]] = {}
-    for words, ex in by_words.items():
-        entries.setdefault(words[0], []).append((len(words), words, ex))
+    for words, example in by_words.items():
+        entries.setdefault(words[0], []).append((len(words), words, example))
     return {
         first: tuple(sorted(group, key=lambda entry: -entry[0]))
         for first, group in entries.items()

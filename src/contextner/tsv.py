@@ -71,12 +71,6 @@ def _lines(header: list[str], rows: Iterable[Sequence[Field]]) -> Iterator[str]:
         yield line
 
 
-def check_rows(header: list[str], rows: Iterable[Sequence[Field]]) -> None:
-    """Raise where write_rows would reject one of `rows`, writing nothing."""
-    for _line in _lines(header, rows):
-        pass
-
-
 def _replace(path: str | Path, write: Callable[[TextIO], None]) -> None:
     """Replace the file `path` names whole with what `write` writes to it.
 
@@ -122,7 +116,8 @@ def write_text(path: str | Path | None, text: str) -> None:
 
 def table_text(header: list[str], rows: Iterable[Sequence[Field]]) -> str:
     """The text write_rows writes for header + rows, checked as it does:
-    for a table written to more than one place by write_text."""
+    for a table that must be checked before other files are written, or
+    that is written to more than one place, by write_text."""
     return "".join(_lines(header, rows))
 
 

@@ -121,10 +121,12 @@ _Scanned = tuple[str, WordSequence, dict[int, str], list[tuple[str, ...]]]
 
 def _example_contexts(
     corpus: CorpusManifest, examples: list[LearningExample], context_len: int, side: str
-) -> Iterator[_Scanned]:
-    """The per-document scan that weigh and growth read.
+) -> tuple[int, Iterator[_Scanned]]:
+    """The per-document scan that weigh and growth read, and the number
+    of distinct examples it looks for: examples that give the same words
+    are one, as in instance_index.
 
-    Checks the examples and settings at once, then yields, as each
+    Checks the examples and settings at once. The scan yields, as each
     document in corpus order is reached, its source and words, every
     example occurrence's surface keyed by its context anchor (an
     instance's first word for left contexts, its last for right), and
@@ -155,7 +157,7 @@ def _example_contexts(
                 contexts.append(words[window[0] : window[1]])
         return doc.source, seq, surfaces, contexts
 
-    return map(scan, corpus)
+    return sum(map(len, index.values())), map(scan, corpus)
 
 
 def collect_context_stats(
@@ -180,7 +182,6 @@ def collect_context_stats(
     second pass's example-adjacent counts: it hits each example
     occurrence that has a context once, at its own anchor.
     """
-    examples = list(examples)
     contexts: set[tuple[str, ...]] = set()
     vocabulary: dict[str, str] = {}
 
@@ -194,7 +195,7 @@ def collect_context_stats(
 
     # starmap holds no document after keep returns, so the next one is
     # read and split while only the kept form of the last one is alive.
-    scan = _example_contexts(corpus, examples, context_len, side)
+    n_examples, scan = _example_contexts(corpus, list(examples), context_len, side)
     analyzed = list(starmap(keep, scan))
 
     ordered = sorted(contexts)
@@ -232,12 +233,7 @@ def collect_context_stats(
         )
         for i, words in enumerate(ordered)
     ]
-    totals = GlobalStats(
-        total_with_examples=sum(with_examples),
-        # Examples that give the same words are one, as in instance_index.
-        n_examples=len({tokenize(ex.surface).words for ex in examples}),
-    )
-    return stats, totals
+    return stats, GlobalStats(total_with_examples=sum(with_examples), n_examples=n_examples)
 
 
 class GrowthPoint(NamedTuple):
@@ -277,7 +273,7 @@ def growth_curve(
             f"growth step {steps[-1]} exceeds corpus size {len(corpus)}"
         )
 
-    scan = _example_contexts(corpus, list(examples), context_len, side)
+    _n_examples, scan = _example_contexts(corpus, list(examples), context_len, side)
     points: list[GrowthPoint] = []
     occurrences = 0
     contexts: set[tuple[str, ...]] = set()

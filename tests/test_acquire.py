@@ -115,6 +115,26 @@ def test_fixture_client_accepts_one_file_written_two_ways(tmp_path):
     assert client.fetch("http://a.example/p") == (b"Hotels in Paris.", "plain")
 
 
+@pytest.mark.parametrize("file_name", ["../outside.txt", "{outside}"], ids=["up", "absolute"])
+def test_fixture_client_rejects_a_file_outside_its_directory(tmp_path, file_name):
+    outside = tmp_path / "outside.txt"
+    outside.write_bytes(b"Hotels in Paris.")
+    file_name = file_name.format(outside=outside)
+    write_fixture(
+        tmp_path / "fix",
+        [
+            ["Paris", "http://a.example/p", "p.txt"],
+            ["Paris", "http://b.example/o", file_name],
+        ],
+        {"p.txt": b"x"},
+    )
+    with pytest.raises(DataFormatError) as info:
+        FixtureClient(tmp_path / "fix")
+    assert str(info.value) == (
+        f"{tmp_path / 'fix' / 'queries.tsv'}:3: file {file_name!r} is outside its directory"
+    )
+
+
 def test_fixture_client_reports_empty_field_line(tmp_path):
     write_fixture(
         tmp_path,

@@ -576,6 +576,37 @@ def test_document_that_is_not_utf8_exits_4(
     )
 
 
+def test_manifest_file_outside_the_corpus_exits_4(tmp_path, capsys, capital_examples):
+    (tmp_path / "outside.txt").write_text("Hotels in Paris.", encoding="utf-8")
+    corpus_dir = saved_corpus(tmp_path, "corpus", "Hotels in Quito.")
+    manifest = Path(corpus_dir) / "manifest.tsv"
+    manifest.write_text(
+        manifest.read_text(encoding="utf-8").replace("docs/d00.txt", "../outside.txt"),
+        encoding="utf-8",
+    )
+    output = tmp_path / "table.tsv"
+    assert cli.main(["weigh", capital_examples, corpus_dir, "--output", str(output)]) == 4
+    assert capsys.readouterr().err == (
+        f"error: {manifest}:2: file '../outside.txt' is outside its directory\n"
+    )
+    assert not output.exists()
+
+
+def test_fixture_file_outside_its_directory_exits_4(tmp_path, capsys, capital_examples):
+    (tmp_path / "outside.txt").write_text("Hotels in Paris.", encoding="utf-8")
+    fixtures = write_fixture(
+        tmp_path / "fixtures", [("Paris", "http://a.example/p1", "../outside.txt")], {}
+    )
+    corpus_dir = tmp_path / "corpus"
+    code = cli.main(["acquire", capital_examples, str(corpus_dir), "--fixtures", fixtures])
+    assert code == 4
+    assert capsys.readouterr().err == (
+        f"error: {Path(fixtures) / 'queries.tsv'}:2:"
+        " file '../outside.txt' is outside its directory\n"
+    )
+    assert not corpus_dir.exists()
+
+
 @pytest.mark.parametrize("command", ["weigh", "recognize"])
 def test_last_document_not_utf8_replaces_no_output(
     tmp_path, capsys, capital_examples, trained_model_dir, command

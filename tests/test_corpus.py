@@ -248,6 +248,24 @@ def test_load_rejects_an_id_holding_a_path_separator(tmp_path, doc_id):
     assert str(info.value) == f"{manifest}:3: document id {doc_id!r} holds a path separator"
 
 
+@pytest.mark.parametrize(
+    "rel",
+    ["../outside.txt", "docs/../../outside.txt", "{outside}"],
+    ids=["up", "down-up", "absolute"],
+)
+def test_load_rejects_a_file_outside_the_corpus(tmp_path, rel):
+    outside = tmp_path / "outside.txt"
+    outside.write_text("Hotels in Lima.", encoding="utf-8")
+    manifest = saved_manifest(tmp_path / "corpus", make_doc("a", "x"))
+    rel = rel.format(outside=outside)
+    manifest.write_text(
+        manifest.read_text(encoding="utf-8").replace("docs/a.txt", rel), encoding="utf-8"
+    )
+    with pytest.raises(DataFormatError) as info:
+        load_corpus(tmp_path / "corpus")
+    assert str(info.value) == f"{manifest}:2: file {rel!r} is outside its directory"
+
+
 def test_load_reads_crlf_files_as_before(tmp_path):
     manifest = saved_manifest(tmp_path, make_doc("a", "Hotels in Paris.\nMap of Rome.\n"))
     for path in (manifest, tmp_path / "docs" / "a.txt"):

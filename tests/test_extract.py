@@ -370,7 +370,7 @@ def test_extraction_and_scan_apply_one_window_rule():
         examples = [LearningExample(surface, "c") for surface in surfaces]
         for side in (LEFT, RIGHT):
             for length in (1, 2, 3):
-                scan = _example_contexts(corpus, examples, length, side)
+                _n_examples, scan = _example_contexts(corpus, examples, length, side)
                 for _source, tok, anchors, kept in scan:
                     found = []
                     for anchor in anchors:

@@ -148,6 +148,11 @@ def test_command_does_not_load_html_parser(command_loads, command):
     assert not command_loads[command] & {"html.parser", "_markupbase"}
 
 
+def test_acquire_loads_no_html_for_pages_without_a_character_reference(command_loads):
+    # Neither fixture page holds a `&`, so no text run is decoded.
+    assert not command_loads["acquire"] & {"html", "html.entities"}
+
+
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_command_does_not_load_thread_pools_or_logging(command_loads, command):
     # Acquire fetches in order on the calling thread.
