@@ -10,6 +10,7 @@ a corpus.
 
 from __future__ import annotations
 
+import os
 import re
 from abc import ABC, abstractmethod
 from pathlib import Path
@@ -23,6 +24,7 @@ from .corpus import (
     Document,
     check_inside,
     normalize_source,
+    stored_file,
 )
 from .errors import DataFormatError, InputError, PipelineError
 from .seeds import LearningExample
@@ -68,7 +70,8 @@ class FixtureClient(SearchClient):
     The directory's queries.tsv maps query strings to URIs and local
     files (columns: query, uri, file). Results keep file order; a URI
     listed with two different files, or with a file outside the
-    directory (see check_inside), is rejected up front.
+    directory (see check_inside), is rejected up front. A file that is
+    missing, or that stored_file refuses, is a fetch failure.
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -76,11 +79,14 @@ class FixtureClient(SearchClient):
         self._results: dict[str, list[str]] = {}
         # uri -> file name as first written, joined to the directory on fetch.
         self._files: dict[str, str] = {}
+        checked: set[str] = set()
 
         def parse(query, uri, file_name):
             if not query or not uri or not file_name:
                 raise ValueError("empty field")
-            check_inside(file_name)
+            if file_name not in checked:
+                check_inside(file_name)
+                checked.add(file_name)
             known = self._files.setdefault(uri, file_name)
             if known != file_name and self.directory / known != self.directory / file_name:
                 raise ValueError(f"uri {uri!r} mapped to conflicting files")
@@ -95,12 +101,14 @@ class FixtureClient(SearchClient):
         file_name = self._files.get(uri)
         if file_name is None:
             raise ClientError(f"unknown uri: {uri}")
-        path = self.directory / file_name
         try:
-            raw = path.read_bytes()
-        except OSError as exc:
-            raise ClientError(f"cannot read {path}: {exc}") from exc
-        kind = MARKUP if path.suffix.lower() in _MARKUP_SUFFIXES else PLAIN
+            path = stored_file(self.directory, file_name)
+            raw = tsv.read_bytes(path)
+        except OSError as exc:  # nothing at the name
+            raise ClientError(f"cannot read {exc.filename}: {exc}") from exc
+        except (ValueError, InputError) as exc:
+            raise ClientError(str(exc)) from exc
+        kind = MARKUP if os.path.splitext(path)[1].lower() in _MARKUP_SUFFIXES else PLAIN
         return raw, kind
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path, PurePosixPath
+from stat import S_ISREG
 from typing import Callable, Iterable, Iterator, NamedTuple
 from urllib.parse import urlsplit
 
@@ -114,11 +115,25 @@ def check_inside(file_name: str) -> None:
         raise ValueError(f"file {file_name!r} is outside its directory")
 
 
+def stored_file(directory: str | Path, file_name: str) -> str:
+    """`directory` joined to `file_name`, a name that a manifest, fixture
+    index or model index gives: the one guard before such a file is read.
+    Raises ValueError when the name leads outside the directory (see
+    check_inside) or to anything but a regular file, such as a symbolic
+    link, a FIFO or a directory; and os.lstat's OSError, for the caller
+    to word, when nothing is there."""
+    check_inside(file_name)
+    path = os.path.join(directory, file_name)
+    if not S_ISREG(os.lstat(path).st_mode):
+        raise ValueError(f"file {file_name!r} is not a regular file")
+    return path
+
+
 def _manifest_row_check() -> Callable[[str, str, str, str, str], None]:
     """A check for manifest rows in order: it raises ValueError on an
-    empty field, an unknown kind, an id holding a path separator, a file
-    outside the corpus directory (see check_inside), or an id or uri an
-    earlier row holds."""
+    empty field, an unknown kind, an id holding a path separator, or an
+    id or uri an earlier row holds. load_corpus checks the file with
+    stored_file; save_corpus writes `docs/<id>.txt`, always inside."""
     seen_ids: set[str] = set()
     seen_uris: set[str] = set()
 
@@ -135,7 +150,6 @@ def _manifest_row_check() -> Callable[[str, str, str, str, str], None]:
         seen_uris.add(uri)
         if kind not in (PLAIN, MARKUP):
             raise ValueError(f"unknown kind {kind!r}")
-        check_inside(rel)
 
     return check
 
@@ -174,7 +188,7 @@ def load_corpus(directory: str | Path) -> CorpusManifest:
 
     Raises InputError when the manifest file cannot be read, and
     DataFormatError on a repeated id or uri, a bad kind, or a document
-    file that is outside the directory, missing or not a regular file.
+    file that is missing or that stored_file refuses.
     Iterating raises DataFormatError on a document that is not UTF-8,
     and InputError on one that can no longer be read.
     """
@@ -184,10 +198,10 @@ def load_corpus(directory: str | Path) -> CorpusManifest:
 
     def parse(doc_id, source, uri, kind, rel):
         check(doc_id, source, uri, kind, rel)
-        doc_path = os.path.join(root, rel)
-        # Only a regular file: reading a FIFO would block.
-        if not os.path.isfile(doc_path):
-            raise ValueError(f"missing document file {rel!r}")
+        try:
+            doc_path = stored_file(root, rel)
+        except OSError:
+            raise ValueError(f"missing document file {rel!r}") from None
         return StoredDocument(id=doc_id, source=source, uri=uri, kind=kind, path=doc_path)
 
     return CorpusManifest(tsv.read_rows(directory / MANIFEST_NAME, _MANIFEST_HEADER, parse))

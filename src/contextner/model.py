@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from . import tsv
+from .corpus import stored_file
 from .errors import DataFormatError
 from .extract import LEFT, ContextKey
 from .seeds import check_class_label
@@ -82,7 +83,8 @@ _Index = tuple[dict[str, str], tuple[float, float]]
 def _read_index(index_path: Path) -> _Index:
     """A model index as class -> table file, in line order, plus the
     threshold and margin its lines share ((0, 0) when it has none). Every
-    check on an index is here, so weigh and recognize reject the same files."""
+    check on an index is here, so weigh and recognize reject the same files;
+    a table file must be a bare name that stored_file accepts."""
     entries: dict[str, str] = {}
     shared: set[tuple[float, float]] = set()
 
@@ -92,9 +94,10 @@ def _read_index(index_path: Path) -> _Index:
             raise ValueError(f"duplicate class {label!r}")
         if table_file in (".", "..") or "/" in table_file or "\\" in table_file:
             raise ValueError(f"table file {table_file!r} is not a bare file name")
-        table_path = index_path.parent / table_file
-        if not table_path.is_file():
-            raise ValueError(f"table file not found: {table_path}")
+        try:
+            stored_file(index_path.parent, table_file)
+        except OSError as exc:
+            raise ValueError(f"table file not found: {exc.filename}") from None
         theta, delta = float(theta), float(delta)
         if not (theta >= 0 and delta >= 0):
             raise ValueError("threshold and margin must be non-negative")

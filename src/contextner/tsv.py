@@ -141,17 +141,24 @@ def not_utf8(exc: UnicodeDecodeError, source: str | Path | None = None) -> DataF
     return DataFormatError(f"{where}not valid UTF-8 ({exc.reason} at byte {exc.start})")
 
 
-def read_text(path: str | Path) -> str:
-    """Read a UTF-8 file, with "\r\n" and "\r" read as "\n". One that
-    cannot be read (missing, a directory, unreadable) is an InputError
-    naming it; one that is not UTF-8 is reported by not_utf8."""
+def read_bytes(path: str | Path) -> bytes:
+    """The bytes of a file. One that cannot be read (missing, a
+    directory, unreadable) is an InputError naming it."""
     try:
         with open(path, "rb") as file:
-            text = file.read().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise not_utf8(exc, path)
+            return file.read()
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror}") from exc
+
+
+def read_text(path: str | Path) -> str:
+    """Read a UTF-8 file, with "\r\n" and "\r" read as "\n". One that
+    cannot be read is reported by read_bytes; one that is not UTF-8 by
+    not_utf8."""
+    try:
+        text = read_bytes(path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise not_utf8(exc, path)
     # One replacement at a time, so that at most two copies of the text
     # are held at once, as text mode holds the bytes and the text.
     if "\r" in text:

@@ -18,6 +18,7 @@ from contextner.acquire import (
     acquire,
     build_queries,
 )
+from contextner.corpus import load_corpus
 from contextner.errors import DataFormatError, InputError
 from contextner.seeds import LearningExample
 
@@ -194,6 +195,62 @@ def test_acquire_records_dead_links(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"fetch failed for http://gone.example/x: {failure.error}\n1 fetches failed\n"
     )
+
+
+@pytest.mark.parametrize("make", ["fifo", "link"])
+def test_a_fixture_page_that_is_not_a_regular_file_is_a_fetch_failure(tmp_path, make):
+    # Run as a child under a timeout: opening a FIFO for reading would
+    # block until a writer comes, so a regression fails instead of stalling.
+    root = tmp_path / "fix"
+    write_fixture(
+        root,
+        [
+            ["Paris", "http://a.example/p1", "p1.txt"],
+            ["Paris", "http://b.example/x", "x.html"],
+        ],
+        {"p1.txt": b"Hotels in Paris."},
+    )
+    if make == "fifo":
+        os.mkfifo(root / "x.html")
+    else:
+        (tmp_path / "outside.html").write_bytes(b"Map of Paris.")
+        (root / "x.html").symlink_to(tmp_path / "outside.html")
+    examples = tmp_path / "examples.tsv"
+    examples.write_text("surface\tclass\nParis\tcapital\n", encoding="utf-8")
+    corpus_dir = tmp_path / "corpus"
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "contextner", "acquire", str(examples), str(corpus_dir),
+         "--fixtures", str(root)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (
+        0,
+        "fetch failed for http://b.example/x: file 'x.html' is not a regular file\n"
+        "1 fetches failed\n",
+    )
+    assert [doc.uri for doc in load_corpus(corpus_dir)] == ["http://a.example/p1"]
+
+
+def test_fixture_client_checks_each_file_name_once(tmp_path, monkeypatch):
+    checked = []
+    monkeypatch.setattr("contextner.acquire.check_inside", checked.append)
+    write_fixture(
+        tmp_path,
+        [
+            ["Paris", "http://a.example/p", "p.txt"],
+            ["Paris", "http://b.example/p", "p.txt"],
+            ["Tunis", "http://a.example/p", "p.txt"],
+            ["Tunis", "http://c.example/t", "t.txt"],
+            ["Rome", "http://c.example/t", "t.txt"],
+        ],
+        {"p.txt": b"x", "t.txt": b"y"},
+    )
+    FixtureClient(tmp_path)
+    assert checked == ["p.txt", "t.txt"]
 
 
 @pytest.mark.parametrize(

@@ -607,6 +607,21 @@ def test_fixture_file_outside_its_directory_exits_4(tmp_path, capsys, capital_ex
     assert not corpus_dir.exists()
 
 
+def test_a_linked_document_exits_4(tmp_path, capsys, capital_examples):
+    (tmp_path / "outside.txt").write_text("Hotels in Paris.", encoding="utf-8")
+    corpus_dir = saved_corpus(tmp_path, "corpus", "Hotels in Quito.")
+    doc_path = Path(corpus_dir) / "docs" / "d00.txt"
+    doc_path.unlink()
+    doc_path.symlink_to(tmp_path / "outside.txt")
+    output = tmp_path / "table.tsv"
+    assert cli.main(["weigh", capital_examples, corpus_dir, "--output", str(output)]) == 4
+    assert capsys.readouterr().err == (
+        f"error: {Path(corpus_dir) / 'manifest.tsv'}:2:"
+        " file 'docs/d00.txt' is not a regular file\n"
+    )
+    assert not output.exists()
+
+
 @pytest.mark.parametrize("command", ["weigh", "recognize"])
 def test_last_document_not_utf8_replaces_no_output(
     tmp_path, capsys, capital_examples, trained_model_dir, command
@@ -686,14 +701,32 @@ def test_bad_model_index_line_exits_4_in_weigh_and_recognize(
 ):
     index = tmp_path / "model" / "model.tsv"
     index.write_text(index.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+    message = message.format(model=trained_model_dir)
+    assert_bad_model_exits_4(tmp_path, capsys, trained_model_dir, message)
+
+
+def test_a_linked_model_table_exits_4_in_weigh_and_recognize(
+    tmp_path, capsys, trained_model_dir
+):
+    table = Path(trained_model_dir) / "table_capital.tsv"
+    table.rename(tmp_path / "outside.tsv")
+    table.symlink_to(tmp_path / "outside.tsv")
+    message = "file 'table_capital.tsv' is not a regular file"
+    assert_bad_model_exits_4(tmp_path, capsys, trained_model_dir, message)
+
+
+def assert_bad_model_exits_4(tmp_path, capsys, model_dir, message):
+    """recognize and `weigh --model-dir` both exit 4 naming the model
+    index's line 2, and weigh writes nothing."""
+    index = Path(model_dir) / "model.tsv"
     before = index.read_bytes()
-    expected = f"error: {index}:2: {message.format(model=trained_model_dir)}\n"
+    expected = f"error: {index}:2: {message}\n"
     corpus_dir = saved_corpus(tmp_path, "test", "Hotels in Quito.")
-    assert cli.main(["recognize", trained_model_dir, corpus_dir]) == 4
+    assert cli.main(["recognize", model_dir, corpus_dir]) == 4
     assert capsys.readouterr().err == expected
     examples = write_examples(tmp_path / "quito.tsv", ("Quito", "capital"))
     output = tmp_path / "t.tsv"
-    args = ["weigh", examples, corpus_dir, "--model-dir", trained_model_dir]
+    args = ["weigh", examples, corpus_dir, "--model-dir", model_dir]
     assert cli.main(args + ["--output", str(output)]) == 4
     assert capsys.readouterr().err == expected
     assert not output.exists()

@@ -304,7 +304,9 @@ def test_load_rejects_a_document_that_is_not_a_regular_file(tmp_path, replace):
     replace(doc_path)
     with pytest.raises(DataFormatError) as info:
         load_corpus(tmp_path)
-    assert str(info.value) == f"{tmp_path / 'manifest.tsv'}:2: missing document file 'docs/d1.txt'"
+    assert str(info.value) == (
+        f"{tmp_path / 'manifest.tsv'}:2: file 'docs/d1.txt' is not a regular file"
+    )
 
 
 def test_load_rejects_unknown_kind(tmp_path):
