@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import re
 from abc import ABC, abstractmethod
+from bisect import bisect_left
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
 
@@ -157,24 +158,26 @@ _MARKUP = "<(?:" + "|".join([
 ]) + ")"
 
 
-def _markup_text(raw: str) -> str:
-    """The text content of markup, with one space for each tag other than
-    script and style, and nothing for the rest of the markup.
+def _text_opens(raw: str) -> list[int]:
+    r"""The positions, in order, of every `<` in `raw` that opens nothing
+    `_MARKUP` matches, and that its scan would read on to the end of the
+    text to find so:
 
-    `_MARKUP` splits `raw` into text runs; each run's character
-    references are decoded on their own, by html.unescape, which is
-    imported only when some run holds a `&`.
+    - any `<` after the last `>`, since every piece of markup ends in one;
+    - a `<!--` that no comment end (`--`, whitespace and `>`) follows;
+    - a `<` and a letter whose tag scan ends at the end of the text.
 
-    Every piece of markup ends in a `>`, and a comment in `--`, spaces
-    and `>`, so a `<` after the last `>`, and a `<!--` that no comment
-    end follows, is text. The split would learn that for each such `<`
-    by reading on to the end of the text, which takes time quadratic in
-    their number; so they are first replaced by a character the text
-    does not hold, which nothing in `_MARKUP` reads apart from `<`, and
-    put back in the text runs.
+    A tag's name runs to the first of `\t\n\r\f />`, and its scan then to
+    the next `>` or `=`. A `>` closes the tag. An `=` resumes the scan
+    after its quoted value when whitespace and a quote that closes follow
+    it, and just after itself otherwise. So the scan from an `=` ends one
+    way whichever `<` reached it, and one pass from the right decides
+    each `=` once. A scan that fails before the last `>` skipped it
+    inside a quoted value, so that pass runs only when a quote follows
+    the last `>`.
     """
     text_from = raw.rfind(">") + 1
-    comments_from = text_from  # where the `<!--` that are text begin
+    opens = [m.start() for m in re.compile("<").finditer(raw, text_from)]
     comment_end = re.compile(_COMMENT_END)
     last_open = raw.rfind("<!--", 0, text_from)
     if last_open >= 0 and not comment_end.search(raw, last_open + 4):
@@ -182,15 +185,46 @@ def _markup_text(raw: str) -> str:
         for last_end in comment_end.finditer(raw):
             pass
         comments_from = max(last_end.start() - 3, 0) if last_end else 0
+        opens += [m.start() for m in re.compile("<!--").finditer(raw, comments_from, text_from)]
+    if raw.find('"', text_from) >= 0 or raw.find("'", text_from) >= 0:
+        events = [m.start() for m in re.compile("[>=]").finditer(raw, 0, text_from)]
+        closes = [False] * (len(events) + 1)  # and a scan with no event left fails
+        quote = re.compile(r"""\s*(["'])""")
+        for k in range(len(events) - 1, -1, -1):
+            at = events[k] + 1
+            if raw[at - 1] == ">":
+                closes[k] = True
+                continue
+            if (value := quote.match(raw, at)) and (end := raw.find(value[1], value.end())) >= 0:
+                at = end + 1
+            closes[k] = closes[bisect_left(events, at)]
+        name_end = -1
+        name_stop = re.compile(r"[\t\n\r\f />]")
+        for m in re.compile("<[a-zA-Z]").finditer(raw, 0, text_from):
+            if name_end < m.start():  # else this name ends where the last one did
+                name_end = name_stop.search(raw, m.end()).start()
+            if not closes[bisect_left(events, name_end)]:
+                opens.append(m.start())
+    return sorted(opens)
+
+
+def _markup_text(raw: str) -> str:
+    """The text content of markup, with one space for each tag other than
+    script and style, and nothing for the rest of the markup.
+
+    `_MARKUP` splits `raw` into text runs; each run's character
+    references are decoded on their own, by html.unescape, which is
+    imported only when some run holds a `&`. Each `<` that `_text_opens`
+    finds is first replaced by a character the text does not hold, which
+    nothing in `_MARKUP` reads apart from `<`, and put back in the text
+    runs, so that the split never reads on to the end of the text for it.
+    """
+    opens = _text_opens(raw)
     mark = None
-    if raw.find("<", text_from) >= 0 or raw.find("<!--", comments_from, text_from) >= 0:
+    if opens:
         held = set(raw)
         mark = next(c for c in map(chr, range(0xE000, 0x110000)) if c not in held)
-        raw = "".join([
-            raw[:comments_from],
-            raw[comments_from:text_from].replace("<!--", mark + "!--"),
-            raw[text_from:].replace("<", mark),
-        ])
+        raw = mark.join(raw[i + 1 : j] for i, j in zip([-1, *opens], [*opens, len(raw)]))
     parts = re.split(_MARKUP, raw)
     texts = parts[::2] if mark is None else [t.replace(mark, "<") for t in parts[::2]]
     if any("&" in text for text in texts):
@@ -205,19 +239,16 @@ def _markup_text(raw: str) -> str:
 def clean_text(raw: str | bytes, kind: str) -> str:
     """Produce the analyzable text of a document.
 
-    kind="plain": newline normalization only.
+    Bytes are decoded, and line breaks read, by tsv.decode.
+    kind="plain": nothing more.
     kind="markup": markup removed as `_markup_text` reads it (README,
     step 1), character references decoded, whitespace runs collapsed to
     single spaces. Never raises on text.
     Deterministic in both cases.
     """
-    if isinstance(raw, bytes):
-        try:
-            raw = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise tsv.not_utf8(exc)
+    raw = tsv.decode(raw)
     if kind == PLAIN:
-        return raw.replace("\r\n", "\n").replace("\r", "\n")
+        return raw
     if kind == MARKUP:
         return " ".join(_markup_text(raw).split())
     raise InputError(f"unknown document kind {kind!r}, expected 'plain' or 'markup'")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path, PurePosixPath
-from stat import S_ISREG
+from stat import S_ISDIR, S_ISREG
 from typing import Callable, Iterable, Iterator, NamedTuple
 from urllib.parse import urlsplit
 
@@ -119,13 +119,19 @@ def stored_file(directory: str | Path, file_name: str) -> str:
     """`directory` joined to `file_name`, a name that a manifest, fixture
     index or model index gives: the one guard before such a file is read.
     Raises ValueError when the name leads outside the directory (see
-    check_inside) or to anything but a regular file, such as a symbolic
-    link, a FIFO or a directory; and os.lstat's OSError, for the caller
-    to word, when nothing is there."""
+    check_inside), to anything but a regular file, such as a symbolic
+    link, a FIFO or a directory, or through a directory part that is not
+    a directory, such as a link to one; and os.lstat's OSError, for the
+    caller to word, when nothing is there."""
     check_inside(file_name)
     path = os.path.join(directory, file_name)
     if not S_ISREG(os.lstat(path).st_mode):
         raise ValueError(f"file {file_name!r} is not a regular file")
+    part = os.path.dirname(file_name)
+    while part:
+        if not S_ISDIR(os.lstat(os.path.join(directory, part)).st_mode):
+            raise ValueError(f"file {file_name!r} is under {part!r}, which is not a directory")
+        part = os.path.dirname(part)
     return path
 
 

@@ -151,20 +151,27 @@ def read_bytes(path: str | Path) -> bytes:
         raise InputError(f"{path}: {exc.strerror}") from exc
 
 
-def read_text(path: str | Path) -> str:
-    """Read a UTF-8 file, with "\r\n" and "\r" read as "\n". One that
-    cannot be read is reported by read_bytes; one that is not UTF-8 by
-    not_utf8."""
-    try:
-        text = read_bytes(path).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise not_utf8(exc, path)
+def decode(raw: bytes | str, source: str | Path | None = None) -> str:
+    """Text as every reader reads it: bytes decoded as UTF-8, and "\r\n"
+    and "\r" read as "\n". Bytes that are not UTF-8 are reported by
+    not_utf8, naming `source` when there is one."""
+    if isinstance(raw, bytes):
+        try:
+            raw = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise not_utf8(exc, source)
     # One replacement at a time, so that at most two copies of the text
     # are held at once, as text mode holds the bytes and the text.
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-        text = text.replace("\r", "\n")
-    return text
+    if "\r" in raw:
+        raw = raw.replace("\r\n", "\n")
+        raw = raw.replace("\r", "\n")
+    return raw
+
+
+def read_text(path: str | Path) -> str:
+    """Read a UTF-8 file as decode reads it. One that cannot be read is
+    reported by read_bytes."""
+    return decode(read_bytes(path), path)
 
 
 def read_rows(path: str | Path, header: list[str], parse: Callable[..., T]) -> list[T]:

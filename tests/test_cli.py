@@ -622,6 +622,22 @@ def test_a_linked_document_exits_4(tmp_path, capsys, capital_examples):
     assert not output.exists()
 
 
+def test_a_linked_document_directory_exits_4(tmp_path, capsys, capital_examples):
+    other = saved_corpus(tmp_path, "other", "Hotels in Paris.")
+    corpus_dir = saved_corpus(tmp_path, "corpus", "Hotels in Quito.")
+    docs = Path(corpus_dir) / "docs"
+    (docs / "d00.txt").unlink()
+    docs.rmdir()
+    docs.symlink_to(Path(other) / "docs")
+    output = tmp_path / "table.tsv"
+    assert cli.main(["weigh", capital_examples, corpus_dir, "--output", str(output)]) == 4
+    assert capsys.readouterr().err == (
+        f"error: {Path(corpus_dir) / 'manifest.tsv'}:2:"
+        " file 'docs/d00.txt' is under 'docs', which is not a directory\n"
+    )
+    assert not output.exists()
+
+
 @pytest.mark.parametrize("command", ["weigh", "recognize"])
 def test_last_document_not_utf8_replaces_no_output(
     tmp_path, capsys, capital_examples, trained_model_dir, command

@@ -114,12 +114,14 @@ def test_clean_text_markup_matches_oracle(text):
 
 
 # Pieces of constructs that may never close, so that many a `<` is text
-# and many a `>` or `--` comes after it, and private-use characters, which
-# the text may hold.
+# and many a `>` or `--` comes after it, tags whose `>` sits in a quoted
+# value, carriage returns, and private-use characters, which the text may
+# hold.
 UNCLOSED_PIECES = [
     "<", "<a ", "<b", "</", "</ a", "<!", "<!--", "<!-- ", "<!---->", "<!x", "<?",
     "<p>", "/>", "<script>", "<script ", "</script>", "<style>", "</STYLE >", ">", "-->", "--",
-    "-- >", "-", "=", " =", '"', "'", '="', "&amp", "&lt;", "x", " ", "\n", "\ue000", "\ue001",
+    "-- >", "-", "=", " =", '"', "'", '="', "= '", '= "', '<a x=">"', "<a x='>' ",
+    "&amp", "&lt;", "x", " ", "\n", "\r", "\r\n", "\ue000", "\ue001",
 ]
 
 
@@ -135,13 +137,16 @@ def test_markup_matches_oracle_on_unclosed_constructs(text):
         ("<a " * 10_000, "<a " * 9_999 + "<a"),
         ("<!--" * 7_500, "<!--" * 7_500),
         ("<a x" + " =" * 15_000 + ">", ""),
+        ('<a x=">"' * 4_000, '<a x=">"' * 4_000),
+        ("<a x='>' " * 3_600, ("<a x='>' " * 3_600).rstrip()),
     ],
-    ids=["<a ", "<!--", " ="],
+    ids=["<a ", "<!--", " =", '<a x=">"', "<a x='>' "],
 )
 def test_unclosed_constructs_clean_in_linear_time(raw, text):
     # Each `<` once scanned on to the end of the text, and in a tag each
     # `=` of a run once re-read the rest of the run: 30 KB of these took
-    # seconds, and four times as long for twice as many.
+    # seconds, and four times as long for twice as many. In the last two,
+    # every later `>` of each tag is inside a quoted value.
     start = time.perf_counter()
     assert clean_text(raw, "markup") == text
     assert time.perf_counter() - start < 1.0
@@ -160,10 +165,13 @@ def test_unclosed_constructs_clean_in_linear_time(raw, text):
         ("&amp<!---->;", "&;"),
         ("a<![foo[ x ]]>b", "ab"),
         ("a <![ x", "a <![ x"),
+        ('a <a x=">"', 'a <a x=">"'),
+        ('<a x=">" b>c', "c"),
     ],
     ids=[
         "open comment", "open tag", "open script", "empty end tag", "end tag after space",
         "quoted >", "cdata", "runs unescaped apart", "marked section", "open marked section",
+        "open tag with quoted >", "tag with quoted >",
     ],
 )
 def test_clean_text_markup_edge_cases(raw, expected):
