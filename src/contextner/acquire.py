@@ -18,17 +18,10 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
 
 from . import tsv
-from .corpus import (
-    MARKUP,
-    PLAIN,
-    CorpusManifest,
-    Document,
-    check_inside,
-    normalize_source,
-    stored_file,
-)
+from .corpus import MARKUP, PLAIN, CorpusManifest, Document, normalize_source
 from .errors import DataFormatError, InputError, PipelineError
 from .seeds import LearningExample
+from .tsv import check_inside
 
 try:  # the interpreter's own SHA-1; hashlib would load OpenSSL for it
     from _sha1 import sha1
@@ -71,8 +64,9 @@ class FixtureClient(SearchClient):
     The directory's queries.tsv maps query strings to URIs and local
     files (columns: query, uri, file). Results keep file order; a URI
     listed with two different files, or with a file outside the
-    directory (see check_inside), is rejected up front. A file that is
-    missing, or that stored_file refuses, is a fetch failure.
+    directory (see tsv.check_inside), is rejected up front, as is a
+    queries.tsv that tsv.stored_file refuses. A file that is missing, or
+    that tsv.stored_file refuses, is a fetch failure.
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -93,7 +87,8 @@ class FixtureClient(SearchClient):
                 raise ValueError(f"uri {uri!r} mapped to conflicting files")
             self._results.setdefault(query, []).append(uri)
 
-        tsv.read_rows(self.directory / "queries.tsv", QUERIES_HEADER, parse)
+        index, _ = tsv.stored_entry(self.directory, "queries.tsv")
+        tsv.read_rows(index, QUERIES_HEADER, parse)
 
     def search(self, query: str) -> list[str]:
         return self._results.get(query, [])
@@ -103,7 +98,7 @@ class FixtureClient(SearchClient):
         if file_name is None:
             raise ClientError(f"unknown uri: {uri}")
         try:
-            path = stored_file(self.directory, file_name)
+            path = tsv.stored_file(self.directory, file_name)
             raw = tsv.read_bytes(path)
         except OSError as exc:  # nothing at the name
             raise ClientError(f"cannot read {exc.filename}: {exc}") from exc

@@ -78,10 +78,8 @@ def cmd_acquire(args: argparse.Namespace) -> int:
     single_class(examples)
     queries = build_queries(examples, args.query_suffix)
     corpus_dir = Path(args.corpus_dir)
-    if (corpus_dir / MANIFEST_NAME).is_file():
-        existing = load_corpus(corpus_dir)
-    else:
-        existing = CorpusManifest([])
+    _, present = tsv.stored_entry(corpus_dir, MANIFEST_NAME)
+    existing = load_corpus(corpus_dir) if present else CorpusManifest([])
     client = FixtureClient(args.fixtures)
     result = acquire(client, queries, existing, max_results=args.max_results)
     for failure in result.failures:

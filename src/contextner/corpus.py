@@ -8,9 +8,7 @@ Documents are immutable after load and safe to share across threads.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path, PurePosixPath
-from stat import S_ISDIR, S_ISREG
 from typing import Callable, Iterable, Iterator, NamedTuple
 from urllib.parse import urlsplit
 
@@ -108,38 +106,11 @@ class CorpusManifest(Record):
             yield doc.read() if isinstance(doc, StoredDocument) else doc
 
 
-def check_inside(file_name: str) -> None:
-    """Raise ValueError unless `file_name`, joined to a directory, names a
-    file inside it: it may be neither absolute nor hold a `..` part."""
-    if file_name.startswith("/") or (".." in file_name and ".." in file_name.split("/")):
-        raise ValueError(f"file {file_name!r} is outside its directory")
-
-
-def stored_file(directory: str | Path, file_name: str) -> str:
-    """`directory` joined to `file_name`, a name that a manifest, fixture
-    index or model index gives: the one guard before such a file is read.
-    Raises ValueError when the name leads outside the directory (see
-    check_inside), to anything but a regular file, such as a symbolic
-    link, a FIFO or a directory, or through a directory part that is not
-    a directory, such as a link to one; and os.lstat's OSError, for the
-    caller to word, when nothing is there."""
-    check_inside(file_name)
-    path = os.path.join(directory, file_name)
-    if not S_ISREG(os.lstat(path).st_mode):
-        raise ValueError(f"file {file_name!r} is not a regular file")
-    part = os.path.dirname(file_name)
-    while part:
-        if not S_ISDIR(os.lstat(os.path.join(directory, part)).st_mode):
-            raise ValueError(f"file {file_name!r} is under {part!r}, which is not a directory")
-        part = os.path.dirname(part)
-    return path
-
-
 def _manifest_row_check() -> Callable[[str, str, str, str, str], None]:
     """A check for manifest rows in order: it raises ValueError on an
     empty field, an unknown kind, an id holding a path separator, or an
-    id or uri an earlier row holds. load_corpus checks the file with
-    stored_file; save_corpus writes `docs/<id>.txt`, always inside."""
+    id or uri an earlier row holds. The file is checked by tsv.stored_file
+    in load_corpus and by tsv.writable in save_corpus."""
     seen_ids: set[str] = set()
     seen_uris: set[str] = set()
 
@@ -164,8 +135,9 @@ def save_corpus(manifest: CorpusManifest, directory: str | Path) -> None:
     """Write manifest.tsv plus one cleaned-text file per document.
 
     Every row is checked as load_corpus checks it, and a fault raises
-    DataFormatError naming the manifest line, before any file is written.
-    Each stored document's text is read once, just before it is written.
+    DataFormatError naming the manifest line, before any file is written;
+    so is every file written, by tsv.writable. Each stored
+    document's text is read once, just before it is written.
     """
     directory = Path(directory)
     rows = [
@@ -179,10 +151,10 @@ def save_corpus(manifest: CorpusManifest, directory: str | Path) -> None:
         except ValueError as exc:
             raise DataFormatError(f"{directory / MANIFEST_NAME}:{lineno}: {exc}") from exc
     text = tsv.table_text(_MANIFEST_HEADER, rows)
-    (directory / "docs").mkdir(parents=True, exist_ok=True)
-    for doc, (*_, rel) in zip(manifest, rows):
-        tsv.write_text(directory / rel, doc.clean)
-    tsv.write_text(directory / MANIFEST_NAME, text)
+    *doc_paths, index = tsv.writable(directory, [*(rel for *_, rel in rows), MANIFEST_NAME])
+    for doc, path in zip(manifest, doc_paths):
+        tsv.write_text(path, doc.clean)
+    tsv.write_text(index, text)
 
 
 def load_corpus(directory: str | Path) -> CorpusManifest:
@@ -193,8 +165,9 @@ def load_corpus(directory: str | Path) -> CorpusManifest:
     to be UTF-8, when iteration reaches it.
 
     Raises InputError when the manifest file cannot be read, and
-    DataFormatError on a repeated id or uri, a bad kind, or a document
-    file that is missing or that stored_file refuses.
+    DataFormatError on a manifest or document file that tsv.stored_file
+    refuses, on a repeated id or uri, a bad kind, or a missing document
+    file.
     Iterating raises DataFormatError on a document that is not UTF-8,
     and InputError on one that can no longer be read.
     """
@@ -205,9 +178,10 @@ def load_corpus(directory: str | Path) -> CorpusManifest:
     def parse(doc_id, source, uri, kind, rel):
         check(doc_id, source, uri, kind, rel)
         try:
-            doc_path = stored_file(root, rel)
+            doc_path = tsv.stored_file(root, rel)
         except OSError:
             raise ValueError(f"missing document file {rel!r}") from None
         return StoredDocument(id=doc_id, source=source, uri=uri, kind=kind, path=doc_path)
 
-    return CorpusManifest(tsv.read_rows(directory / MANIFEST_NAME, _MANIFEST_HEADER, parse))
+    index, _ = tsv.stored_entry(root, MANIFEST_NAME)
+    return CorpusManifest(tsv.read_rows(index, _MANIFEST_HEADER, parse))

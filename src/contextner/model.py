@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from . import tsv
-from .corpus import stored_file
 from .errors import DataFormatError
 from .extract import LEFT, ContextKey
 from .seeds import check_class_label
@@ -80,11 +79,12 @@ def _table_file_name(label: str) -> str:
 _Index = tuple[dict[str, str], tuple[float, float]]
 
 
-def _read_index(index_path: Path) -> _Index:
-    """A model index as class -> table file, in line order, plus the
-    threshold and margin its lines share ((0, 0) when it has none). Every
-    check on an index is here, so weigh and recognize reject the same files;
-    a table file must be a bare name that stored_file accepts."""
+def _read_index(directory: Path) -> _Index:
+    """A model directory's index as class -> table file, in line order,
+    plus the threshold and margin its lines share ((0, 0) when it has
+    none). Every check on an index is here, so weigh and recognize reject
+    the same files; model.tsv and each table file must be entries that
+    tsv.stored_file accepts, a table file a bare name."""
     entries: dict[str, str] = {}
     shared: set[tuple[float, float]] = set()
 
@@ -95,7 +95,7 @@ def _read_index(index_path: Path) -> _Index:
         if table_file in (".", "..") or "/" in table_file or "\\" in table_file:
             raise ValueError(f"table file {table_file!r} is not a bare file name")
         try:
-            stored_file(index_path.parent, table_file)
+            tsv.stored_file(directory, table_file)
         except OSError as exc:
             raise ValueError(f"table file not found: {exc.filename}") from None
         theta, delta = float(theta), float(delta)
@@ -106,19 +106,33 @@ def _read_index(index_path: Path) -> _Index:
             raise ValueError("threshold/margin disagree across classes")
         entries[label] = table_file
 
-    tsv.read_rows(index_path, MODEL_HEADER, parse)
+    index, _ = tsv.stored_entry(directory, MODEL_FILE)
+    tsv.read_rows(index, MODEL_HEADER, parse)
     return entries, next(iter(shared), (0.0, 0.0))
+
+
+def _new_table_file(entries: dict[str, str], label: str) -> str:
+    """The file update_model writes a class's new table to: the one of
+    table_<class>.tsv and table_<class>+.tsv ('+' is no label character)
+    that the index does not name for it."""
+    file_name = _table_file_name(label)
+    return f"table_{label}+.tsv" if entries.get(label) == file_name else file_name
 
 
 def check_model_update(directory: str | Path, label: str) -> _Index:
     """The directory's stored index, for update_model ((no classes, 0, 0)
     when it has no model.tsv). Raises where update_model would reject
-    this class label or that index, so a caller can check before it
-    builds the table: DataFormatError on a bad label or index, and
-    InputError on a model.tsv that cannot be read, such as a directory."""
+    this class label, that index or a file it would write, so a caller
+    can check before it builds the table: DataFormatError on a bad label
+    or index, or on model.tsv or the new table's file being an entry that
+    tsv.stored_file refuses, and InputError on a model.tsv that cannot be
+    read."""
+    directory = Path(directory)
     _table_file_name(label)
-    index_path = Path(directory) / MODEL_FILE
-    return _read_index(index_path) if index_path.exists() else ({}, (0.0, 0.0))
+    _, present = tsv.stored_entry(directory, MODEL_FILE)
+    index = _read_index(directory) if present else ({}, (0.0, 0.0))
+    tsv.stored_entry(directory, _new_table_file(index[0], label))
+    return index
 
 
 def update_model(
@@ -139,23 +153,21 @@ def update_model(
     the stored (or zero) values stay on every row.
 
     Replacing model.tsv is the one commit: the table is written first,
-    as table_<class>.tsv or, if the index names that, table_<class>+.tsv
-    ('+' is no label character), and the replaced table is deleted last.
-    So a failed update leaves the old model whole.
+    under the name _new_table_file gives, and the replaced table is
+    deleted last. So a failed update leaves the old model whole. Both
+    files are written to the paths tsv.writable gives, which checks both
+    before either is written.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     entries, stored = index
-    file_name = _table_file_name(label)
+    file_name = _new_table_file(entries, label)
     replaced = entries.get(label)
-    if replaced == file_name:
-        file_name = f"table_{label}+.tsv"
-    tsv.write_text(directory / file_name, table)
+    table_path, index_path = tsv.writable(directory, [file_name, MODEL_FILE])
+    tsv.write_text(table_path, table)
     entries = {**entries, label: file_name}
     theta = stored[0] if threshold is None else threshold
     delta = stored[1] if margin is None else margin
     rows = ((name, entries[name], theta, delta) for name in sorted(entries))
-    tsv.write_rows(directory / MODEL_FILE, MODEL_HEADER, rows)
+    tsv.write_rows(index_path, MODEL_HEADER, rows)
     if replaced is not None and replaced not in entries.values():
         with suppress(OSError):  # a leftover no index row names is overwritten later
-            (directory / replaced).unlink()
+            Path(directory, replaced).unlink()

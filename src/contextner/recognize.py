@@ -191,12 +191,12 @@ def load_model(
     max_entity_tokens: int = 4,
 ) -> RecognitionModel:
     """Read a saved model; explicit threshold/margin arguments win."""
-    index_path = Path(directory) / MODEL_FILE
-    entries, stored = _read_index(index_path)
+    directory = Path(directory)
+    entries, stored = _read_index(directory)
     if not entries:
-        raise DataFormatError(f"{index_path}: model lists no classes")
+        raise DataFormatError(f"{directory / MODEL_FILE}: model lists no classes")
     tables = {
-        label: read_weight_mapping(index_path.parent / table_file, side)
+        label: read_weight_mapping(directory / table_file, side)
         for label, table_file in entries.items()
     }
     return RecognitionModel(

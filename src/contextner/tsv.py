@@ -1,9 +1,11 @@
-"""Strict, byte-deterministic TSV reading and writing.
+"""Strict, byte-deterministic TSV reading and writing, and the one
+guard on what an entry of a corpus, model or fixture directory may be.
 
 All on-disk tables in this package share one dialect: UTF-8, a required
 header row, tab-separated columns, "\n" line endings, and no escaping
 (text fields must not contain tabs or newlines). The writer prints an
 int in decimal, a float with %.7g, and None, a missing value, as NA.
+Every file the package reads or writes is opened here.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import os
 import sys
 from pathlib import Path
+from stat import S_ISDIR, S_ISREG
 from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
 from .errors import DataFormatError, InputError
@@ -76,12 +79,15 @@ def _replace(path: str | Path, write: Callable[[TextIO], None]) -> None:
 
     `write` gets a UTF-8 text stream with "\n" line endings on a
     temporary file next to the file `path` names (a symbolic link's
-    target), which then takes its place in one rename, so a failed or
-    interrupted run leaves the old file or none, never a half-written
-    one. A device or a pipe, such as /dev/null, is written directly:
-    there is no file to replace. An OSError names `path` as given, never
-    the temporary file, and one from writing to a device or a pipe, such
-    as a BrokenPipeError once a pipe's reader has gone, names it too.
+    target, as a user's --output may be), which then takes its place in
+    one rename, so a failed or interrupted run leaves the old file or
+    none, never a half-written one. The temporary file is created
+    exclusively: anything already at its name, such as a link, fails the
+    write, is removed, and is never written through. A device or a pipe,
+    such as /dev/null, is written directly: there is no file to replace.
+    An OSError names `path` as given, never the temporary file, and one
+    from writing to a device or a pipe, such as a BrokenPipeError once a
+    pipe's reader has gone, names it too.
     """
     given = path
     path = Path(path)
@@ -95,7 +101,7 @@ def _replace(path: str | Path, write: Callable[[TextIO], None]) -> None:
     path = path.resolve() if path.is_symlink() else path
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as out:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as out:
             write(out)
         os.replace(tmp, path)
     except BaseException as exc:
@@ -112,6 +118,63 @@ def write_text(path: str | Path | None, text: str) -> None:
         _replace(path, lambda out: out.write(text))
     else:
         sys.stdout.write(text)
+
+
+def check_inside(name: str) -> None:
+    """Raise ValueError unless `name`, joined to a directory, names an
+    entry inside it: it may be neither absolute nor hold a `..` part."""
+    if name.startswith("/") or (".." in name and ".." in name.split("/")):
+        raise ValueError(f"file {name!r} is outside its directory")
+
+
+def stored_file(directory: str | Path, name: str) -> str:
+    """`directory` joined to `name`, an entry of a corpus, model or
+    fixture directory: the one guard before such an entry is read,
+    probed or written. The name must stay inside the directory (see
+    check_inside); each directory part of it, walked from the top, must
+    be a directory, never a link to one; and the entry must be a regular
+    file, never a symbolic link, a FIFO or a directory. One os.lstat a
+    part. Raises ValueError on a refusal, and os.lstat's OSError, such
+    as a FileNotFoundError naming the entry when nothing is there."""
+    check_inside(name)
+    path = os.path.join(directory, name)
+    top = len(path) - len(name)
+    end = path.find("/", top)
+    while end >= 0:
+        try:
+            mode = os.lstat(path[:end]).st_mode
+        except FileNotFoundError:
+            break  # nor is the entry: the lstat below says so, naming it
+        if not S_ISDIR(mode):
+            raise ValueError(f"file {name!r} is under {path[top:end]!r}, which is not a directory")
+        end = path.find("/", end + 1)
+    if not S_ISREG(os.lstat(path).st_mode):
+        raise ValueError(f"file {name!r} is not a regular file")
+    return path
+
+
+def stored_entry(directory: str | Path, name: str) -> tuple[str, bool]:
+    """stored_file's answer for an entry that may be absent, an index or
+    an entry about to be written: its path, and whether a file is there.
+    A refusal is a DataFormatError naming the directory."""
+    try:
+        return stored_file(directory, name), True
+    except FileNotFoundError:
+        return os.path.join(directory, name), False
+    except ValueError as exc:
+        raise DataFormatError(f"{directory}: {exc}") from None
+
+
+def writable(directory: str | Path, names: Iterable[str]) -> list[str]:
+    """The paths to write the entries `names` of `directory` to. Every
+    name is checked by stored_entry before any path is returned, so a
+    caller that writes only to these refuses a bad entry before its first
+    write; then each directory a name leads through is made, where it is
+    not there yet."""
+    paths = [stored_entry(directory, name)[0] for name in names]
+    for parent in dict.fromkeys(map(os.path.dirname, paths)):
+        os.makedirs(parent, exist_ok=True)
+    return paths
 
 
 def table_text(header: list[str], rows: Iterable[Sequence[Field]]) -> str:

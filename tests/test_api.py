@@ -1,5 +1,6 @@
 """Each public name imports from the module that defines it, and only
-there, and each public function the package defines has a caller in it."""
+there, each public function the package defines has a caller in it, and
+only `tsv` opens, probes or replaces a file."""
 
 import ast
 import importlib
@@ -103,3 +104,54 @@ def test_every_public_function_has_a_caller_in_the_package():
         and referenced[node.name] == Counter(names_in(node))[node.name]
     ]
     assert uncalled == []
+
+
+# Calls that open, probe or replace a file. Only `tsv` makes them, so
+# that its guard decides what an entry of a package directory may be.
+OS_FILE_CALLS = {"open", "stat", "lstat", "replace"}
+PATH_PROBES = {"exists", "is_file", "is_symlink"}
+
+
+def file_calls(tree):
+    """Each call in a tree that opens, probes or replaces a file, as
+    (enclosing top-level function, source), skipping `tsv.<name>(...)`."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                hit = func.id == "open"
+            elif isinstance(func, ast.Attribute):
+                owner = func.value.id if isinstance(func.value, ast.Name) else None
+                hit = owner == "os" and func.attr in OS_FILE_CALLS or owner != "tsv" and (
+                    func.attr in PATH_PROBES or func.attr.startswith(("read_", "write_"))
+                )
+            else:
+                hit = False
+            if hit:
+                yield getattr(top, "name", None), ast.unparse(node)
+
+
+def test_file_calls_are_found():
+    source = (
+        "def f(p):\n"
+        "    open(p); os.lstat(p); os.replace(p, p); p.exists(); p.parent.is_file()\n"
+        "    p.is_symlink(); p.read_text(); p.write_bytes(b''); tsv.read_rows(p)\n"
+    )
+    assert [call for _, call in file_calls(ast.parse(source))] == [
+        "open(p)", "os.lstat(p)", "os.replace(p, p)", "p.exists()", "p.parent.is_file()",
+        "p.is_symlink()", "p.read_text()", "p.write_bytes(b'')",
+    ]
+
+
+def test_only_tsv_opens_probes_or_replaces_a_file():
+    found = []
+    for path in sorted((ROOT / "src" / "contextner").glob("*.py")):
+        if path.name == "tsv.py":
+            continue
+        for function, call in file_calls(ast.parse(path.read_text(encoding="utf-8"))):
+            # main sends a closed stdout to the null device, which is no file.
+            if (path.name, function, call) != ("cli.py", "main", "os.open(os.devnull, os.O_WRONLY)"):
+                found.append(f"{path.name}: {call}")
+    assert found == []

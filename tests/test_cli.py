@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import os
 import subprocess
 import sys
@@ -350,12 +351,12 @@ def test_weigh_reads_a_model_index_that_is_not_a_file_before_writing(
     model_dir = tmp_path / "model"
     (model_dir / "model.tsv").mkdir(parents=True)
     before = snapshot(model_dir)
-    expected = f"error: {model_dir / 'model.tsv'}: Is a directory\n"
-    assert cli.main(["recognize", str(model_dir), corpus_dir]) == 2
+    expected = f"error: {model_dir}: file 'model.tsv' is not a regular file\n"
+    assert cli.main(["recognize", str(model_dir), corpus_dir]) == 4
     assert capsys.readouterr().err == expected
     output = tmp_path / "t.tsv"
     args = ["weigh", capital_examples, corpus_dir, "--model-dir", str(model_dir)]
-    assert cli.main(args + ["--output", str(output)]) == 2
+    assert cli.main(args + ["--output", str(output)]) == 4
     assert capsys.readouterr() == ("", expected)
     assert snapshot(model_dir) == before
     assert not output.exists()
@@ -847,6 +848,115 @@ def test_missing_stored_file_exits_2_naming_it(
     }[missing]
     assert cli.main(args) == 2
     assert capsys.readouterr().err == f"error: {path}: No such file or directory\n"
+
+
+def doc_id(uri):
+    """A document's id: the first 12 hex digits of its URI's SHA-1."""
+    return hashlib.sha1(uri.encode("utf-8")).hexdigest()[:12]
+
+
+@pytest.mark.parametrize("escape", ["table link", "index link", "document link", "docs link"])
+def test_a_write_through_a_link_in_a_package_directory_exits_4(
+    tmp_path, capsys, capital_examples, fixture_dir, escape
+):
+    # Each link leads a write out of its directory. Every entry is checked
+    # before the first write, so nothing is written anywhere.
+    outside = tmp_path / "outside.tsv"
+    outside.write_text("kept\n", encoding="utf-8")
+    if escape in ("table link", "index link"):
+        corpus_dir = saved_corpus(tmp_path, "corpus", "Hotels in Paris. Map of Oslo.")
+        model_dir = tmp_path / "model"
+        city = write_examples(tmp_path / "city.tsv", ("Oslo", "city"))
+        assert cli.main(["weigh", city, corpus_dir, "--model-dir", str(model_dir)]) == 0
+        name = "table_capital.tsv" if escape == "table link" else "model.tsv"
+        if escape == "index link":
+            (model_dir / name).replace(outside)  # so the link leads to a valid index
+        (model_dir / name).symlink_to(outside)
+        args = ["weigh", capital_examples, corpus_dir, "--model-dir", str(model_dir)]
+        args += ["--output", str(tmp_path / "t.tsv")]
+        message = f"{model_dir}: file {name!r} is not a regular file"
+    else:
+        corpus_dir = tmp_path / "corpus"
+        uris = ["http://a.example/p1", "http://a.example/p2", "http://b.example/b1"]
+        if escape == "document link":
+            berlin = write_examples(tmp_path / "berlin.tsv", ("Berlin", "capital"))
+            assert cli.main(["acquire", berlin, str(corpus_dir), "--fixtures", fixture_dir]) == 0
+            name = f"docs/{doc_id(uris[0])}.txt"
+            (corpus_dir / name).symlink_to(outside)
+            message = f"{corpus_dir}: file {name!r} is not a regular file"
+        else:
+            (tmp_path / "elsewhere").mkdir()
+            corpus_dir.mkdir()
+            (corpus_dir / "docs").symlink_to(tmp_path / "elsewhere")
+            name = f"docs/{min(map(doc_id, uris))}.txt"
+            message = f"{corpus_dir}: file {name!r} is under 'docs', which is not a directory"
+        args = ["acquire", capital_examples, str(corpus_dir), "--fixtures", fixture_dir]
+    capsys.readouterr()
+    before = snapshot(tmp_path)
+    assert cli.main(args) == 4
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "index, command",
+    [
+        ("model", "recognize"),
+        ("model", "weigh"),
+        ("manifest", "recognize"),
+        ("manifest", "weigh"),
+        ("manifest", "acquire"),
+        ("queries", "acquire"),
+    ],
+)
+def test_a_fifo_index_exits_4_at_once(
+    tmp_path, capital_examples, fixture_dir, trained_model_dir, index, command
+):
+    # Run as a child under a timeout: opening a FIFO for reading would
+    # block until a writer comes, so a regression fails instead of stalling.
+    corpus_dir = saved_corpus(tmp_path, "corpus", "Hotels in Quito.")
+    directory = {"model": trained_model_dir, "manifest": corpus_dir, "queries": fixture_dir}[index]
+    name = f"{index}.tsv"
+    os.unlink(os.path.join(directory, name))
+    os.mkfifo(os.path.join(directory, name))
+    args = {
+        "recognize": ["recognize", trained_model_dir, corpus_dir],
+        "weigh": ["weigh", capital_examples, corpus_dir, "--model-dir", trained_model_dir],
+        "acquire": ["acquire", capital_examples, corpus_dir, "--fixtures", fixture_dir],
+    }[command]
+    result = subprocess.run(
+        [sys.executable, "-m", "contextner", *args],
+        env=child_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (
+        4,
+        "",
+        f"error: {directory}: file {name!r} is not a regular file\n",
+    )
+
+
+def test_a_link_at_the_temporary_name_is_removed_and_never_written_through(
+    tmp_path, capsys, capital_examples
+):
+    # Exactly the name the writer picks in this process (see tsv._replace).
+    corpus_dir = saved_corpus(tmp_path, "corpus", "Hotels in Paris.")
+    model_dir = tmp_path / "model"
+    model_dir.mkdir()
+    outside = tmp_path / "outside.tsv"
+    outside.write_text("kept\n", encoding="utf-8")
+    (model_dir / f".table_capital.tsv.{os.getpid()}.tmp").symlink_to(outside)
+    args = ["weigh", capital_examples, corpus_dir, "--model-dir", str(model_dir)]
+    assert cli.main(args) == 2
+    table = model_dir / "table_capital.tsv"
+    assert capsys.readouterr().err == f"error: [Errno 17] File exists: {str(table)!r}\n"
+    assert outside.read_text(encoding="utf-8") == "kept\n"
+    assert list(model_dir.iterdir()) == []
+    assert cli.main(args) == 0
+    assert not table.is_symlink()
+    assert cli.main(["recognize", str(model_dir), corpus_dir]) == 0
 
 
 # -- growth ------------------------------------------------------------------
