@@ -71,7 +71,7 @@ def _add_extraction_flags(parser: argparse.ArgumentParser) -> None:
 
 def cmd_acquire(args: argparse.Namespace) -> int:
     from .acquire import FixtureClient, acquire, build_queries
-    from .corpus import MANIFEST_NAME, CorpusManifest, load_corpus, save_corpus
+    from .corpus import DOCS_DIR, MANIFEST_NAME, CorpusManifest, load_corpus, save_corpus
     from .seeds import load_examples, single_class
 
     examples = load_examples(args.examples)
@@ -80,6 +80,8 @@ def cmd_acquire(args: argparse.Namespace) -> int:
     corpus_dir = Path(args.corpus_dir)
     _, present = tsv.stored_entry(corpus_dir, MANIFEST_NAME)
     existing = load_corpus(corpus_dir) if present else CorpusManifest([])
+    # Every new document is written under DOCS_DIR: refuse a bad one before any fetch.
+    tsv.check_directory(corpus_dir, DOCS_DIR)
     client = FixtureClient(args.fixtures)
     result = acquire(client, queries, existing, max_results=args.max_results)
     for failure in result.failures:

@@ -20,6 +20,7 @@ PLAIN = "plain"
 MARKUP = "markup"
 
 MANIFEST_NAME = "manifest.tsv"
+DOCS_DIR = "docs"  # where save_corpus writes each document's text
 _MANIFEST_HEADER = ["id", "source", "uri", "kind", "file"]
 
 # Suffixes stripped when deriving a source id from a local file path.
@@ -141,7 +142,7 @@ def save_corpus(manifest: CorpusManifest, directory: str | Path) -> None:
     """
     directory = Path(directory)
     rows = [
-        [doc.id, doc.source, doc.uri, doc.kind, f"docs/{doc.id}.txt"]
+        [doc.id, doc.source, doc.uri, doc.kind, f"{DOCS_DIR}/{doc.id}.txt"]
         for doc in manifest.documents
     ]
     check = _manifest_row_check()

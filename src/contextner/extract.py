@@ -6,7 +6,6 @@ All operations here are pure over immutable inputs.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from itertools import compress, count, islice
 from operator import not_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, TypeVar
@@ -29,23 +28,24 @@ _WORD_RE = re.compile(r"[^\W_](?:\.(?![^\W_])|[^\W_]*(?:['’.\-][^\W_]+)*)")
 class WordSequence(Record):
     """A document's words and where its sentences start.
 
-    `starts` holds, in increasing order, the index of the first word of
-    each sentence after the first, so a sentence ends between words j
-    and j+1 exactly when j+1 is in `starts`. Instance matching, context
-    extraction and candidate detection read only this.
+    `opens` is the sentence map: one byte per word, 1 where the word
+    opens a sentence after the first and 0 elsewhere, so its first byte
+    is 0 and a sentence ends between words j and j+1 exactly when
+    opens[j + 1] is 1. Instance matching, context extraction and
+    candidate detection read only this.
     """
 
-    __slots__ = ("words", "starts")
+    __slots__ = ("words", "opens")
 
-    def __init__(self, words: tuple[str, ...], starts: tuple[int, ...]) -> None:
-        self._assign(words=words, starts=starts)
+    def __init__(self, words: tuple[str, ...], opens: bytes) -> None:
+        self._assign(words=words, opens=opens)
 
     def __len__(self) -> int:
         return len(self.words)
 
 
 def tokenize(text: str) -> WordSequence:
-    """Split cleaned text into words and sentence starts.
+    """Split cleaned text into words and its sentence map (see WordSequence).
 
     Words are maximal runs of letters and digits joined by single
     apostrophes, periods or hyphens, and a word of one letter keeps a
@@ -98,7 +98,10 @@ def tokenize(text: str) -> WordSequence:
             words += found
             lo = i + 1
         words += pieces[lo:]
-    return WordSequence(tuple(words), tuple(starts))
+    opens = bytearray(len(words))
+    for start in starts:
+        opens[start] = 1
+    return WordSequence(tuple(words), bytes(opens))
 
 
 class InstanceOccurrence(NamedTuple):
@@ -187,10 +190,8 @@ def context_window(
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if first < 0 or last >= len(seq.words):
         return None
-    # The first sentence start after `first` must lie past `last`.
-    starts = seq.starts
-    i = bisect_right(starts, first)
-    if i < len(starts) and starts[i] <= last:
+    # No word after `first`, up to `last`, may open a sentence.
+    if seq.opens.find(1, first + 1, last + 1) >= 0:
         return None
     return (first, anchor) if side == LEFT else (anchor + 1, last + 1)
 

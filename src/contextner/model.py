@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from contextlib import suppress
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
@@ -41,12 +42,14 @@ def read_weight_mapping(path: str | Path, side: str = LEFT) -> dict[ContextKey, 
     """Load context -> weight from a saved table, dropping rows whose
     weight is not positive and finite.
 
-    Two rows whose phrases split into the same words are rejected.
+    Two rows whose phrases split into the same words are rejected. Each
+    word is interned, so the contexts of every table that share a word
+    hold one string for it.
     """
     weights: dict[tuple[str, ...], float] = {}  # by words: the duplicate check builds no key
 
     def parse(phrase, _cf, _df, _lef, _icf, w):
-        words = tuple(phrase.split())
+        words = tuple(map(sys.intern, phrase.split()))
         if not words:
             raise ValueError("empty context phrase")
         try:

@@ -117,7 +117,7 @@ def detect_candidates(
     table order.
     """
     words = tok.words
-    starts = set(tok.starts)
+    opens = tok.opens
     grow = model.max_entity_tokens - 1
     spans: set[tuple[int, int]] = set()
     left: dict[int, tuple[tuple[str, float], ...]] = {}  # anchor -> votes in hit order
@@ -135,14 +135,14 @@ def detect_candidates(
                 # The anchor is the span's first word; the span grows right
                 # until the next word opens a sentence or starts lowercase.
                 end = min(anchor + grow, len(words) - 1)
-                while last < end and last + 1 not in starts and not words[last + 1][:1].islower():
+                while last < end and not opens[last + 1] and not words[last + 1][:1].islower():
                     last += 1
             else:
                 # The anchor is the span's last word; the span grows left
                 # until its first word opens a sentence or the word before
                 # it starts lowercase.
                 end = max(anchor - grow, 0)
-                while first > end and first not in starts and not words[first - 1][:1].islower():
+                while first > end and not opens[first] and not words[first - 1][:1].islower():
                     first -= 1
             spans.add((first, last))
     candidates: dict[tuple[int, int], dict[str, float]] = {}

@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 from stat import S_ISDIR, S_ISREG
-from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, TypeVar
 
 from .errors import DataFormatError, InputError
 
@@ -127,6 +127,23 @@ def check_inside(name: str) -> None:
         raise ValueError(f"file {name!r} is outside its directory")
 
 
+def _non_directory(path: str, top: int) -> Optional[str]:
+    """The first part of `path` after offset `top` that ends in a '/'
+    and is there but is not a directory (a link to one included), walked
+    from the top with one os.lstat a part; None when there is none. A
+    missing part ends the walk: nothing under it is there either."""
+    end = path.find("/", top)
+    while end >= 0:
+        try:
+            mode = os.lstat(path[:end]).st_mode
+        except FileNotFoundError:
+            return None
+        if not S_ISDIR(mode):
+            return path[top:end]
+        end = path.find("/", end + 1)
+    return None
+
+
 def stored_file(directory: str | Path, name: str) -> str:
     """`directory` joined to `name`, an entry of a corpus, model or
     fixture directory: the one guard before such an entry is read,
@@ -138,16 +155,9 @@ def stored_file(directory: str | Path, name: str) -> str:
     as a FileNotFoundError naming the entry when nothing is there."""
     check_inside(name)
     path = os.path.join(directory, name)
-    top = len(path) - len(name)
-    end = path.find("/", top)
-    while end >= 0:
-        try:
-            mode = os.lstat(path[:end]).st_mode
-        except FileNotFoundError:
-            break  # nor is the entry: the lstat below says so, naming it
-        if not S_ISDIR(mode):
-            raise ValueError(f"file {name!r} is under {path[top:end]!r}, which is not a directory")
-        end = path.find("/", end + 1)
+    part = _non_directory(path, len(path) - len(name))
+    if part is not None:
+        raise ValueError(f"file {name!r} is under {part!r}, which is not a directory")
     if not S_ISREG(os.lstat(path).st_mode):
         raise ValueError(f"file {name!r} is not a regular file")
     return path
@@ -163,6 +173,19 @@ def stored_entry(directory: str | Path, name: str) -> tuple[str, bool]:
         return os.path.join(directory, name), False
     except ValueError as exc:
         raise DataFormatError(f"{directory}: {exc}") from None
+
+
+def check_directory(directory: str | Path, name: str) -> None:
+    """Refuse, before the work that makes them, the entries writable
+    would refuse for lying under `name`, a directory of `directory`
+    that the package names: `name`, or a part of it, is there but is
+    not a directory (a link to one included). A refusal is a
+    DataFormatError naming the directory. What is absent is fine, and
+    nothing is made."""
+    path = os.path.join(directory, name, "")
+    part = _non_directory(path, len(path) - len(name) - 1)
+    if part is not None:
+        raise DataFormatError(f"{directory}: {part!r} is not a directory")
 
 
 def writable(directory: str | Path, names: Iterable[str]) -> list[str]:

@@ -174,13 +174,14 @@ def collect_context_stats(
     the document / source / example coverage. Between the passes only
     each document's source, its words (one string per distinct word
     across the corpus, so a kept word costs a pointer), its sentence
-    starts, and the example surface at each instance's context anchor
-    are kept. The second pass numbers the contexts in sorted order and
-    keeps each count in a list by that number. It visits documents in
-    order, so a context's hits in one document arrive together and its
-    documents are counted without a set. total_with_examples sums the
-    second pass's example-adjacent counts: it hits each example
-    occurrence that has a context once, at its own anchor.
+    map (one byte a word), and the example surface at each instance's
+    context anchor are kept. The second pass numbers the contexts in
+    sorted order and keeps each count in a list by that number. It
+    visits documents in order, so a context's hits in one document
+    arrive together and its documents are counted without a set.
+    total_with_examples sums the second pass's example-adjacent counts:
+    it hits each example occurrence that has a context once, at its own
+    anchor.
     """
     contexts: set[tuple[str, ...]] = set()
     vocabulary: dict[str, str] = {}
@@ -191,7 +192,7 @@ def collect_context_stats(
         contexts.update(found)
         # One string object per distinct word, so each kept word costs a pointer.
         words = tuple(map(vocabulary.setdefault, seq.words, seq.words))
-        return source, WordSequence(words, seq.starts), surfaces
+        return source, WordSequence(words, seq.opens), surfaces
 
     # starmap holds no document after keep returns, so the next one is
     # read and split while only the kept form of the last one is alive.

@@ -888,13 +888,39 @@ def test_a_write_through_a_link_in_a_package_directory_exits_4(
             (tmp_path / "elsewhere").mkdir()
             corpus_dir.mkdir()
             (corpus_dir / "docs").symlink_to(tmp_path / "elsewhere")
-            name = f"docs/{min(map(doc_id, uris))}.txt"
-            message = f"{corpus_dir}: file {name!r} is under 'docs', which is not a directory"
+            message = f"{corpus_dir}: 'docs' is not a directory"
         args = ["acquire", capital_examples, str(corpus_dir), "--fixtures", fixture_dir]
     capsys.readouterr()
     before = snapshot(tmp_path)
     assert cli.main(args) == 4
     assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize("docs", ["link", "file"])
+def test_acquire_refuses_a_bad_docs_directory_before_it_fetches(
+    tmp_path, capsys, capital_examples, docs
+):
+    # The fixtures list a dead link, so any fetch would print a failure.
+    fixture_dir = write_fixture(
+        tmp_path / "fixtures",
+        [
+            ("Paris", "http://a.example/p1", "p1.txt"),
+            ("Paris", "http://a.example/gone", "gone.txt"),
+        ],
+        {"p1.txt": "Hotels in Paris."},
+    )
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    if docs == "link":
+        (tmp_path / "elsewhere").mkdir()
+        (corpus_dir / "docs").symlink_to(tmp_path / "elsewhere")
+    else:
+        (corpus_dir / "docs").write_text("", encoding="utf-8")
+    args = ["acquire", capital_examples, str(corpus_dir), "--fixtures", fixture_dir]
+    before = snapshot(tmp_path)
+    assert cli.main(args) == 4
+    assert capsys.readouterr() == ("", f"error: {corpus_dir}: 'docs' is not a directory\n")
     assert snapshot(tmp_path) == before
 
 

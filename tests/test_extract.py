@@ -28,7 +28,7 @@ def words_of(text):
 
 def breaks_of(tok):
     """Indices i such that a sentence ends between word i and word i+1."""
-    return frozenset(s - 1 for s in tok.starts)
+    return frozenset(i - 1 for i, opens in enumerate(tok.opens) if opens)
 
 
 def test_tokenize_basic():
@@ -68,10 +68,10 @@ def test_exclamation_and_question_break():
 
 
 def test_break_at_end_of_document():
-    assert tokenize("It ended.").starts == ()
-    assert tokenize("It ended.  ").starts == ()
-    assert tokenize("no terminator").starts == ()
-    assert tokenize("It ended. Then").starts == (2,)
+    assert tokenize("It ended.").opens == b"\0\0"
+    assert tokenize("It ended.  ").opens == b"\0\0"
+    assert tokenize("no terminator").opens == b"\0\0"
+    assert tokenize("It ended. Then").opens == b"\0\0\1"
 
 
 def test_abbreviation_period_does_not_break():
@@ -94,11 +94,12 @@ def assert_matches_oracle(text):
     tok = tokenize(text)
     words, _spans, breaks = oracle_tokenize(text)
     assert tok.words == tuple(words)
-    # A break after the final word is implicit in sentence starts.
+    # A break after the final word is implicit in the sentence map.
     assert breaks_of(tok) == breaks - {len(words) - 1}
-    # Starts increase strictly and name words after the first.
-    assert list(tok.starts) == sorted(set(tok.starts))
-    assert all(0 < s < len(tok) for s in tok.starts)
+    # The map has a byte per word, each 0 or 1, and the first word opens none.
+    assert len(tok.opens) == len(tok)
+    assert set(tok.opens) <= {0, 1}
+    assert tok.opens[:1] != b"\1"
 
 
 @given(st.text())
@@ -132,11 +133,22 @@ def test_tokenize_matches_frozen_tokenizer_on_wide_pieces(text):
 def test_tokenize_keeps_an_initial_and_breaks_after_a_sentence():
     tok = tokenize("George W. Bush spoke. Then he left.")
     assert tok.words == ("George", "W.", "Bush", "spoke", "Then", "he", "left")
-    assert tok.starts == (4,)
+    assert tok.opens == b"\0\0\0\0\1\0\0"
 
 
 def test_terminator_before_the_first_word_ends_no_sentence():
-    assert tokenize("! Go. Now").starts == (1,)
+    assert tokenize("! Go. Now").opens == b"\0\1"
+
+
+@given(st.one_of(st.text(), st.lists(st.sampled_from(WIDE_PIECES), max_size=40).map("".join)))
+def test_sentence_map_is_one_byte_per_word(text):
+    opens = tokenize(text).opens
+    words, _spans, breaks = oracle_tokenize(text)
+    assert type(opens) is bytes and len(opens) == len(words)
+    assert set(opens) <= {0, 1}
+    assert opens[:1] != b"\1"
+    # A 1 wherever the frozen tokenizer ends a sentence before a word.
+    assert {i for i, b in enumerate(opens) if b} == {b + 1 for b in breaks} - {len(words)}
 
 
 @given(biased_text)
@@ -218,7 +230,7 @@ learning_examples = st.lists(
     [LearningExample("A  B", "x"), LearningExample("A B", "y"), LearningExample("A B", "x")],
 )
 def test_find_instances_matches_frozen_matcher(words, examples):
-    seq = WordSequence(tuple(words), ())
+    seq = WordSequence(tuple(words), bytes(len(words)))
     found = find_instances(seq, instance_index(examples))
     assert [(o.first, o.last, o.example) for o in found] == oracle_find_instances(
         words, examples

@@ -424,6 +424,18 @@ def test_save_load_round_trip(tmp_path, trained_table):
     assert model.tables["capital"] == pytest.approx(trained_table.as_mapping())
 
 
+def test_load_model_holds_one_string_per_word(tmp_path, trained_table):
+    # Both classes' tables are read from their own files, yet each word
+    # they share is one object.
+    store_table(tmp_path, "capital", trained_table)
+    store_table(tmp_path, "city", trained_table)
+    model = load_model(tmp_path)
+    capital, city = (list(model.tables[label]) for label in ("capital", "city"))
+    assert capital == city and len(capital) > 1
+    for ours, theirs in zip(capital, city):
+        assert all(a is b for a, b in zip(ours.words, theirs.words))
+
+
 def test_load_model_flag_overrides(tmp_path, trained_table):
     store_table(tmp_path, "capital", trained_table, threshold=0.2, margin=0.1)
     model = load_model(tmp_path, threshold=0.7)

@@ -42,7 +42,7 @@ FROZEN = [
     (PARIS, ("surface", "class_label")),
     (InstanceOccurrence(PARIS, 2, 2), ("example", "first", "last")),
     (KEY, ("words", "side")),
-    (WordSequence(("a", "b"), (1,)), ("words", "starts")),
+    (WordSequence(("a", "b"), b"\0\1"), ("words", "opens")),
     (DOC, ("id", "source", "uri", "kind", "clean")),
     (
         Annotation("d1", 2, 2, "Paris", "capital", 1.5, 0.0),
@@ -130,14 +130,14 @@ def test_unhashable_records_refuse_assignment():
 
 
 def test_slots_records_compare_by_class_and_fields():
-    seq = WordSequence(("a",), ())
-    assert seq == WordSequence(("a",), ())
-    assert seq != WordSequence(("b",), ())
+    seq = WordSequence(("a",), b"\0")
+    assert seq == WordSequence(("a",), b"\0")
+    assert seq != WordSequence(("b",), b"\0")
 
     class Words(WordSequence):
         __slots__ = ()
 
-    assert seq != Words(("a",), ())
+    assert seq != Words(("a",), b"\0")
     assert CorpusManifest([DOC]) == CorpusManifest([DOC])
     assert repr(PARIS) == "LearningExample(surface='Paris', class_label='capital')"
 
