@@ -209,7 +209,8 @@ def _markup_text(raw: str) -> str:
 
     `_MARKUP` splits `raw` into text runs; each run's character
     references are decoded on their own, by html.unescape, which is
-    imported only when some run holds a `&`. Each `<` that `_text_opens`
+    imported only when some run holds a `&`. No run holds one when `raw`
+    holds none, and then the runs are not searched. Each `<` that `_text_opens`
     finds is first replaced by a character the text does not hold, which
     nothing in `_MARKUP` reads apart from `<`, and put back in the text
     runs, so that the split never reads on to the end of the text for it.
@@ -222,7 +223,7 @@ def _markup_text(raw: str) -> str:
         raw = mark.join(raw[i + 1 : j] for i, j in zip([-1, *opens], [*opens, len(raw)]))
     parts = re.split(_MARKUP, raw)
     texts = parts[::2] if mark is None else [t.replace(mark, "<") for t in parts[::2]]
-    if any("&" in text for text in texts):
+    if "&" in raw and any("&" in text for text in texts):
         from html import unescape
 
         texts = [unescape(text) if "&" in text else text for text in texts]

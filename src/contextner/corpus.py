@@ -68,6 +68,10 @@ class Document(NamedTuple):
     kind: str
     clean: str
 
+    def read(self) -> Document:
+        """The document itself, as StoredDocument.read gives one."""
+        return self
+
 
 class StoredDocument(NamedTuple):
     """One manifest row: a document's identity and the file that holds
@@ -104,7 +108,33 @@ class CorpusManifest(Record):
 
     def __iter__(self) -> Iterator[Document]:
         for doc in self.documents:
-            yield doc.read() if isinstance(doc, StoredDocument) else doc
+            yield doc.read()
+
+    def with_repeats(self) -> Iterator[tuple[Document, int | None]]:
+        """Every document as iteration yields it, with None when its text
+        is new and k when it repeats the k-th new text (from 0).
+
+        A candidate is found by the text's length and hash, and confirmed
+        by == against the earlier text, read again from its file when it
+        is stored; so different texts are never taken for one. Beyond
+        what iteration holds, only the first entry of each distinct text
+        is kept.
+        """
+        firsts: list[Document | StoredDocument] = []
+        numbers: dict[tuple[int, int], list[int]] = {}  # (length, hash) -> each k
+
+        def tag(entry: Document | StoredDocument) -> tuple[Document, int | None]:
+            doc = entry.read()
+            text = doc.clean
+            candidates = numbers.setdefault((len(text), hash(text)), [])
+            for k in candidates:
+                if firsts[k].read().clean == text:
+                    return doc, k
+            candidates.append(len(firsts))
+            firsts.append(entry)
+            return doc, None
+
+        return map(tag, self.documents)
 
 
 def _manifest_row_check() -> Callable[[str, str, str, str, str], None]:

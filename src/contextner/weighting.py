@@ -114,9 +114,12 @@ class WeightedContext(NamedTuple):
         return self.stats.context
 
 
-# A document's source, its words, each example occurrence's anchor ->
-# surface, and the words of every context that the window rule accepts.
-_Scanned = tuple[str, WordSequence, dict[int, str], list[tuple[str, ...]]]
+# A document's words, each example occurrence's anchor -> surface, and
+# the words of every context that the window rule accepts.
+_Scan = tuple[WordSequence, dict[int, str], list[tuple[str, ...]]]
+# A document's source, the number of the distinct text it repeats or
+# None, and, when it repeats none, its scan.
+_Scanned = tuple[str, int | None, _Scan | None]
 
 
 def _example_contexts(
@@ -127,14 +130,16 @@ def _example_contexts(
     are one, as in instance_index.
 
     Checks the examples and settings at once. The scan yields, as each
-    document in corpus order is reached, its source and words, every
-    example occurrence's surface keyed by its context anchor (an
-    instance's first word for left contexts, its last for right), and
-    the words of each occurrence's context where context_window accepts
-    the window. Every context has `side` and `context_len`, so its words
-    name it. The scan keeps nothing of a document once it has yielded
-    it, so a caller that keeps nothing either holds one document's text
-    and words at a time.
+    document in corpus order is reached, its source, the number of the
+    earlier distinct text it repeats (see CorpusManifest.with_repeats) or
+    None, and, for a new text only, its scan: its words, every example
+    occurrence's surface keyed by its context anchor (an instance's first
+    word for left contexts, its last for right), and the words of each
+    occurrence's context where context_window accepts the window. A
+    repeated text is not split again; its scan is None. Every context
+    has `side` and `context_len`, so its words name it. The scan keeps
+    nothing of a document once it has yielded it, so a caller that keeps
+    nothing either holds one document's text and words at a time.
     """
     single_class(examples)  # rejects examples of more than one class
     if context_len < 1:
@@ -144,7 +149,9 @@ def _example_contexts(
     index = instance_index(examples)
     left = side == LEFT
 
-    def scan(doc: Document) -> _Scanned:
+    def scan(doc: Document, repeat: int | None) -> _Scanned:
+        if repeat is not None:
+            return doc.source, repeat, None
         seq = tokenize(doc.clean)
         words = seq.words
         surfaces = {}
@@ -155,9 +162,9 @@ def _example_contexts(
             window = context_window(seq, anchor, context_len, side)
             if window is not None:
                 contexts.append(words[window[0] : window[1]])
-        return doc.source, seq, surfaces, contexts
+        return doc.source, None, (seq, surfaces, contexts)
 
-    return sum(map(len, index.values())), map(scan, corpus)
+    return sum(map(len, index.values())), starmap(scan, corpus.with_repeats())
 
 
 def collect_context_stats(
@@ -168,59 +175,67 @@ def collect_context_stats(
 ) -> tuple[list[ContextStats], GlobalStats]:
     """Gather raw per-context counts from a corpus.
 
-    First pass pulls the adjacent context of every example occurrence;
-    second pass counts every context_hits hit of those contexts, split
-    into example-adjacent and other-adjacent occurrences, and collects
-    the document / source / example coverage. Between the passes only
-    each document's source, its words (one string per distinct word
-    across the corpus, so a kept word costs a pointer), its sentence
-    map (one byte a word), and the example surface at each instance's
-    context anchor are kept. The second pass numbers the contexts in
-    sorted order and keeps each count in a list by that number. It
-    visits documents in order, so a context's hits in one document
-    arrive together and its documents are counted without a set.
-    total_with_examples sums the second pass's example-adjacent counts:
-    it hits each example occurrence that has a context once, at its own
-    anchor.
+    First pass pulls the adjacent context of every example occurrence
+    in each distinct text; second pass counts every context_hits hit of
+    those contexts, split into example-adjacent and other-adjacent
+    occurrences, and collects the document / source / example coverage.
+    Between the passes only each distinct text's words (one string per
+    distinct word across the corpus, so a kept word costs a pointer),
+    its sentence map (one byte a word), the example surface at each
+    instance's context anchor, and the source of each of its copies are
+    kept. The second pass numbers the contexts in sorted order and keeps
+    each count in a list by that number. It scans each distinct text
+    once, in order, so a context's hits in one text arrive together; each
+    hit counts once per copy, and a text's documents are counted without
+    a set. total_with_examples sums the second pass's example-adjacent
+    counts: it hits each example occurrence that has a context once, at
+    its own anchor.
     """
     contexts: set[tuple[str, ...]] = set()
     vocabulary: dict[str, str] = {}
+    copies: list[list[str]] = []  # per distinct text, each copy's source
 
     def keep(
-        source: str, seq: WordSequence, surfaces: dict[int, str], found: list[tuple[str, ...]]
-    ) -> tuple[str, WordSequence, dict[int, str]]:
+        source: str, repeat: int | None, scan: _Scan | None
+    ) -> tuple[WordSequence, dict[int, str]] | None:
+        if scan is None:
+            copies[repeat].append(source)
+            return None
+        copies.append([source])
+        seq, surfaces, found = scan
         contexts.update(found)
         # One string object per distinct word, so each kept word costs a pointer.
         words = tuple(map(vocabulary.setdefault, seq.words, seq.words))
-        return source, WordSequence(words, seq.opens), surfaces
+        return WordSequence(words, seq.opens), surfaces
 
     # starmap holds no document after keep returns, so the next one is
     # read and split while only the kept form of the last one is alive.
     n_examples, scan = _example_contexts(corpus, list(examples), context_len, side)
-    analyzed = list(starmap(keep, scan))
+    analyzed = list(filter(None, starmap(keep, scan)))
 
     ordered = sorted(contexts)
     n = len(ordered)
     with_examples = [0] * n
     with_others = [0] * n
-    last_doc = [-1] * n  # the number of the last document it was hit in
+    last_text = [-1] * n  # the number of the last distinct text it was hit in
     n_docs = [0] * n
     # Every context is hit at the example occurrence it came from, so
     # each one fills both of its sets.
     seen_examples = [set() for _ in ordered]
     sources_seen = [set() for _ in ordered]
     groups = {context_len: dict(zip(ordered, range(n)))}
-    for number, (source, seq, surfaces) in enumerate(analyzed):
+    for number, ((seq, surfaces), sources) in enumerate(zip(analyzed, copies)):
+        times = len(sources)
         for anchor, i in context_hits(seq, side, groups):
-            if last_doc[i] != number:
-                last_doc[i] = number
-                n_docs[i] += 1
-                sources_seen[i].add(source)
+            if last_text[i] != number:
+                last_text[i] = number
+                n_docs[i] += times
+                sources_seen[i].update(sources)
             surface = surfaces.get(anchor)
             if surface is None:
-                with_others[i] += 1
+                with_others[i] += times
             else:
-                with_examples[i] += 1
+                with_examples[i] += times
                 seen_examples[i].add(surface)
 
     stats = [
@@ -257,7 +272,8 @@ def growth_curve(
 
     For each prefix size, reports how many example occurrences the
     prefix contains and how many distinct contexts they produce.
-    Prefixes follow manifest (document-id) order.
+    Prefixes follow manifest (document-id) order. A repeated text adds
+    its first copy's occurrences and no context.
     """
     steps = list(steps)
     if not steps:
@@ -274,15 +290,22 @@ def growth_curve(
             f"growth step {steps[-1]} exceeds corpus size {len(corpus)}"
         )
 
-    _n_examples, scan = _example_contexts(corpus, list(examples), context_len, side)
+    _n_examples, scans = _example_contexts(corpus, list(examples), context_len, side)
     points: list[GrowthPoint] = []
+    counts: list[int] = []  # per distinct text, its example occurrences
     occurrences = 0
     contexts: set[tuple[str, ...]] = set()
     done = 0
     for step in steps:
-        for _source, _seq, surfaces, found in islice(scan, step - done):
+        for _source, repeat, scan in islice(scans, step - done):
+            if scan is None:
+                occurrences += counts[repeat]
+                continue
+            _seq, surfaces, found = scan
+            counts.append(len(surfaces))
             occurrences += len(surfaces)
             contexts.update(found)
+            del scan, _seq  # so the next document is split with only its own words alive
         done = step
         points.append(
             GrowthPoint(

@@ -387,6 +387,20 @@ def random_corpus(rng: random.Random) -> tuple[list[OracleDoc], list[str]]:
     return docs, surfaces
 
 
+def with_copies(rng: random.Random, docs: list[OracleDoc]) -> list[OracleDoc]:
+    """`docs` and 1 to 6 more documents, each a byte-for-byte copy of the
+    text of an earlier one (a copy may copy a copy). A copy's id sorts
+    before, among or after the others, and it keeps its original's
+    source or takes one from SOURCES."""
+    out = list(docs)
+    for n in range(rng.randint(1, 6)):
+        original = rng.choice(out)
+        source = original.source if rng.random() < 0.5 else rng.choice(SOURCES)
+        doc_id = f"{rng.choice('cde')}{rng.randint(0, 9):02}x{n}"
+        out.append(OracleDoc(doc_id=doc_id, source=source, text=original.text))
+    return out
+
+
 # -- recognition ---------------------------------------------------------------
 
 # A class table as (side, context words) -> weight.

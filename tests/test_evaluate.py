@@ -19,7 +19,7 @@ from contextner.extract import (
 )
 from contextner.seeds import UNKNOWN, LearningExample
 from contextner.weighting import GROWTH_HEADER, growth_curve
-from oracle import oracle_growth, random_corpus
+from oracle import oracle_growth, random_corpus, with_copies
 
 
 def ann(doc, first, last, label):
@@ -232,6 +232,20 @@ def test_growth_matches_brute_force_oracle(side):
         length = 1 + i % 3
         points = growth_curve(corpus, capitals(*surfaces), steps, length, side)
         assert [tuple(p) for p in points] == oracle_growth(docs, surfaces, steps, length, side)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([LEFT, RIGHT]), st.integers(1, 3))
+def test_growth_counts_copies_of_a_text_as_the_oracle_does(seed, side, length):
+    """A document whose text repeats an earlier one adds that text's
+    occurrences, as the oracle, which scans every prefix afresh, counts
+    them."""
+    rng = random.Random(seed)
+    docs, surfaces = random_corpus(rng)
+    docs = with_copies(rng, docs)
+    corpus = CorpusManifest([make_doc(d.doc_id, d.text, source=d.source) for d in docs])
+    steps = sorted(rng.sample(range(1, len(docs) + 1), rng.randint(1, len(docs))))
+    points = growth_curve(corpus, capitals(*surfaces), steps, length, side)
+    assert [tuple(p) for p in points] == oracle_growth(docs, surfaces, steps, length, side)
 
 
 BAD_STEPS = {

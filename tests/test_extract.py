@@ -383,7 +383,10 @@ def test_extraction_and_scan_apply_one_window_rule():
         for side in (LEFT, RIGHT):
             for length in (1, 2, 3):
                 _n_examples, scan = _example_contexts(corpus, examples, length, side)
-                for _source, tok, anchors, kept in scan:
+                for _source, _repeat, scanned in scan:
+                    if scanned is None:
+                        continue  # a repeated text, checked at its first copy
+                    tok, anchors, kept = scanned
                     found = []
                     for anchor in anchors:
                         lo = anchor - length if side == LEFT else anchor + 1

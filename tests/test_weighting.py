@@ -1,13 +1,15 @@
 import math
 import random
+import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import capitals, make_corpus, make_doc
-from contextner import tsv
-from contextner.corpus import CorpusManifest
+from contextner import corpus as corpus_module, tsv, weighting
+from contextner.corpus import CorpusManifest, load_corpus, save_corpus
 from contextner.errors import EmptyResultError
-from contextner.extract import LEFT, RIGHT
+from contextner.extract import LEFT, RIGHT, tokenize
 from contextner.model import WEIGHT_HEADER, weight_rows
 from contextner.weighting import (
     build_weight_table,
@@ -19,7 +21,7 @@ from contextner.weighting import (
     inverse_context_frequency,
     learning_example_frequency,
 )
-from oracle import OracleDoc, oracle_stats, random_corpus
+from oracle import OracleDoc, oracle_stats, random_corpus, with_copies
 
 
 # -- the five ranking factors ------------------------------------------------
@@ -244,10 +246,43 @@ def test_matches_brute_force_oracle():
             assert checked >= 10, (side, length)
 
 
-def _agrees_with_oracle(docs, surfaces, length, side):
-    """Assert that one corpus's table equals the oracle's; False when
-    both find no context."""
+@given(st.integers(0, 2**32 - 1), st.sampled_from([LEFT, RIGHT]), st.integers(1, 3))
+def test_copies_of_a_text_count_as_the_oracle_counts_every_document(seed, side, length):
+    """A document whose text repeats an earlier one is scanned once, and
+    its copies count as the oracle, which scans every document, counts
+    them."""
+    rng = random.Random(seed)
+    docs, surfaces = random_corpus(rng)
+    _agrees_with_oracle(with_copies(rng, docs), surfaces, length, side)
+
+
+# Texts of one length, so that with every hash equal they share a key.
+COLLIDING = [
+    "Map of Paris. Hotels in Rome.",
+    "Map of Rome. Hotels in Paris.",
+    "Hotels in Paris. Map of Rome.",
+]
+
+
+@pytest.mark.parametrize("stored", [False, True], ids=["in-memory", "stored"])
+def test_texts_whose_keys_collide_are_kept_apart(monkeypatch, tmp_path, stored):
+    assert len(set(map(len, COLLIDING))) == 1
+    monkeypatch.setattr(corpus_module, "hash", lambda text: 0, raising=False)
+    picks = [0, 1, 0, 2, 1, 2, 0]
+    docs = [OracleDoc(f"d{i:02}", f"s{i % 3}", COLLIDING[k]) for i, k in enumerate(picks)]
     corpus = CorpusManifest([make_doc(d.doc_id, d.text, source=d.source) for d in docs])
+    if stored:
+        save_corpus(corpus, tmp_path)
+        corpus = load_corpus(tmp_path)
+    assert [repeat for _doc, repeat in corpus.with_repeats()] == [None, None, 0, None, 1, 2, 0]
+    assert _agrees_with_oracle(docs, ["Paris", "Rome"], 2, LEFT, corpus)
+
+
+def _agrees_with_oracle(docs, surfaces, length, side, corpus=None):
+    """Assert that one corpus's table equals the oracle's; False when
+    both find no context. `corpus` holds `docs`, made here by default."""
+    if corpus is None:
+        corpus = CorpusManifest([make_doc(d.doc_id, d.text, source=d.source) for d in docs])
     expected, expected_total = oracle_stats(docs, surfaces, length, side)
     try:
         table = build_weight_table(corpus, capitals(*surfaces), length, side)
@@ -277,6 +312,28 @@ def test_format_weight_table_layout(tmp_path):
         b"Hotels in\t0.6666667\t1\t1\t1\t0.6666667\n"
         b"Map of\t0.3333333\t1\t0.5\t1\t0.1666667\n"
     )
+
+
+@pytest.mark.parametrize("run", [
+    lambda corpus, examples: collect_context_stats(corpus, examples),
+    lambda corpus, examples: growth_curve(corpus, examples, [len(corpus)]),
+], ids=["weigh", "growth"])
+def test_a_document_is_released_before_the_next_is_split(monkeypatch, run):
+    """When a document is split, nothing but this test holds the words of
+    the one split before it (weigh keeps its own copy of them)."""
+    made = []
+    control = [object()]  # held as `made` holds each sequence
+    extra = []
+
+    def split(text):
+        if made:
+            extra.append(sys.getrefcount(made[-1]) - sys.getrefcount(control[0]))
+        made.append(tokenize(text))
+        return made[-1]
+
+    monkeypatch.setattr(weighting, "tokenize", split)
+    run(make_corpus("Hotels in Paris.", "Map of Paris now.", "Paris again."), capitals("Paris"))
+    assert extra == [0, 0]
 
 
 @pytest.mark.parametrize(
