@@ -1,12 +1,7 @@
-"""The process entry point: `python -m contextner` and the `contextner` script.
-
-A command builds no reference cycles that grow with its input (the
-argument parser's few hundred objects are the only ones), so it runs
-with the cyclic garbage collector off. Before the process exits, every
-object is frozen, so the interpreter's collections at shutdown skip them
-all. `cli.main` does neither, so an in-process caller keeps its own
-collector settings.
-"""
+"""The process entry point: `python -m contextner` and the `contextner`
+script, which run a command with the cyclic garbage collector off and
+freeze every object before exit (README "Command-line walkthrough");
+`cli.main` does neither, so an in-process caller keeps its settings."""
 
 import gc
 

@@ -14,6 +14,7 @@ import os
 import re
 from abc import ABC, abstractmethod
 from bisect import bisect_left
+from errno import ENOENT
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
 
@@ -65,8 +66,8 @@ class FixtureClient(SearchClient):
     files (columns: query, uri, file). Results keep file order; a URI
     listed with two different files, or with a file outside the
     directory (see tsv.check_inside), is rejected up front, as is a
-    queries.tsv that tsv.stored_file refuses. A file that is missing, or
-    that tsv.stored_file refuses, is a fetch failure.
+    queries.tsv that tsv.stored_entry refuses. A file that is missing, or
+    that tsv.stored_entry refuses, is a fetch failure.
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -98,12 +99,15 @@ class FixtureClient(SearchClient):
         if file_name is None:
             raise ClientError(f"unknown uri: {uri}")
         try:
-            path = tsv.stored_file(self.directory, file_name)
-            raw = tsv.read_bytes(path)
-        except OSError as exc:  # nothing at the name
-            raise ClientError(f"cannot read {exc.filename}: {exc}") from exc
-        except (ValueError, InputError) as exc:
+            path, present = tsv.stored_entry(self.directory, file_name)
+            raw = tsv.read_bytes(path) if present else None
+        except tsv.RefusedEntry as exc:
+            raise ClientError(exc.reason) from exc
+        except InputError as exc:
             raise ClientError(str(exc)) from exc
+        if raw is None:  # worded as open words it
+            missing = FileNotFoundError(ENOENT, os.strerror(ENOENT), path)
+            raise ClientError(f"cannot read {path}: {missing}")
         kind = MARKUP if os.path.splitext(path)[1].lower() in _MARKUP_SUFFIXES else PLAIN
         return raw, kind
 

@@ -1,8 +1,5 @@
-"""Command-line pipeline: acquire, weigh, recognize, evaluate, growth.
-
-Exit codes: 0 success, 1 stdout closed before the output was written,
-2 usage or input error (a pipe named by --output closing early among
-them), 3 empty result, 4 malformed stored data (manifest, model, TSV).
+"""Command-line pipeline: acquire, weigh, recognize, evaluate, growth,
+with the exit codes of README "Command-line walkthrough".
 
 Each command imports the modules it runs inside its handler, so a
 command's start-up loads only what that command uses.
@@ -81,7 +78,7 @@ def cmd_acquire(args: argparse.Namespace) -> int:
     _, present = tsv.stored_entry(corpus_dir, MANIFEST_NAME)
     existing = load_corpus(corpus_dir) if present else CorpusManifest([])
     # Every new document is written under DOCS_DIR: refuse a bad one before any fetch.
-    tsv.check_directory(corpus_dir, DOCS_DIR)
+    tsv.stored_entry(corpus_dir, DOCS_DIR + "/")
     client = FixtureClient(args.fixtures)
     result = acquire(client, queries, existing, max_results=args.max_results)
     for failure in result.failures:
@@ -227,14 +224,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--threshold",
         type=_nonneg_float,
-        default=None,
         metavar="X",
         help="decision threshold recorded in the model (default keep/0)",
     )
     p.add_argument(
         "--margin",
         type=_nonneg_float,
-        default=None,
         metavar="X",
         help="decision margin recorded in the model (default keep/0)",
     )
@@ -252,14 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--threshold",
         type=_nonneg_float,
-        default=None,
         metavar="X",
         help="decision threshold (default: the model's stored value)",
     )
     p.add_argument(
         "--margin",
         type=_nonneg_float,
-        default=None,
         metavar="X",
         help="decision margin (default: the model's stored value)",
     )

@@ -1,13 +1,9 @@
-"""Document corpus storage: source identity and manifest IO.
-
-A corpus directory holds `manifest.tsv` (columns: id, source, uri, kind,
-file) plus one cleaned-text UTF-8 file per document, conventionally under
-`docs/`. Cleaned text is stored so statistics runs never re-strip markup.
-Documents are immutable after load and safe to share across threads.
-"""
+"""Corpus directories (README "File formats"): each document's source
+identity, and the manifest that lists its cleaned-text file."""
 
 from __future__ import annotations
 
+import os
 from pathlib import Path, PurePosixPath
 from typing import Callable, Iterable, Iterator, NamedTuple
 from urllib.parse import urlsplit
@@ -138,10 +134,8 @@ class CorpusManifest(Record):
 
 
 def _manifest_row_check() -> Callable[[str, str, str, str, str], None]:
-    """A check for manifest rows in order: it raises ValueError on an
-    empty field, an unknown kind, an id holding a path separator, or an
-    id or uri an earlier row holds. The file is checked by tsv.stored_file
-    in load_corpus and by tsv.writable in save_corpus."""
+    """A check for manifest rows in order, raising ValueError on a bad
+    row; the file is checked by tsv.stored_entry."""
     seen_ids: set[str] = set()
     seen_uris: set[str] = set()
 
@@ -163,13 +157,9 @@ def _manifest_row_check() -> Callable[[str, str, str, str, str], None]:
 
 
 def save_corpus(manifest: CorpusManifest, directory: str | Path) -> None:
-    """Write manifest.tsv plus one cleaned-text file per document.
-
-    Every row is checked as load_corpus checks it, and a fault raises
-    DataFormatError naming the manifest line, before any file is written;
-    so is every file written, by tsv.writable. Each stored
-    document's text is read once, just before it is written.
-    """
+    """Write manifest.tsv plus one cleaned-text file per document. Every
+    row, and every entry written, is checked before the first write. Each
+    stored document's text is read once, just before it is written."""
     directory = Path(directory)
     rows = [
         [doc.id, doc.source, doc.uri, doc.kind, f"{DOCS_DIR}/{doc.id}.txt"]
@@ -182,36 +172,29 @@ def save_corpus(manifest: CorpusManifest, directory: str | Path) -> None:
         except ValueError as exc:
             raise DataFormatError(f"{directory / MANIFEST_NAME}:{lineno}: {exc}") from exc
     text = tsv.table_text(_MANIFEST_HEADER, rows)
-    *doc_paths, index = tsv.writable(directory, [*(rel for *_, rel in rows), MANIFEST_NAME])
+    names = [*(rel for *_, rel in rows), MANIFEST_NAME]
+    *doc_paths, index = [tsv.stored_entry(directory, name)[0] for name in names]
+    os.makedirs(directory / DOCS_DIR if rows else directory, exist_ok=True)
     for doc, path in zip(manifest, doc_paths):
         tsv.write_text(path, doc.clean)
     tsv.write_text(index, text)
 
 
 def load_corpus(directory: str | Path) -> CorpusManifest:
-    """Load a corpus directory written by save_corpus.
-
-    Every manifest row is checked now, but no document's text is read:
-    the manifest holds StoredDocuments, whose text is read, and checked
-    to be UTF-8, when iteration reaches it.
-
-    Raises InputError when the manifest file cannot be read, and
-    DataFormatError on a manifest or document file that tsv.stored_file
-    refuses, on a repeated id or uri, a bad kind, or a missing document
-    file.
-    Iterating raises DataFormatError on a document that is not UTF-8,
-    and InputError on one that can no longer be read.
-    """
+    """Load a corpus directory written by save_corpus. Every manifest row
+    and document entry is checked now (README "File formats"), but no
+    text is read: the manifest holds StoredDocuments, whose text is read,
+    and checked to be UTF-8, when iteration reaches it. A manifest that
+    cannot be read is an InputError, a bad row or entry a DataFormatError."""
     directory = Path(directory)
     root = str(directory)
     check = _manifest_row_check()
 
     def parse(doc_id, source, uri, kind, rel):
         check(doc_id, source, uri, kind, rel)
-        try:
-            doc_path = tsv.stored_file(root, rel)
-        except OSError:
-            raise ValueError(f"missing document file {rel!r}") from None
+        doc_path, present = tsv.stored_entry(root, rel)
+        if not present:
+            raise ValueError(f"missing document file {rel!r}")
         return StoredDocument(id=doc_id, source=source, uri=uri, kind=kind, path=doc_path)
 
     index, _ = tsv.stored_entry(root, MANIFEST_NAME)

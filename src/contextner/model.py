@@ -1,14 +1,10 @@
-"""Model directories: one weight table per class, listed by `model.tsv`.
-
-The index `model.tsv` names each class's table file and the decision
-threshold and margin the classes share. The weight-table format (header,
-rows, reader) is here. `weigh --model-dir` adds or replaces one class's
-table; `recognize` reads every table back as a context->weight mapping.
-"""
+"""Model directories (README "File formats"): one weight table per
+class, listed by the index `model.tsv`, and the weight-table format."""
 
 from __future__ import annotations
 
 import math
+import os
 import re
 import sys
 from contextlib import suppress
@@ -86,8 +82,7 @@ def _read_index(directory: Path) -> _Index:
     """A model directory's index as class -> table file, in line order,
     plus the threshold and margin its lines share ((0, 0) when it has
     none). Every check on an index is here, so weigh and recognize reject
-    the same files; model.tsv and each table file must be entries that
-    tsv.stored_file accepts, a table file a bare name."""
+    the same files."""
     entries: dict[str, str] = {}
     shared: set[tuple[float, float]] = set()
 
@@ -97,10 +92,9 @@ def _read_index(directory: Path) -> _Index:
             raise ValueError(f"duplicate class {label!r}")
         if table_file in (".", "..") or "/" in table_file or "\\" in table_file:
             raise ValueError(f"table file {table_file!r} is not a bare file name")
-        try:
-            tsv.stored_file(directory, table_file)
-        except OSError as exc:
-            raise ValueError(f"table file not found: {exc.filename}") from None
+        path, present = tsv.stored_entry(directory, table_file)
+        if not present:
+            raise ValueError(f"table file not found: {path}")
         theta, delta = float(theta), float(delta)
         if not (theta >= 0 and delta >= 0):
             raise ValueError("threshold and margin must be non-negative")
@@ -125,11 +119,9 @@ def _new_table_file(entries: dict[str, str], label: str) -> str:
 def check_model_update(directory: str | Path, label: str) -> _Index:
     """The directory's stored index, for update_model ((no classes, 0, 0)
     when it has no model.tsv). Raises where update_model would reject
-    this class label, that index or a file it would write, so a caller
-    can check before it builds the table: DataFormatError on a bad label
-    or index, or on model.tsv or the new table's file being an entry that
-    tsv.stored_file refuses, and InputError on a model.tsv that cannot be
-    read."""
+    this class label, that index or a file it would write (a
+    DataFormatError, or an InputError for a model.tsv that cannot be
+    read), so a caller can check before it builds the table."""
     directory = Path(directory)
     _table_file_name(label)
     _, present = tsv.stored_entry(directory, MODEL_FILE)
@@ -146,25 +138,21 @@ def update_model(
     threshold: Optional[float] = None,
     margin: Optional[float] = None,
 ) -> None:
-    """Add or replace one class's table in a model directory.
+    """Add or replace one class's table in a model directory, as README
+    "Command-line walkthrough" says: both entries are checked before
+    either is written, and replacing model.tsv is the one commit.
 
     `table` is the weight table's text, as tsv.table_text gives it for
     WEIGHT_HEADER and weight_rows, and `index` the directory's index as
-    check_model_update returned it.
-    Other classes' entries are preserved. Threshold and margin are
-    model-wide: explicit values overwrite the stored ones, otherwise
-    the stored (or zero) values stay on every row.
-
-    Replacing model.tsv is the one commit: the table is written first,
-    under the name _new_table_file gives, and the replaced table is
-    deleted last. So a failed update leaves the old model whole. Both
-    files are written to the paths tsv.writable gives, which checks both
-    before either is written.
+    check_model_update returned it. Explicit threshold and margin values
+    overwrite the stored ones on every row.
     """
     entries, stored = index
     file_name = _new_table_file(entries, label)
     replaced = entries.get(label)
-    table_path, index_path = tsv.writable(directory, [file_name, MODEL_FILE])
+    table_path, _ = tsv.stored_entry(directory, file_name)
+    index_path, _ = tsv.stored_entry(directory, MODEL_FILE)
+    os.makedirs(directory, exist_ok=True)
     tsv.write_text(table_path, table)
     entries = {**entries, label: file_name}
     theta = stored[0] if threshold is None else threshold

@@ -1,12 +1,7 @@
-"""Strict, byte-deterministic TSV reading and writing, and the one
-guard on what an entry of a corpus, model or fixture directory may be.
-
-All on-disk tables in this package share one dialect: UTF-8, a required
-header row, tab-separated columns, "\n" line endings, and no escaping
-(text fields must not contain tabs or newlines). The writer prints an
-int in decimal, a float with %.7g, and None, a missing value, as NA.
-Every file the package reads or writes is opened here.
-"""
+"""Every file the package reads or writes is opened here: strict,
+byte-deterministic TSV in the one dialect of README "File formats", and
+the one guard on what an entry of a corpus, model or fixture directory
+may be."""
 
 from __future__ import annotations
 
@@ -14,7 +9,7 @@ import os
 import sys
 from pathlib import Path
 from stat import S_ISDIR, S_ISREG
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
 from .errors import DataFormatError, InputError
 
@@ -25,7 +20,8 @@ Field = str | int | float | None  # a field as write_rows takes it
 
 
 def _text(field: Field) -> str:
-    """A field as the dialect writes it (see the module docstring)."""
+    """A field as the dialect writes it: an int in decimal, a float with
+    %.7g, and None, a missing value, as NA."""
     if isinstance(field, str):
         return field
     if isinstance(field, float):
@@ -75,19 +71,12 @@ def _lines(header: list[str], rows: Iterable[Sequence[Field]]) -> Iterator[str]:
 
 
 def _replace(path: str | Path, write: Callable[[TextIO], None]) -> None:
-    """Replace the file `path` names whole with what `write` writes to it.
-
-    `write` gets a UTF-8 text stream with "\n" line endings on a
-    temporary file next to the file `path` names (a symbolic link's
-    target, as a user's --output may be), which then takes its place in
-    one rename, so a failed or interrupted run leaves the old file or
-    none, never a half-written one. The temporary file is created
-    exclusively: anything already at its name, such as a link, fails the
-    write, is removed, and is never written through. A device or a pipe,
-    such as /dev/null, is written directly: there is no file to replace.
-    An OSError names `path` as given, never the temporary file, and one
-    from writing to a device or a pipe, such as a BrokenPipeError once a
-    pipe's reader has gone, names it too.
+    """Replace the file `path` names (a symbolic link's target, as a
+    user's --output may be) whole with what `write` writes to a UTF-8
+    text stream with "\n" line endings, as README "File formats" says:
+    through a temporary file beside it, or directly to a device or a
+    pipe. An OSError, a BrokenPipeError from a pipe included, names
+    `path` as given, never the temporary file.
     """
     given = path
     path = Path(path)
@@ -120,6 +109,16 @@ def write_text(path: str | Path | None, text: str) -> None:
         sys.stdout.write(text)
 
 
+class RefusedEntry(DataFormatError):
+    """An entry stored_entry refuses. The message names the directory, as
+    for an index or an entry about to be written; `reason` names only the
+    entry, as read_rows reports it at the index line that lists it."""
+
+    def __init__(self, directory: str | Path, reason: str) -> None:
+        super().__init__(f"{directory}: {reason}")
+        self.reason = reason
+
+
 def check_inside(name: str) -> None:
     """Raise ValueError unless `name`, joined to a directory, names an
     entry inside it: it may be neither absolute nor hold a `..` part."""
@@ -127,77 +126,36 @@ def check_inside(name: str) -> None:
         raise ValueError(f"file {name!r} is outside its directory")
 
 
-def _non_directory(path: str, top: int) -> Optional[str]:
-    """The first part of `path` after offset `top` that ends in a '/'
-    and is there but is not a directory (a link to one included), walked
-    from the top with one os.lstat a part; None when there is none. A
-    missing part ends the walk: nothing under it is there either."""
-    end = path.find("/", top)
-    while end >= 0:
-        try:
-            mode = os.lstat(path[:end]).st_mode
-        except FileNotFoundError:
-            return None
-        if not S_ISDIR(mode):
-            return path[top:end]
-        end = path.find("/", end + 1)
-    return None
-
-
-def stored_file(directory: str | Path, name: str) -> str:
-    """`directory` joined to `name`, an entry of a corpus, model or
-    fixture directory: the one guard before such an entry is read,
-    probed or written. The name must stay inside the directory (see
-    check_inside); each directory part of it, walked from the top, must
-    be a directory, never a link to one; and the entry must be a regular
-    file, never a symbolic link, a FIFO or a directory. One os.lstat a
-    part. Raises ValueError on a refusal, and os.lstat's OSError, such
-    as a FileNotFoundError naming the entry when nothing is there."""
-    check_inside(name)
-    path = os.path.join(directory, name)
-    part = _non_directory(path, len(path) - len(name))
-    if part is not None:
-        raise ValueError(f"file {name!r} is under {part!r}, which is not a directory")
-    if not S_ISREG(os.lstat(path).st_mode):
-        raise ValueError(f"file {name!r} is not a regular file")
-    return path
-
-
 def stored_entry(directory: str | Path, name: str) -> tuple[str, bool]:
-    """stored_file's answer for an entry that may be absent, an index or
-    an entry about to be written: its path, and whether a file is there.
-    A refusal is a DataFormatError naming the directory."""
+    """The one guard on an entry of a corpus, model or fixture directory,
+    before it is read, probed or written: `directory` joined to `name`,
+    and whether the entry is there. The name's parts are walked from the
+    top, one os.lstat a part, and what README "File formats" rules out is
+    refused with a RefusedEntry; a name ending in '/' names a directory.
+    A missing part ends the walk: the entry is absent. A part that cannot
+    be looked at, as under a regular file, is an InputError naming the
+    path."""
+    path = os.path.join(directory, name)
+    top = len(path) - len(name)
     try:
-        return stored_file(directory, name), True
+        check_inside(name)
+        end = path.find("/", top)
+        while end >= 0:
+            if not S_ISDIR(os.lstat(path[:end]).st_mode):
+                part = f"{path[top:end]!r}"
+                if name.endswith("/"):
+                    raise ValueError(f"{part} is not a directory")
+                raise ValueError(f"file {name!r} is under {part}, which is not a directory")
+            end = path.find("/", end + 1)
+        if not name.endswith("/") and not S_ISREG(os.lstat(path).st_mode):
+            raise ValueError(f"file {name!r} is not a regular file")
     except FileNotFoundError:
-        return os.path.join(directory, name), False
+        return path, False
     except ValueError as exc:
-        raise DataFormatError(f"{directory}: {exc}") from None
-
-
-def check_directory(directory: str | Path, name: str) -> None:
-    """Refuse, before the work that makes them, the entries writable
-    would refuse for lying under `name`, a directory of `directory`
-    that the package names: `name`, or a part of it, is there but is
-    not a directory (a link to one included). A refusal is a
-    DataFormatError naming the directory. What is absent is fine, and
-    nothing is made."""
-    path = os.path.join(directory, name, "")
-    part = _non_directory(path, len(path) - len(name) - 1)
-    if part is not None:
-        raise DataFormatError(f"{directory}: {part!r} is not a directory")
-
-
-def writable(directory: str | Path, names: Iterable[str]) -> list[str]:
-    """The paths to write the entries `names` of `directory` to. Every
-    name is checked by stored_entry before any path is returned, so a
-    caller that writes only to these refuses a bad entry before its first
-    write; then each directory a name leads through is made, where it is
-    not there yet."""
-    paths = [stored_entry(directory, name)[0] for name in names]
-    for parent in dict.fromkeys(map(os.path.dirname, paths)):
-        os.makedirs(parent, exist_ok=True)
-    return paths
+        raise RefusedEntry(directory, str(exc)) from None
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror}") from None
+    return path, True
 
 
 def table_text(header: list[str], rows: Iterable[Sequence[Field]]) -> str:
@@ -263,9 +221,10 @@ def read_text(path: str | Path) -> str:
 def read_rows(path: str | Path, header: list[str], parse: Callable[..., T]) -> list[T]:
     """Read a TSV file, checking the header and per-row column counts.
 
-    Returns parse(*fields) for each data row. A ValueError from parse is
-    reported, like a wrong column count, as a DataFormatError naming the
-    file and the 1-based line (the first data row is line 2).
+    Returns parse(*fields) for each data row. A ValueError from parse, or
+    the reason of a RefusedEntry for an entry the row lists, is reported,
+    like a wrong column count, as a DataFormatError naming the file and
+    the 1-based line (the first data row is line 2).
     """
     path = Path(path)
     lines = read_text(path).split("\n")
@@ -289,4 +248,6 @@ def read_rows(path: str | Path, header: list[str], parse: Callable[..., T]) -> l
             out.append(parse(*fields))
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+        except RefusedEntry as exc:  # an entry the line lists
+            raise DataFormatError(f"{path}:{lineno}: {exc.reason}") from exc
     return out

@@ -6,13 +6,16 @@ and shares nothing with the package. That includes the tokenizer:
 gap scan, kept as the reference its faster replacement must match. The
 markup stripper's references are the package's original `html.parser`
 stripper, `oracle_markup_text`, and its first regular-expression
-stripper, `oracle_split_markup_text`.
+stripper, `oracle_split_markup_text`. The reference for the guard on a
+stored entry, `oracle_stored_entry`, looks at each part of a name in turn.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import re
+import stat
 from dataclasses import dataclass
 
 LEFT = "left"
@@ -600,3 +603,43 @@ def random_recognition_case(rng: random.Random) -> RecognitionCase:
         margin=rng.choice([0.0, rng.uniform(0.0, 0.8)]),
         max_entity_tokens=rng.randint(1, 5),
     )
+
+
+# -- stored entries ------------------------------------------------------------
+
+
+def oracle_stored_entry(directory: str, name: str) -> tuple[str, bool] | str:
+    """What the guard answers for the entry `name` of `directory`:
+    (path, present), or the text of its refusal or of its error.
+
+    The name is split into its parts, and the directory each leading run
+    of parts names is looked at with its own os.lstat, top first. A name
+    ending in '/' names a directory; any other names a regular file.
+    """
+    path = os.path.join(directory, name)
+    parts = name.split("/")
+    if name.startswith("/") or ".." in parts:
+        return f"{directory}: file {name!r} is outside its directory"
+    for i in range(1, len(parts)):
+        lead = "/".join(parts[:i])
+        try:
+            mode = os.lstat(os.path.join(directory, lead)).st_mode
+        except FileNotFoundError:
+            return path, False
+        except OSError as exc:
+            return f"{path}: {exc.strerror}"
+        if not stat.S_ISDIR(mode):
+            if name.endswith("/"):
+                return f"{directory}: {lead!r} is not a directory"
+            return f"{directory}: file {name!r} is under {lead!r}, which is not a directory"
+    if name.endswith("/"):
+        return path, True
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        return path, False
+    except OSError as exc:
+        return f"{path}: {exc.strerror}"
+    if not stat.S_ISREG(mode):
+        return f"{directory}: file {name!r} is not a regular file"
+    return path, True

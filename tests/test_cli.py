@@ -850,6 +850,40 @@ def test_missing_stored_file_exits_2_naming_it(
     assert capsys.readouterr().err == f"error: {path}: No such file or directory\n"
 
 
+@pytest.mark.parametrize(
+    "argument",
+    ["acquire corpus", "acquire fixtures", "weigh corpus", "weigh model", "recognize corpus",
+     "recognize model"],
+)
+def test_a_directory_argument_that_is_a_file_exits_2_naming_its_index(
+    tmp_path, capsys, capital_examples, fixture_dir, trained_model_dir, argument
+):
+    # Reported as a missing index is, not as Python's raw OSError.
+    corpus_dir = saved_corpus(tmp_path, "corpus", "Hotels in Quito.")
+    notadir = tmp_path / "notadir"
+    notadir.write_text("", encoding="utf-8")
+    index, args = {
+        "acquire corpus": (
+            "manifest.tsv", ["acquire", capital_examples, str(notadir), "--fixtures", fixture_dir]
+        ),
+        "acquire fixtures": (
+            "queries.tsv",
+            ["acquire", capital_examples, str(tmp_path / "new"), "--fixtures", str(notadir)],
+        ),
+        "weigh corpus": ("manifest.tsv", ["weigh", capital_examples, str(notadir)]),
+        "weigh model": (
+            "model.tsv", ["weigh", capital_examples, corpus_dir, "--model-dir", str(notadir)]
+        ),
+        "recognize corpus": ("manifest.tsv", ["recognize", trained_model_dir, str(notadir)]),
+        "recognize model": ("model.tsv", ["recognize", str(notadir), corpus_dir]),
+    }[argument]
+    capsys.readouterr()
+    before = snapshot(tmp_path)
+    assert cli.main(args) == 2
+    assert capsys.readouterr() == ("", f"error: {notadir / index}: Not a directory\n")
+    assert snapshot(tmp_path) == before
+
+
 def doc_id(uri):
     """A document's id: the first 12 hex digits of its URI's SHA-1."""
     return hashlib.sha1(uri.encode("utf-8")).hexdigest()[:12]

@@ -8,10 +8,11 @@ from enum import IntEnum
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from contextner import tsv
-from contextner.errors import DataFormatError
+from contextner.errors import DataFormatError, InputError
+from oracle import oracle_stored_entry
 
 HDR = ["a", "b"]
 
@@ -279,3 +280,80 @@ def test_write_rows_holds_one_row_at_a_time(tmp_path):
         tracemalloc.stop()
     assert path.stat().st_size > 10_000_000
     assert peak < 1_000_000
+
+
+# -- the guard on a stored entry ---------------------------------------------------
+
+# The entries of a small tree, each parent before its children, and what
+# each may be. A link leads out of the tree: to a file, a directory that
+# holds that file, or nothing.
+_TREE = ["a", "b", "a/a", "a/b", "b/a", "b/b"]
+_KINDS = ["absent", "file", "directory", "file link", "directory link", "dangling link", "fifo"]
+
+
+def _build_tree(root, kinds):
+    """`root`/top, holding the entries of _TREE as `kinds` says, where
+    the parent of one is a directory, not a link to one."""
+    elsewhere = root / "elsewhere"
+    elsewhere.mkdir()
+    (elsewhere / "a").write_text("outside", encoding="utf-8")
+    top = root / "top"
+    top.mkdir()
+    for name, kind in zip(_TREE, kinds):
+        path = top / name
+        if kind == "absent" or path.parent.is_symlink() or not path.parent.is_dir():
+            continue
+        if kind == "file":
+            path.write_text(name, encoding="utf-8")
+        elif kind == "directory":
+            path.mkdir()
+        elif kind == "fifo":
+            os.mkfifo(path)
+        else:
+            target = {"file link": elsewhere / "a", "directory link": elsewhere}.get(kind)
+            path.symlink_to(target or root / "nowhere")
+    return top
+
+
+# Names that are absolute, hold `..` or `.`, have empty parts or end in '/'.
+_names = st.tuples(
+    st.sampled_from(["", "/"]),
+    st.lists(st.sampled_from(["a", "b", "c", "", ".", ".."]), min_size=1, max_size=3),
+    st.sampled_from(["", "/"]),
+).map(lambda t: t[0] + "/".join(t[1]) + t[2])
+
+
+@settings(deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(_KINDS), min_size=len(_TREE), max_size=len(_TREE)),
+    where=st.sampled_from(["", "a", "missing"]),
+    name=_names,
+)
+def test_stored_entry_matches_the_lstat_oracle(kinds, where, name):
+    with tempfile.TemporaryDirectory() as scratch:
+        top = _build_tree(Path(scratch), kinds)
+        # The directory may be a file, a link or missing too.
+        directory = str(top / where) if where else str(top)
+        expected = oracle_stored_entry(directory, name)
+        try:
+            answer = tsv.stored_entry(directory, name)
+        except (DataFormatError, InputError) as exc:
+            answer = str(exc)
+        assert answer == expected
+        # A name whose last part is empty or `.` names a directory, which
+        # no writer writes and no reader reads as a file.
+        if not isinstance(answer, tuple) or os.path.basename(name) in ("", "."):
+            return
+        # A write the walk allows, with the directories made as a writer
+        # makes them, lands in a regular file inside the directory.
+        path, _ = answer
+        if os.path.islink(directory) and not os.path.exists(directory):
+            # Nothing is made or written through a link that leads nowhere.
+            with pytest.raises(OSError):
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                tsv.write_text(path, "written")
+            return
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        tsv.write_text(path, "written")
+        assert stat.S_ISREG(os.lstat(path).st_mode)
+        assert os.path.realpath(path).startswith(os.path.realpath(directory) + os.sep)
